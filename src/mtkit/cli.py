@@ -17,9 +17,15 @@ import sys
 
 from .decision import EndoType, MtQuery, enumerate_exceptional, mt_check
 from .drops import drop_spectrum, root_element_drop
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 from .minuscule import DEFAULT_RANK_BOUND, MinusculeRep, enumerate_minuscule, minuscule_rep
-from .oracle import DEFAULT_PRIME, build_root_element, unipotence, verify_tensor_lemma
+from .oracle import (
+    DEFAULT_PRIME,
+    _require_prime,
+    build_root_element,
+    unipotence,
+    verify_tensor_lemma,
+)
 from .roots import CartanType, find_positive_root, _FIXED_RANK
 
 FORMATS = ("json", "csv", "markdown")
@@ -247,6 +253,18 @@ def _parse_dims(spec: str) -> tuple[int, int]:
         raise UsageError(f"--dims expects integers, got {spec!r}") from None
 
 
+def _prime(text: str) -> int:
+    """argparse type for --prime: an integer that is a prime."""
+    try:
+        p = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return _require_prime(p)
+    except PreconditionError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_oracle_tensor(args) -> tuple[dict, list[dict], list[str]]:
     report = verify_tensor_lemma(
         k1=args.k1, k2=args.k2, dims=_parse_dims(args.dims),
@@ -390,7 +408,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--trials", type=int, required=True)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--dims", default="6,6")
-    q.add_argument("--prime", type=int, nargs="?", const=DEFAULT_PRIME, default=None)
+    q.add_argument("--prime", type=_prime, nargs="?", const=DEFAULT_PRIME, default=None)
     add_format(q)
     q.set_defaults(func=_cmd_oracle_tensor)
 
@@ -399,7 +417,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--rank", type=int)
     q.add_argument("--weight", required=True)
     q.add_argument("--roots", required=True, help="comma-separated epsilon mnemonics, e.g. e1-e2,e3-e4")
-    q.add_argument("--prime", type=int, nargs="?", const=DEFAULT_PRIME, default=None)
+    q.add_argument("--prime", type=_prime, nargs="?", const=DEFAULT_PRIME, default=None)
     add_format(q)
     q.set_defaults(func=_cmd_oracle_drop)
 

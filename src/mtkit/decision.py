@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import comb
 
+from .drops import _exact_log2
 from .errors import QueryInvalid
 
 CITATION_PINK = (
@@ -192,12 +193,6 @@ def pink_gate(g: int) -> PinkResult:
     if m is not None:
         return PinkResult(False, f"2g = {n} = C({2 * m}, {m}) with odd m = {m}")
     return PinkResult(True)
-
-
-def _exact_log2(n: int) -> int | None:
-    if n >= 1 and n & (n - 1) == 0:
-        return n.bit_length() - 1
-    return None
 
 
 # family-1 parity of r and family-2 congruence classes of t, per endo type

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import PreconditionError
 from .roots import (
@@ -28,7 +30,7 @@ class MinusculeRep:
     sign is +1 for orthogonal, -1 for symplectic, 0 for non-self-dual.
     quadratic_classes records, per root-length class, whether every orbit
     weight pairs into {-1, 0, 1} with that class (what the drop machinery
-    needs to treat a root element as quadratic).
+    needs to treat a root element as quadratic); it is a read-only mapping.
     """
 
     datum: RootDatum
@@ -37,7 +39,7 @@ class MinusculeRep:
     dimension: int
     sign: int
     orbit: tuple[Weight, ...] = field(repr=False)
-    quadratic_classes: dict[str, bool] = field(repr=False)
+    quadratic_classes: Mapping[str, bool] = field(repr=False)
 
     @property
     def cartan_type(self) -> CartanType:
@@ -50,25 +52,25 @@ class MinusculeRep:
 
 
 def is_minuscule(d: RootDatum, w: Weight) -> bool:
-    """True iff w pairs to 0 or 1 with every positive coroot."""
+    """True iff the dominant weight w pairs to 0 or 1 with every positive coroot.
+
+    Every positive coroot lies below the highest coroot theta_coroot, and
+    pairings with a dominant weight grow along that order, so the largest
+    pairing is <w, theta_coroot>: the test is <w, theta_coroot> <= 1.
+    """
     if w.is_zero:
         raise PreconditionError("minuscule test requires a nonzero weight")
     if not w.is_dominant:
         raise PreconditionError("minuscule test requires a dominant weight")
-    nz = [(j, v) for j, v in enumerate(w.coords) if v]
-    for cr in d.coroots:
-        p = sum(cr[j] * v for j, v in nz)
-        if p not in (0, 1):
-            return False
-    return True
+    return pair_with_coroot(d.highest_coroot, w.coords) <= 1
 
 
 def duality_sign(d: RootDatum, w: Weight) -> int:
     """Frobenius-Schur sign of the minuscule representation with highest weight w.
 
     0 when the dual highest weight differs from w; otherwise (-1)**p with
-    p the sum of the pairings of w against all positive coroots (the
-    pairing with twice the dual Weyl vector).
+    p = <w, 2 rho_coroot>, the sum of the pairings of w against all positive
+    coroots (2 rho_coroot is the sum of the positive coroots).
     """
     if not is_minuscule(d, w):
         raise PreconditionError(
@@ -76,8 +78,7 @@ def duality_sign(d: RootDatum, w: Weight) -> int:
         )
     if dual_weight(d, w) != w:
         return 0
-    nz = [(j, v) for j, v in enumerate(w.coords) if v]
-    p = sum(sum(cr[j] * v for j, v in nz) for cr in d.coroots)
+    p = pair_with_coroot(d.two_rho_coroot, w.coords)
     return -1 if p % 2 else 1
 
 
@@ -116,7 +117,7 @@ def expand_rep(d: RootDatum, w: Weight, name: str | None = None) -> MinusculeRep
         dimension=len(orbit),
         sign=sign,
         orbit=orbit,
-        quadratic_classes=quad,
+        quadratic_classes=MappingProxyType(quad),
     )
 
 

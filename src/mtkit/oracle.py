@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import FieldMismatch, NotUnipotent, PreconditionError
 from .minuscule import MinusculeRep
@@ -19,7 +20,49 @@ from .roots import pair_with_coroot
 
 DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degrade
 
+# Miller-Rabin with the first thirteen prime bases is exact below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
 SIGN_CONVENTIONS = ("plus", "alternating")
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < _MR_BOUND."""
+    if p < 2:
+        return False
+    if p in _MR_BASES:
+        return True
+    if any(p % b == 0 for b in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=128)
+def _require_prime(p: int) -> int:
+    """Return p if it is a prime the primality test can certify; raise otherwise."""
+    if p >= _MR_BOUND:
+        raise PreconditionError(
+            f"prime must be below {_MR_BOUND}, the range of the deterministic "
+            f"primality test, got {p}"
+        )
+    if not _is_prime(p):
+        raise PreconditionError(f"prime must be a prime >= 2, got {p}")
+    return p
 
 
 @dataclass
@@ -38,6 +81,7 @@ class ExactMatrix:
                 if isinstance(x, float):
                     raise PreconditionError("floating point entries are not allowed")
         if self.prime is not None:
+            _require_prime(self.prime)
             self.rows = [[x % self.prime for x in row] for row in self.rows]
 
     @property
@@ -47,9 +91,6 @@ class ExactMatrix:
     @classmethod
     def identity(cls, n: int, prime: int | None = None) -> "ExactMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], prime)
-
-    def copy(self) -> "ExactMatrix":
-        return ExactMatrix([row[:] for row in self.rows], self.prime)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.rows for x in row)
@@ -211,6 +252,8 @@ def build_root_element(
     exploratory (the sign convention is not certified to define a group
     representation).
     """
+    if prime is not None:
+        _require_prime(prime)
     if not root_indices:
         raise PreconditionError("at least one root is required")
     if signs not in SIGN_CONVENTIONS:
@@ -385,6 +428,8 @@ def verify_tensor_lemma(
     characteristic deviations instead of failures (small p genuinely lowers
     degrees; p >= k1 + k2 - 1 avoids that).
     """
+    if prime is not None:
+        _require_prime(prime)
     if k1 < 1 or k2 < 1:
         raise PreconditionError("unipotence degrees must be >= 1")
     if trials <= 0:

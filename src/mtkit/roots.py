@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import InvalidCartanType, PreconditionError
 
@@ -90,7 +91,9 @@ class RootDatum:
     corresponding coroot in the simple-coroot basis, and ``length_class[k]``
     is "long" or "short" ("long" throughout for simply-laced types).  The
     positive roots are sorted lexicographically, so every derived ordering
-    is reproducible bit for bit.
+    is reproducible bit for bit.  ``highest_coroot`` is the positive coroot
+    of largest height and ``two_rho_coroot`` the sum of all positive
+    coroots, both in the simple-coroot basis.
     """
 
     cartan_type: CartanType
@@ -98,6 +101,8 @@ class RootDatum:
     positive_roots: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
     length_class: tuple[str, ...]
+    highest_coroot: tuple[int, ...]
+    two_rho_coroot: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -168,67 +173,85 @@ def _symmetrizer(t: CartanType) -> list[int]:
 
 @lru_cache(maxsize=None)
 def build_root_datum(t: CartanType) -> RootDatum:
-    """Generate the full root datum by reflection closure from the simple roots.
+    """Generate the positive roots level by level in height, along alpha_i-strings.
 
-    Closure runs over the whole root set (positives and negatives); the
-    positives are the roots with all simple-root coordinates >= 0.  Cartan
-    rows are consulted sparsely, so the closure stays fast at high rank.
+    A positive root beta other than alpha_i extends to the root beta + alpha_i
+    exactly when r_i(beta) - <beta, alpha_i_coroot> > 0, where r_i(beta) is
+    the length of the alpha_i-string below beta (the largest r with
+    beta - r alpha_i a root).  r_i is recorded on beta + alpha_i when beta is
+    extended, so every root of height h has its full string data once level
+    h - 1 is done.  Each root carries its nonzero simple-coroot pairings as
+    a sparse map; adding alpha_i updates it from the sparse column i of the
+    Cartan matrix, and the sorted map is the root's identity (the Cartan
+    matrix is invertible), so a new root costs O(1) dictionary operations
+    plus one copy of its parent's simple-root coordinates.
+
+    Every root is checked to have a positive even norm and an integral
+    coroot.  The datum also records the highest coroot (the positive coroot
+    of largest height) and 2 rho_coroot (the sum of the positive coroots).
     """
     a = _cartan_matrix(t)
     d = _symmetrizer(t)
     n = t.rank
-    rows_sparse = [[(j, a[i][j]) for j in range(n) if a[i][j]] for i in range(n)]
+    cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
 
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for c in frontier:
-            for i in range(n):
-                delta = sum(v * c[j] for j, v in rows_sparse[i])
-                if delta == 0:
-                    continue
-                cc = list(c)
-                cc[i] -= delta
-                cc = tuple(cc)
-                if cc not in seen:
-                    seen.add(cc)
-                    new.append(cc)
-        frontier = new
+    roots = []  # (simple-root coordinates, half norm)
+    # a level holds (coordinates, {i: <beta, alpha_i_coroot>}, {i: r_i(beta)}), nonzero only
+    level = [(tuple(int(j == i) for j in range(n)), dict(cols[i]), {}) for i in range(n)]
+    while level:
+        found: dict[tuple, tuple] = {}  # sorted pairings -> next-level entry
+        for c, p, r in level:
+            tot = sum(c[i] * d[i] * v for i, v in p.items())
+            if tot <= 0 or tot % 2:
+                raise AssertionError(f"root norm {tot} not a positive even integer for {c}")
+            roots.append((c, tot // 2))
+            ups = [i for i, v in p.items() if v < 0 and i not in r]
+            ups += [i for i, ri in r.items() if ri > p.get(i, 0)]
+            for i in ups:
+                q = dict(p)
+                for k, v in cols[i]:
+                    s = q.get(k, 0) + v
+                    if s:
+                        q[k] = s
+                    else:
+                        del q[k]
+                key = tuple(sorted(q.items()))
+                up = found.get(key)
+                if up is None:
+                    cc = list(c)
+                    cc[i] += 1
+                    up = found[key] = (tuple(cc), q, {})
+                up[2][i] = r.get(i, 0) + 1
+        level = list(found.values())
 
-    positives = sorted(c for c in seen if min(c) >= 0)
-
-    def half_norm(c: tuple[int, ...]) -> int:
-        tot = 0
-        for i, ci in enumerate(c):
-            if ci:
-                tot += ci * d[i] * sum(v * c[j] for j, v in rows_sparse[i])
-        if tot <= 0 or tot % 2:
-            raise AssertionError(f"root norm {tot} not a positive even integer for {c}")
-        return tot // 2
-
-    halves = [half_norm(c) for c in positives]
+    positives, halves = zip(*sorted(roots))
     long_half = max(halves)
     classes = tuple("long" if h == long_half else "short" for h in halves)
 
+    unit = all(x == 1 for x in d)
     coroots = []
     for c, h in zip(positives, halves):
-        cv = []
-        for j, cj in enumerate(c):
-            num = cj * d[j]
-            if num % h:
+        cv = c if unit else tuple(map(mul, c, d))
+        if h > 1:
+            if any(map(h.__rmod__, cv)):
                 raise AssertionError(f"non-integral coroot coordinate for root {c}")
-            cv.append(num // h)
-        coroots.append(tuple(cv))
+            cv = tuple(map(h.__rfloordiv__, cv))
+        coroots.append(cv)
 
     return RootDatum(
         cartan_type=t,
         cartan_matrix=tuple(tuple(row) for row in a),
-        positive_roots=tuple(positives),
+        positive_roots=positives,
         coroots=tuple(coroots),
         length_class=classes,
+        highest_coroot=max(coroots, key=sum),
+        two_rho_coroot=tuple(map(sum, zip(*coroots))),
     )
+
+
+def pair_with_coroot(coroot: tuple[int, ...], coords: tuple[int, ...]) -> int:
+    """Pairing of fundamental-weight coordinates with simple-coroot coordinates."""
+    return sum(a * b for a, b in zip(coroot, coords) if a)
 
 
 def pairing(d: RootDatum, w: Weight, coroot_index: int) -> int:
@@ -237,12 +260,7 @@ def pairing(d: RootDatum, w: Weight, coroot_index: int) -> int:
         raise PreconditionError(
             f"coroot index {coroot_index} out of range [0, {len(d.coroots)})"
         )
-    cr = d.coroots[coroot_index]
-    return sum(a * b for a, b in zip(cr, w.coords) if a)
-
-
-def pair_with_coroot(coroot: tuple[int, ...], coords: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(coroot, coords) if a)
+    return pair_with_coroot(d.coroots[coroot_index], w.coords)
 
 
 def simple_reflection(d: RootDatum, w: Weight, i: int) -> Weight:

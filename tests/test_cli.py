@@ -196,3 +196,15 @@ def test_identical_invocations_byte_identical(capsys):
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0
+
+
+def test_oracle_non_prime_is_usage_error(capsys):
+    for p in ("0", "1", "4"):
+        for argv in (
+            ("oracle", "tensor-lemma", "--k1", "2", "--k2", "2", "--trials", "2", "--seed", "1"),
+            ("oracle", "drop", "--type", "C", "--rank", "2", "--weight", "std", "--roots", "e1-e2"),
+        ):
+            code, out, err = invoke(capsys, *argv, "--prime", p)
+            assert code == 1
+            assert out == ""
+            assert err == f"usage error: argument --prime: prime must be a prime >= 2, got {p}\n"

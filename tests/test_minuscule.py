@@ -1,5 +1,6 @@
 """Minuscule detection, enumeration, dimensions and signs."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,8 +14,10 @@ from mtkit import (
     duality_sign,
     enumerate_minuscule,
     is_minuscule,
+    minuscule_rep,
     pairing,
 )
+from mtkit.drops import drop_spectrum
 
 
 def test_is_minuscule_c3_std():
@@ -122,3 +125,73 @@ def test_closed_form_dimensions_to_rank_six():
         assert (std.weight_index, std.dimension) == (1, 2 * n)
         assert (minus.weight_index, minus.dimension) == (n - 1, 2 ** (n - 1))
         assert (plus.weight_index, plus.dimension) == (n, 2 ** (n - 1))
+
+
+def test_quadratic_classes_is_read_only():
+    rep = minuscule_rep(CartanType("C", 3), 1)
+    with pytest.raises(TypeError):
+        rep.quadratic_classes["long"] = False
+    assert drop_spectrum(rep).quadratic == {"long": True, "short": True}
+
+
+# --- highest-coroot test and 2 rho_coroot parity against a scan of all coroots ---
+
+
+def _scan_is_minuscule(d, w):
+    return all(pairing(d, w, i) in (0, 1) for i in range(len(d.coroots)))
+
+
+def _scan_duality_sign(d, w):
+    if dual_weight(d, w) != w:
+        return 0
+    p = sum(pairing(d, w, i) for i in range(len(d.coroots)))
+    return -1 if p % 2 else 1
+
+
+def _assert_matches_scan(d, w):
+    if _scan_is_minuscule(d, w):
+        assert is_minuscule(d, w), (d.cartan_type, w)
+        assert duality_sign(d, w) == _scan_duality_sign(d, w), (d.cartan_type, w)
+    else:
+        assert not is_minuscule(d, w), (d.cartan_type, w)
+        with pytest.raises(PreconditionError):
+            duality_sign(d, w)
+
+
+SMALL_RANK_TYPES = (
+    [CartanType("A", n) for n in range(1, 5)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, 5)]
+    + [CartanType("D", n) for n in (3, 4)]
+    + [CartanType("F4", 4), CartanType("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("t", SMALL_RANK_TYPES, ids=str)
+def test_every_small_dominant_weight_matches_coroot_scan(t):
+    d = build_root_datum(t)
+    for coords in product(range(3), repeat=t.rank):
+        if any(coords):
+            _assert_matches_scan(d, Weight(coords))
+
+
+@pytest.mark.parametrize("t", [CartanType("E6", 6), CartanType("E7", 7)], ids=str)
+def test_every_0_1_weight_of_e6_e7_matches_coroot_scan(t):
+    d = build_root_datum(t)
+    for coords in product(range(2), repeat=t.rank):
+        if any(coords):
+            _assert_matches_scan(d, Weight(coords))
+
+
+FUNDAMENTAL_TYPES = (
+    [CartanType("A", n) for n in range(1, 13)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, 13)]
+    + [CartanType("D", n) for n in range(3, 13)]
+    + [CartanType(f, r) for f, r in (("E6", 6), ("E7", 7), ("F4", 4), ("G2", 2))]
+)
+
+
+def test_every_fundamental_weight_to_rank_12_matches_coroot_scan():
+    for t in FUNDAMENTAL_TYPES:
+        d = build_root_datum(t)
+        for i in range(t.rank):
+            _assert_matches_scan(d, Weight(tuple(int(k == i) for k in range(t.rank))))

@@ -23,6 +23,7 @@ from mtkit import (
     unipotence,
     verify_tensor_lemma,
 )
+from mtkit.oracle import _is_prime
 
 
 def jordan(sizes, prime=None):
@@ -207,3 +208,31 @@ def test_tensor_degree_additivity_property(k1, k2, pad1, pad2, seed):
     m1 = random_unipotent(k1 + pad1, k1, rng)
     m2 = random_unipotent(k2 + pad2, k2, rng)
     assert nilpotency_degree(tensor(m1, m2).sub_identity()) == k1 + k2 - 1
+
+
+@pytest.mark.parametrize("p", [-7, 0, 1, 4, 9, 561, 2047, 3215031751])
+def test_non_prime_field_rejected(p):
+    with pytest.raises(PreconditionError, match="prime >= 2"):
+        ExactMatrix([[1]], prime=p)
+    with pytest.raises(PreconditionError, match="prime >= 2"):
+        verify_tensor_lemma(2, 2, (4, 4), 1, 1, prime=p)
+    rep = minuscule_rep(CartanType("C", 2), 1)
+    with pytest.raises(PreconditionError, match="prime >= 2"):
+        build_root_element(rep, [0], prime=p)
+
+
+def test_primality_test_matches_trial_division():
+    def trial(n):
+        return n >= 2 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(-5, 5000) if _is_prime(n)] == [n for n in range(-5, 5000) if trial(n)]
+    # strong pseudoprimes to the first few prime bases
+    for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+              341550071728321, 3825123056546413051):
+        assert not _is_prime(n)
+    assert _is_prime(10007) and _is_prime(2**61 - 1)
+
+
+def test_prime_beyond_certified_range_rejected():
+    with pytest.raises(PreconditionError, match="primality test"):
+        ExactMatrix([[1]], prime=2**89 - 1)

@@ -1,5 +1,7 @@
 """Root datum construction, pairings, orbits, duality."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -239,3 +241,102 @@ def test_simple_roots_match_cartan_columns():
         for j in range(t.rank):
             simple = tuple(1 if k == j else 0 for k in range(t.rank))
             assert d.root_weight_coords(simple) == d.simple_root_weight_coords(j)
+
+
+# --- the alpha-string generator against an independent reflection closure ---
+
+
+def _symmetrizer_from_cartan(a):
+    """d_i with d_i a_ij = d_j a_ji, read off the Cartan matrix along the Dynkin graph."""
+    n = len(a)
+    d = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if a[i][j] and d[j] is None:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                stack.append(j)
+    lo = min(d)
+    return [int(x / lo) for x in d]
+
+
+def _reflection_closure(a):
+    """Positive roots, coroots and length classes by closing the simple roots
+    under all simple reflections (negative roots included), keyed by their
+    dense simple-root coordinates."""
+    n = len(a)
+    d = _symmetrizer_from_cartan(a)
+    cols = [[(k, a[k][j]) for k in range(n) if a[k][j]] for j in range(n)]
+    # root -> its nonzero pairings {i: <root, alpha_i_coroot>}
+    seen = {tuple(1 if j == i else 0 for j in range(n)): dict(cols[i]) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for c in frontier:
+            p = seen[c]
+            for i, delta in p.items():
+                cc = list(c)
+                cc[i] -= delta
+                cc = tuple(cc)
+                if cc not in seen:
+                    q = dict(p)
+                    for k, x in cols[i]:
+                        q[k] = q.get(k, 0) - delta * x
+                    seen[cc] = {k: v for k, v in q.items() if v}
+                    new.append(cc)
+        frontier = new
+    positives = sorted(c for c in seen if min(c) >= 0)
+    halves = []
+    for c in positives:
+        norm = sum(c[i] * d[i] * v for i, v in seen[c].items())
+        assert norm > 0 and norm % 2 == 0
+        halves.append(norm // 2)
+    coroots = [tuple(cj * dj // h for cj, dj in zip(c, d)) for c, h in zip(positives, halves)]
+    long_half = max(halves)
+    classes = tuple("long" if h == long_half else "short" for h in halves)
+    return tuple(positives), tuple(coroots), classes
+
+
+REFERENCE_TYPES = (
+    [CartanType("A", n) for n in range(1, 26)]
+    + [CartanType("B", n) for n in range(2, 26)]
+    + [CartanType("C", n) for n in range(2, 41)]
+    + [CartanType("D", n) for n in range(3, 26)]
+    + [CartanType(f, r) for f, r in (("E6", 6), ("E7", 7), ("F4", 4), ("G2", 2))]
+)
+
+
+def test_string_generator_matches_reflection_closure():
+    for t in REFERENCE_TYPES:
+        d = build_root_datum(t)
+        assert (d.positive_roots, d.coroots, d.length_class) == _reflection_closure(
+            d.cartan_matrix
+        ), t
+
+
+@pytest.mark.parametrize(
+    "t,count",
+    [(CartanType("C", 126), 126**2), (CartanType("A", 60), 60 * 61 // 2),
+     (CartanType("B", 60), 60**2), (CartanType("C", 60), 60**2),
+     (CartanType("D", 60), 60 * 59)],
+    ids=str,
+)
+def test_positive_root_count_closed_form_at_high_rank(t, count):
+    assert len(build_root_datum(t).positive_roots) == count
+
+
+@pytest.mark.parametrize("t", REFERENCE_TYPES[::7], ids=str)
+def test_highest_coroot_and_two_rho_coroot(t):
+    d = build_root_datum(t)
+    heights = [sum(cr) for cr in d.coroots]
+    assert heights.count(max(heights)) == 1
+    assert d.highest_coroot == d.coroots[heights.index(max(heights))]
+    assert d.two_rho_coroot == tuple(map(sum, zip(*d.coroots)))
+    # <alpha_i, beta_coroot> = sum_j beta_coroot_j a_ji: theta_coroot is dominant
+    # for the dual system and every simple root pairs to 2 with 2 rho_coroot
+    a = d.cartan_matrix
+    for i in range(d.rank):
+        assert sum(x * a[j][i] for j, x in enumerate(d.highest_coroot)) >= 0
+        assert sum(x * a[j][i] for j, x in enumerate(d.two_rho_coroot)) == 2
