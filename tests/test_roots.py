@@ -23,6 +23,9 @@ POSITIVE_ROOT_COUNT = {
     ("A", 5): 15, ("A", 1): 1, ("B", 2): 4, ("B", 5): 25, ("C", 4): 16,
     ("D", 3): 6, ("D", 6): 30, ("E6", 6): 36, ("E7", 7): 63,
     ("F4", 4): 24, ("G2", 2): 6,
+    # closed forms at high rank: n^2 for B/C, n(n+1)/2 for A, n(n-1) for D
+    ("C", 126): 15876, ("A", 60): 1830, ("B", 60): 3600, ("C", 60): 3600,
+    ("D", 60): 3540,
 }
 
 WEYL_ORDER = {
@@ -314,17 +317,6 @@ def test_string_generator_matches_reflection_closure():
         assert (d.positive_roots, d.coroots, d.length_class) == _reflection_closure(
             d.cartan_matrix
         ), t
-
-
-@pytest.mark.parametrize(
-    "t,count",
-    [(CartanType("C", 126), 126**2), (CartanType("A", 60), 60 * 61 // 2),
-     (CartanType("B", 60), 60**2), (CartanType("C", 60), 60**2),
-     (CartanType("D", 60), 60 * 59)],
-    ids=str,
-)
-def test_positive_root_count_closed_form_at_high_rank(t, count):
-    assert len(build_root_datum(t).positive_roots) == count
 
 
 @pytest.mark.parametrize("t", REFERENCE_TYPES[::7], ids=str)
