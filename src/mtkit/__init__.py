@@ -46,6 +46,7 @@ from .errors import (
 )
 from .minuscule import (
     DEFAULT_RANK_BOUND,
+    ORBIT_BUDGET,
     MinusculeRep,
     duality_sign,
     enumerate_minuscule,
@@ -75,6 +76,7 @@ from .roots import (
     pairing,
     reflect_in_root,
     simple_reflection,
+    weyl_dimension,
     weyl_orbit,
 )
 
@@ -82,10 +84,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartanType", "RootDatum", "Weight", "build_root_datum", "pairing",
-    "simple_reflection", "reflect_in_root", "weyl_orbit", "dual_weight",
-    "find_positive_root",
+    "simple_reflection", "reflect_in_root", "weyl_orbit", "weyl_dimension",
+    "dual_weight", "find_positive_root",
     "MinusculeRep", "is_minuscule", "enumerate_minuscule", "minuscule_rep",
     "expand_rep", "duality_sign", "DEFAULT_RANK_BOUND",
+    "ORBIT_BUDGET",
     "DropReport", "Candidate", "CandidateList", "root_element_drop",
     "drop_spectrum", "classify_symplectic_minuscule",
     "ExactMatrix", "UnipotenceReport", "TensorLemmaReport", "build_root_element",

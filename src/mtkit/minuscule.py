@@ -14,6 +14,7 @@ from .roots import (
     build_root_datum,
     dual_weight,
     pair_with_coroot,
+    weyl_dimension,
     weyl_orbit,
 )
 
@@ -22,8 +23,13 @@ from .roots import (
 # whole sweep in the low seconds.
 DEFAULT_RANK_BOUND = 12
 
+# Largest orbit expand_rep will materialize (2^20 weights).  The Weyl
+# dimension gives the orbit size up front, so larger requests, such as the
+# 2^40-weight spin orbit of B40, are refused before any expansion.
+ORBIT_BUDGET = 2**20
 
-@dataclass
+
+@dataclass(frozen=True)
 class MinusculeRep:
     """A minuscule highest weight together with its fully expanded orbit.
 
@@ -98,9 +104,19 @@ def _rep_name(t: CartanType, j: int) -> str:
 
 
 def expand_rep(d: RootDatum, w: Weight, name: str | None = None) -> MinusculeRep:
-    """Build the full MinusculeRep record for a minuscule dominant weight."""
+    """Build the full MinusculeRep record for a minuscule dominant weight.
+
+    Raises PreconditionError before expanding anything when the orbit, whose
+    size is the Weyl dimension, has more than ORBIT_BUDGET weights.
+    """
     if not is_minuscule(d, w):
         raise PreconditionError(f"{w.coords} is not minuscule for {d.cartan_type}")
+    size = weyl_dimension(d, w)
+    if size > ORBIT_BUDGET:
+        raise PreconditionError(
+            f"the orbit of w{w.coords.index(1) + 1} of {d.cartan_type} has {size} weights, "
+            f"more than the orbit budget of {ORBIT_BUDGET} weights"
+        )
     orbit = weyl_orbit(d, w)
     sign = duality_sign(d, w)
     quad: dict[str, bool] = {}

@@ -20,7 +20,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import compress
+from operator import add, itemgetter, mul
 
 from .errors import InvalidCartanType, PreconditionError
 
@@ -171,7 +172,6 @@ def _symmetrizer(t: CartanType) -> list[int]:
     return [1] * n
 
 
-@lru_cache(maxsize=None)
 def build_root_datum(t: CartanType) -> RootDatum:
     """Generate the positive roots level by level in height, along alpha_i-strings.
 
@@ -251,7 +251,7 @@ def build_root_datum(t: CartanType) -> RootDatum:
 
 def pair_with_coroot(coroot: tuple[int, ...], coords: tuple[int, ...]) -> int:
     """Pairing of fundamental-weight coordinates with simple-coroot coordinates."""
-    return sum(a * b for a, b in zip(coroot, coords) if a)
+    return sum(map(mul, coroot, coords))
 
 
 def pairing(d: RootDatum, w: Weight, coroot_index: int) -> int:
@@ -284,7 +284,17 @@ def reflect_in_root(d: RootDatum, w: Weight, root_index: int) -> Weight:
 
 
 def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
-    """Full Weyl-group orbit of a dominant weight, by breadth-first closure.
+    """Full Weyl-group orbit of a dominant weight, walked downward level by level.
+
+    From mu the walk steps only down, to nu = s_i(mu) = mu - c alpha_i for
+    each i with c = <mu, alpha_i_coroot> > 0; nu is mu minus c times the
+    sparse column i of the Cartan matrix.  The walk is complete: every orbit
+    weight mu other than the dominant w has a negative coordinate i, and is
+    then one downward step below s_i(mu).  Each downward step raises the
+    length in W/W_w by exactly one, so level k holds exactly the weights of
+    length k and every weight appears on one level only.  Duplicates are
+    therefore removed within the next level alone: the walk keeps no set of
+    every weight seen, only the current level and the next.
 
     Returns the orbit sorted lexicographically on coordinates, duplicate
     free; the traversal order never leaks into the result.
@@ -294,23 +304,47 @@ def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
             "weyl_orbit requires a dominant weight; take the dominant representative first"
         )
     n = d.rank
-    cols = [d.simple_root_weight_coords(i) for i in range(n)]
-    seen = {w.coords}
-    frontier = [w.coords]
-    while frontier:
-        new = []
-        for mu in frontier:
-            for i in range(n):
-                ci = mu[i]
-                if ci == 0:
-                    continue
-                col = cols[i]
-                nu = tuple(mu[k] - ci * col[k] for k in range(n))
-                if nu not in seen:
-                    seen.add(nu)
-                    new.append(nu)
-        frontier = new
-    return tuple(Weight(c) for c in sorted(seen))
+    a = d.cartan_matrix
+    cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
+    orbit: list[tuple[int, ...]] = []
+    level = [w.coords]
+    while level:
+        orbit += level
+        below = set()
+        for mu in level:
+            for i, c in enumerate(mu):
+                if c > 0:
+                    nu = list(mu)
+                    for k, x in cols[i]:
+                        nu[k] -= c * x
+                    below.add(tuple(nu))
+        level = below
+    orbit.sort()
+    return tuple(map(Weight, orbit))
+
+
+def weyl_dimension(d: RootDatum, w: Weight) -> int:
+    """Dimension of the irreducible representation with dominant highest weight w.
+
+    Weyl's formula prod <w + rho, beta_coroot> / <rho, beta_coroot> over the
+    positive coroots, in exact integers; <rho, beta_coroot> is the sum of
+    beta_coroot's simple-coroot coordinates, and coroots orthogonal to w
+    contribute a factor of one.  For a minuscule w this is the orbit size,
+    known before any orbit is expanded.
+    """
+    if not w.is_dominant:
+        raise PreconditionError("weyl_dimension requires a dominant weight")
+    coroots = d.coroots
+    pairs = [0] * len(coroots)  # <w, beta_coroot>, one support coordinate of w at a time
+    for i, c in enumerate(w.coords):
+        if c:
+            pairs = list(map(add, pairs, map(c.__mul__, map(itemgetter(i), coroots))))
+    num = den = 1
+    for cr, p in zip(compress(coroots, pairs), filter(None, pairs)):
+        h = sum(cr)
+        num *= p + h
+        den *= h
+    return num // den
 
 
 def dual_weight(d: RootDatum, w: Weight) -> Weight:

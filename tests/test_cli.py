@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from mtkit import MtQuery, MtVerdict, TensorLemmaReport
 from mtkit.cli import run
@@ -191,6 +194,37 @@ def test_identical_invocations_byte_identical(capsys):
         _, a, _ = invoke(capsys, *argv)
         _, b, _ = invoke(capsys, *argv)
         assert a == b
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+GOLDEN_RUNS = {
+    "table_max_rank_12.json": ["table", "--max-rank", "12", "--format", "json"],
+    "table_max_rank_12.csv": ["table", "--max-rank", "12", "--format", "csv"],
+    "table_max_rank_12.md": ["table", "--max-rank", "12", "--format", "markdown"],
+    # the matrix basis of a root element follows the sort order of the orbit
+    "oracle_drop_D5_spinplus.json": ["oracle", "drop", "--type", "D", "--rank", "5",
+                                     "--weight", "spin+", "--roots", "e1-e2,e3-e4"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_stdout_matches_golden_file(capsys, golden):
+    code, out, _ = invoke(capsys, *GOLDEN_RUNS[golden])
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--two-g", "1099511627776"],
+    ["minuscule", "--type", "B", "--rank", "40"],
+], ids=["classify", "minuscule"])
+def test_orbit_over_budget_exit_2(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "more than the orbit budget of 1048576 weights" in err
 
 
 def test_help_exits_zero(capsys):

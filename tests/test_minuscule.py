@@ -1,11 +1,13 @@
 """Minuscule detection, enumeration, dimensions and signs."""
 
+from dataclasses import FrozenInstanceError
 from itertools import product
 from math import comb
 
 import pytest
 
 from mtkit import (
+    ORBIT_BUDGET,
     CartanType,
     PreconditionError,
     Weight,
@@ -16,6 +18,7 @@ from mtkit import (
     is_minuscule,
     minuscule_rep,
     pairing,
+    weyl_dimension,
 )
 from mtkit.drops import drop_spectrum
 
@@ -111,20 +114,31 @@ def test_rep_invariants_small_sweep():
                 assert rep.quadratic_classes[cls] is True
 
 
-def test_closed_form_dimensions_to_rank_six():
-    for n in range(1, 7):
+def _assert_orbit_size(rep, closed_form):
+    assert len(rep.orbit) == rep.dimension == closed_form
+    assert weyl_dimension(rep.datum, rep.highest_weight) == closed_form
+
+
+def test_closed_form_and_weyl_dimensions_to_rank_14():
+    for n in range(1, 15):
         for rep in enumerate_minuscule(CartanType("A", n)):
-            assert rep.dimension == comb(n + 1, rep.weight_index)
-    for n in range(2, 7):
+            _assert_orbit_size(rep, comb(n + 1, rep.weight_index))
+    for n in range(2, 15):
         (rep,) = enumerate_minuscule(CartanType("B", n))
-        assert (rep.weight_index, rep.dimension) == (n, 2**n)
+        assert rep.weight_index == n
+        _assert_orbit_size(rep, 2**n)
         (rep,) = enumerate_minuscule(CartanType("C", n))
-        assert (rep.weight_index, rep.dimension) == (1, 2 * n)
-    for n in range(3, 7):
+        assert rep.weight_index == 1
+        _assert_orbit_size(rep, 2 * n)
+    for n in range(3, 15):
         std, minus, plus = enumerate_minuscule(CartanType("D", n))
-        assert (std.weight_index, std.dimension) == (1, 2 * n)
-        assert (minus.weight_index, minus.dimension) == (n - 1, 2 ** (n - 1))
-        assert (plus.weight_index, plus.dimension) == (n, 2 ** (n - 1))
+        assert (std.weight_index, minus.weight_index, plus.weight_index) == (1, n - 1, n)
+        _assert_orbit_size(std, 2 * n)
+        _assert_orbit_size(minus, 2 ** (n - 1))
+        _assert_orbit_size(plus, 2 ** (n - 1))
+    for t, dim in ((CartanType("E6", 6), 27), (CartanType("E7", 7), 56)):
+        for rep in enumerate_minuscule(t):
+            _assert_orbit_size(rep, dim)
 
 
 def test_quadratic_classes_is_read_only():
@@ -132,6 +146,23 @@ def test_quadratic_classes_is_read_only():
     with pytest.raises(TypeError):
         rep.quadratic_classes["long"] = False
     assert drop_spectrum(rep).quadratic == {"long": True, "short": True}
+
+
+def test_minuscule_rep_is_frozen():
+    rep = minuscule_rep(CartanType("C", 3), 1)
+    with pytest.raises(FrozenInstanceError):
+        rep.dimension = 99
+    with pytest.raises(FrozenInstanceError):
+        rep.sign = 1
+    assert (rep.dimension, rep.sign) == (6, -1)
+
+
+def test_orbit_budget_rejects_before_expanding():
+    assert ORBIT_BUDGET == 2**20
+    # B20 spin has exactly 2^20 weights; B21 spin has twice the budget
+    assert weyl_dimension(build_root_datum(CartanType("B", 20)), Weight((0,) * 19 + (1,))) == ORBIT_BUDGET
+    with pytest.raises(PreconditionError, match=f"orbit budget of {ORBIT_BUDGET} weights"):
+        minuscule_rep(CartanType("B", 21), 21)
 
 
 # --- highest-coroot test and 2 rho_coroot parity against a scan of all coroots ---

@@ -1,6 +1,7 @@
 """Root datum construction, pairings, orbits, duality."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from mtkit import (
     pairing,
     reflect_in_root,
     simple_reflection,
+    weyl_dimension,
     weyl_orbit,
 )
 
@@ -332,3 +334,70 @@ def test_highest_coroot_and_two_rho_coroot(t):
     for i in range(d.rank):
         assert sum(x * a[j][i] for j, x in enumerate(d.highest_coroot)) >= 0
         assert sum(x * a[j][i] for j, x in enumerate(d.two_rho_coroot)) == 2
+
+
+# --- the downward orbit walk against an independent breadth-first closure ---
+
+
+def _bfs_orbit(d, w):
+    """Orbit of a dominant weight by closing it under every simple reflection,
+    upward and downward, with one set of every weight seen."""
+    n = d.rank
+    cols = [d.simple_root_weight_coords(i) for i in range(n)]
+    seen = {w.coords}
+    frontier = [w.coords]
+    while frontier:
+        new = []
+        for mu in frontier:
+            for i in range(n):
+                ci = mu[i]
+                if ci == 0:
+                    continue
+                col = cols[i]
+                nu = tuple(mu[k] - ci * col[k] for k in range(n))
+                if nu not in seen:
+                    seen.add(nu)
+                    new.append(nu)
+        frontier = new
+    return tuple(Weight(c) for c in sorted(seen))
+
+
+RANK_4_TYPES = (
+    [CartanType("A", n) for n in range(1, 5)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, 5)]
+    + [CartanType("D", n) for n in (3, 4)]
+    + [CartanType("F4", 4), CartanType("G2", 2)]
+)
+
+FUNDAMENTAL_ORBIT_TYPES = (
+    [CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 11)]
+    + [CartanType("E6", 6), CartanType("E7", 7)]
+)
+
+
+@pytest.mark.parametrize("t", RANK_4_TYPES, ids=str)
+def test_downward_walk_matches_bfs_on_small_dominant_weights(t):
+    d = build_root_datum(t)
+    for coords in product(range(3), repeat=t.rank):
+        if any(coords):
+            w = Weight(coords)
+            assert weyl_orbit(d, w) == _bfs_orbit(d, w), (t, coords)
+
+
+@pytest.mark.parametrize("t", FUNDAMENTAL_ORBIT_TYPES, ids=str)
+def test_downward_walk_matches_bfs_on_fundamental_weights(t):
+    d = build_root_datum(t)
+    for i in range(t.rank):
+        w = Weight(tuple(int(k == i) for k in range(t.rank)))
+        assert weyl_orbit(d, w) == _bfs_orbit(d, w), (t, i + 1)
+
+
+def test_weyl_dimension_small_cases():
+    # adjoint of A2 (8), the 7-dimensional rep of G2, the 26 of F4, the 27 of E6
+    assert weyl_dimension(build_root_datum(CartanType("A", 2)), Weight((1, 1))) == 8
+    assert weyl_dimension(build_root_datum(CartanType("G2", 2)), Weight((1, 0))) == 7
+    assert weyl_dimension(build_root_datum(CartanType("F4", 4)), Weight((0, 0, 0, 1))) == 26
+    assert weyl_dimension(build_root_datum(CartanType("E6", 6)), Weight((1,) + (0,) * 5)) == 27
+    assert weyl_dimension(build_root_datum(CartanType("B", 3)), Weight((0, 0, 0))) == 1
+    with pytest.raises(PreconditionError):
+        weyl_dimension(build_root_datum(CartanType("A", 2)), Weight((1, -1)))
