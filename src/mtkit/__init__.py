@@ -67,6 +67,7 @@ from .oracle import (
     verify_tensor_lemma,
 )
 from .roots import (
+    ROOT_BUDGET,
     CartanType,
     RootDatum,
     Weight,
@@ -83,7 +84,7 @@ from .roots import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanType", "RootDatum", "Weight", "build_root_datum", "pairing",
+    "CartanType", "RootDatum", "Weight", "build_root_datum", "ROOT_BUDGET", "pairing",
     "simple_reflection", "reflect_in_root", "weyl_orbit", "weyl_dimension",
     "dual_weight", "find_positive_root",
     "MinusculeRep", "is_minuscule", "enumerate_minuscule", "minuscule_rep",

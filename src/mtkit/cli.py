@@ -18,7 +18,13 @@ import sys
 from .decision import EndoType, MtQuery, enumerate_exceptional, mt_check
 from .drops import drop_spectrum, root_element_drop
 from .errors import DomainError, PreconditionError
-from .minuscule import DEFAULT_RANK_BOUND, MinusculeRep, enumerate_minuscule, minuscule_rep
+from .minuscule import (
+    DEFAULT_RANK_BOUND,
+    MinusculeRep,
+    check_orbit_budget,
+    enumerate_minuscule,
+    minuscule_rep,
+)
 from .oracle import (
     DEFAULT_PRIME,
     _require_prime,
@@ -26,7 +32,7 @@ from .oracle import (
     unipotence,
     verify_tensor_lemma,
 )
-from .roots import CartanType, find_positive_root, _FIXED_RANK
+from .roots import CartanType, find_positive_root, _FIXED_RANK, _MIN_RANK
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -120,15 +126,12 @@ def _cmd_table(args) -> tuple[dict, list[dict], list[str]]:
     bound = args.max_rank
     if bound < 1:
         raise UsageError("--max-rank must be >= 1")
-    rows = []
-    for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
-        for rank in range(lo, bound + 1):
-            for rep in enumerate_minuscule(CartanType(family, rank)):
-                rows.append(_rep_row(rep))
-    for family, rank in (("E6", 6), ("E7", 7)):
-        if rank <= bound:
-            for rep in enumerate_minuscule(CartanType(family, rank)):
-                rows.append(_rep_row(rep))
+    cartan_types = [CartanType(f, n) for f, lo in _MIN_RANK.items() for n in range(lo, bound + 1)]
+    cartan_types += [CartanType(f, n) for f, n in (("E6", 6), ("E7", 7)) if n <= bound]
+    for t in cartan_types:
+        if t.rank == bound:  # orbits grow with the rank: the top rank bounds the table
+            check_orbit_budget(t)
+    rows = [_rep_row(rep) for t in cartan_types for rep in enumerate_minuscule(t)]
     return {"max_rank": bound, "rows": rows}, rows, TABLE_COLUMNS
 
 
@@ -164,8 +167,8 @@ def _cmd_drops(args) -> tuple[dict, list[dict], list[str]]:
         "name": rep.name,
         "dimension": rep.dimension,
         "sign": rep.sign,
-        "per_length_class": report.per_length_class,
-        "quadratic": report.quadratic,
+        "per_length_class": dict(report.per_length_class),
+        "quadratic": dict(report.quadratic),
     }
     columns = ["family", "rank", "weight", "name", "dimension", "sign",
                "length_class", "drop", "quadratic"]

@@ -12,10 +12,12 @@ argument:
 * With End(A) = Z and a bad place, the inertia generator is a quadratic
   unipotent with drop s, and the symplectic-minuscule case analysis
   leaves exactly two exceptional families: the middle exterior power
-  (g = C(2r, r)/2, s = C(2r-2, r-1), odd r >= 3) and the spin family
-  (g = 2**t, s in {g, g/2}, t >= 4, t = 0, 1 mod 4).
+  (family 1) and the spin family (family 2).
 * For quaternionic endomorphism algebras (types II and III) the variant
-  with even s has its own two families per type.
+  with even s has its own version of both families.
+
+The equations of the families are stated once, beside the table _FAMILIES;
+mt_check looks a query up in them and enumerate_exceptional lists them.
 
 An ExceptionalCase verdict always means "not proved by these theorems",
 never a claim that the conjecture fails.
@@ -43,10 +45,8 @@ CITATION_QUATERNION = (
     "case analysis"
 )
 
-# The r = 5 instance of the middle-exterior-power family is sometimes quoted
-# as (84, 70); the defining equations g = C(2r,r)/2, s = C(2r-2,r-1) force
-# (126, 70).  The engine follows the equations and says so whenever either g
-# is queried.
+# The engine follows the family equations and says so whenever either g of
+# the r = 5 family-1 discrepancy is queried.
 DISCREPANCY_NOTE = (
     "instance-list discrepancy: the r = 5 member of exceptional family 1 is "
     "sometimes quoted as (g, s) = (84, 70), but the defining equations "
@@ -95,7 +95,7 @@ class MtQuery:
 
 @dataclass(frozen=True)
 class Witness:
-    """Parameters of the exceptional family that matched (self-verified)."""
+    """Parameters of the exceptional family that matched."""
 
     family: int  # 1: middle exterior power, 2: spin / half-spin
     parameter: int  # r for family 1, t for family 2
@@ -110,7 +110,7 @@ class Witness:
         return cls(family=d["family"], parameter=d["r_or_t"], g=d["g"], s=d["s"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class MtVerdict:
     status: Status
     target_group: str | None
@@ -195,61 +195,32 @@ def pink_gate(g: int) -> PinkResult:
     return PinkResult(True)
 
 
-# family-1 parity of r and family-2 congruence classes of t, per endo type
-_F1_PARITY = {EndoType.TRIVIAL_Z: 1, EndoType.QUATERNION_TYPE_II: 1, EndoType.QUATERNION_TYPE_III: 0}
-_F1_MIN_R = {EndoType.TRIVIAL_Z: 3, EndoType.QUATERNION_TYPE_II: 3, EndoType.QUATERNION_TYPE_III: 2}
-_F2_RESIDUES = {
-    EndoType.TRIVIAL_Z: (0, 1),
-    EndoType.QUATERNION_TYPE_II: (1, 2),
-    EndoType.QUATERNION_TYPE_III: (0, 3),
+# The exceptional families, per endomorphism type: (first r, first t,
+# classes of t mod 4).  Family 1 is the middle exterior power, g = C(2r, r)/2
+# and s = C(2r-2, r-1) for End(A) = Z, twice both for types II and III; r
+# steps by 2 from the first r, which thereby fixes its parity.  Family 2 is
+# the spin family, g = 2**t and s in {g, g/2}, for every t from the first t
+# on whose class mod 4 is listed.
+_FAMILIES = {
+    EndoType.TRIVIAL_Z: (3, 4, (0, 1)),
+    EndoType.QUATERNION_TYPE_II: (3, 5, (1, 2)),
+    EndoType.QUATERNION_TYPE_III: (2, 4, (0, 3)),
 }
-_F2_MIN_T = {EndoType.TRIVIAL_Z: 4, EndoType.QUATERNION_TYPE_II: 5, EndoType.QUATERNION_TYPE_III: 4}
 
 
-def _family1_values(r: int, endo: EndoType) -> tuple[int, int]:
-    if endo == EndoType.TRIVIAL_Z:
-        return comb(2 * r, r) // 2, comb(2 * r - 2, r - 1)
-    return comb(2 * r, r), 2 * comb(2 * r - 2, r - 1)
-
-
-def _family1_witness(g: int, s: int, endo: EndoType) -> Witness | None:
-    r = _F1_MIN_R[endo]
-    while True:
-        fg, fs = _family1_values(r, endo)
-        if fg > g:
-            return None
-        if fg == g and fs == s:
-            return Witness(family=1, parameter=r, g=fg, s=fs)
+def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
+    """Walk r up from the first r to the family-1 point with the least g' >= g: (r, g', s')."""
+    k = 1 if endo == EndoType.TRIVIAL_Z else 2
+    r = _FAMILIES[endo][0]
+    while (fg := k * comb(2 * r, r) // 2) < g:
         r += 2
+    return r, fg, k * comb(2 * r - 2, r - 1)
 
 
-def _family2_witness(g: int, s: int, endo: EndoType) -> Witness | None:
-    t = _exact_log2(g)
-    if t is None or t < _F2_MIN_T[endo] or t % 4 not in _F2_RESIDUES[endo]:
-        return None
-    if s in (g, g // 2):
-        return Witness(family=2, parameter=t, g=g, s=s)
-    return None
-
-
-def _verify_witness(w: Witness, endo: EndoType) -> None:
-    # self-check: every emitted witness must satisfy its defining equations
-    if w.family == 1:
-        fg, fs = _family1_values(w.parameter, endo)
-        ok = (
-            (fg, fs) == (w.g, w.s)
-            and w.parameter >= _F1_MIN_R[endo]
-            and w.parameter % 2 == _F1_PARITY[endo]
-        )
-    else:
-        ok = (
-            w.g == 2**w.parameter
-            and w.s in (w.g, w.g // 2)
-            and w.parameter >= _F2_MIN_T[endo]
-            and w.parameter % 4 in _F2_RESIDUES[endo]
-        )
-    if not ok:
-        raise AssertionError(f"witness {w} fails its defining equations for endo {endo.value}")
+def _in_family2(t: int | None, endo: EndoType) -> bool:
+    """True iff g = 2**t is a family-2 dimension; t is None when g is no power of 2."""
+    _, first_t, classes = _FAMILIES[endo]
+    return t is not None and t >= first_t and t % 4 in classes
 
 
 def _notes_for(g: int, endo: EndoType) -> tuple[str, ...]:
@@ -298,9 +269,15 @@ def mt_check(q: MtQuery) -> MtVerdict:
             notes=notes,
         )
 
-    witness = _family1_witness(q.g, q.s, q.endo) or _family2_witness(q.g, q.s, q.endo)
+    witness = None
+    r, fg, fs = _family1_from(q.g, q.endo)
+    if (fg, fs) == (q.g, q.s):
+        witness = Witness(family=1, parameter=r, g=fg, s=fs)
+    elif q.s in (q.g, q.g // 2):
+        t = _exact_log2(q.g)
+        if _in_family2(t, q.endo):
+            witness = Witness(family=2, parameter=t, g=q.g, s=q.s)
     if witness is not None:
-        _verify_witness(witness, q.endo)
         pname = "r" if witness.family == 1 else "t"
         return MtVerdict(
             status=Status.EXCEPTIONAL_CASE,
@@ -359,33 +336,19 @@ class ExceptionalInstance:
 
 
 def enumerate_exceptional(g_max: int, endo: EndoType) -> tuple[ExceptionalInstance, ...]:
-    """All exceptional (g, s) pairs with g <= g_max, from the defining equations.
-
-    Iterates the family parameters directly (r by parity, t by congruence
-    class) until g leaves the range; every emitted instance is re-checked
-    through mt_check.
-    """
+    """All exceptional (g, s) pairs with g <= g_max, from the family table."""
     if g_max < 1:
         raise QueryInvalid("g_max must be a positive integer")
     out = []
-    r = _F1_MIN_R[endo]
-    while True:
-        fg, fs = _family1_values(r, endo)
-        if fg > g_max:
-            break
+    r, fg, fs = _family1_from(1, endo)
+    while fg <= g_max:
         out.append(ExceptionalInstance(g=fg, s=fs, family=1, parameter=r,
                                        notes=_notes_for(fg, endo)))
-        r += 2
-    t = _F2_MIN_T[endo]
-    while 2**t <= g_max:
-        if t % 4 in _F2_RESIDUES[endo]:
+        r, fg, fs = _family1_from(fg + 1, endo)
+    for t in range(g_max.bit_length()):
+        if _in_family2(t, endo):
             fg = 2**t
             out.append(ExceptionalInstance(g=fg, s=fg // 2, family=2, parameter=t))
             out.append(ExceptionalInstance(g=fg, s=fg, family=2, parameter=t))
-        t += 1
     out.sort(key=lambda x: (x.g, x.s, x.family, x.parameter))
-    for inst in out:
-        verdict = mt_check(MtQuery(g=inst.g, s=inst.s, endo=endo))
-        if verdict.status != Status.EXCEPTIONAL_CASE:
-            raise AssertionError(f"enumerated instance {inst} not confirmed by mt_check")
     return tuple(out)

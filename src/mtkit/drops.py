@@ -9,8 +9,10 @@ matrix route in mtkit.oracle cross-checks it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, NotQuadratic, PreconditionError
 from .minuscule import MinusculeRep, enumerate_minuscule
@@ -19,13 +21,13 @@ from .roots import CartanType, pair_with_coroot
 LENGTH_CLASSES = ("long", "short")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropReport:
-    """Per-length-class drops of single root elements on one minuscule rep."""
+    """Per-length-class drops of single root elements on one minuscule rep (read-only maps)."""
 
     rep: MinusculeRep
-    per_length_class: dict[str, int]
-    quadratic: dict[str, bool]
+    per_length_class: Mapping[str, int]
+    quadratic: Mapping[str, bool]
 
 
 @dataclass(frozen=True)
@@ -38,7 +40,7 @@ class Candidate:
     witness_r: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateList:
     two_g: int
     candidates: tuple[Candidate, ...]
@@ -77,12 +79,9 @@ def root_element_drop(rep: MinusculeRep, length_class: str) -> int:
 
 def drop_spectrum(rep: MinusculeRep) -> DropReport:
     """Drops for every root-length class the root system has."""
-    per: dict[str, int] = {}
-    quad: dict[str, bool] = {}
-    for cls in rep.datum.classes:
-        quad[cls] = rep.quadratic_classes.get(cls, False)
-        per[cls] = root_element_drop(rep, cls)
-    return DropReport(rep=rep, per_length_class=per, quadratic=quad)
+    per = {cls: root_element_drop(rep, cls) for cls in rep.datum.classes}
+    return DropReport(rep=rep, per_length_class=MappingProxyType(per),
+                      quadratic=rep.quadratic_classes)
 
 
 def _exact_log2(n: int) -> int | None:

@@ -103,7 +103,16 @@ def _rep_name(t: CartanType, j: int) -> str:
     return f"w{j}"
 
 
-def expand_rep(d: RootDatum, w: Weight, name: str | None = None) -> MinusculeRep:
+def _check_orbit_budget(d: RootDatum, w: Weight) -> None:
+    size = weyl_dimension(d, w)
+    if size > ORBIT_BUDGET:
+        raise PreconditionError(
+            f"the orbit of w{w.coords.index(1) + 1} of {d.cartan_type} has {size} weights, "
+            f"more than the orbit budget of {ORBIT_BUDGET} weights"
+        )
+
+
+def expand_rep(d: RootDatum, w: Weight) -> MinusculeRep:
     """Build the full MinusculeRep record for a minuscule dominant weight.
 
     Raises PreconditionError before expanding anything when the orbit, whose
@@ -111,12 +120,7 @@ def expand_rep(d: RootDatum, w: Weight, name: str | None = None) -> MinusculeRep
     """
     if not is_minuscule(d, w):
         raise PreconditionError(f"{w.coords} is not minuscule for {d.cartan_type}")
-    size = weyl_dimension(d, w)
-    if size > ORBIT_BUDGET:
-        raise PreconditionError(
-            f"the orbit of w{w.coords.index(1) + 1} of {d.cartan_type} has {size} weights, "
-            f"more than the orbit budget of {ORBIT_BUDGET} weights"
-        )
+    _check_orbit_budget(d, w)
     orbit = weyl_orbit(d, w)
     sign = duality_sign(d, w)
     quad: dict[str, bool] = {}
@@ -124,17 +128,31 @@ def expand_rep(d: RootDatum, w: Weight, name: str | None = None) -> MinusculeRep
         rep_idx = d.length_class.index(cls)
         cr = d.coroots[rep_idx]
         quad[cls] = all(pair_with_coroot(cr, mu.coords) in (-1, 0, 1) for mu in orbit)
-    if name is None:
-        name = _rep_name(d.cartan_type, w.coords.index(1) + 1)
     return MinusculeRep(
         datum=d,
         highest_weight=w,
-        name=name,
+        name=_rep_name(d.cartan_type, w.coords.index(1) + 1),
         dimension=len(orbit),
         sign=sign,
         orbit=orbit,
         quadratic_classes=MappingProxyType(quad),
     )
+
+
+def _minuscule_weights(d: RootDatum) -> list[Weight]:
+    """The minuscule fundamental weights of d, each orbit checked against ORBIT_BUDGET."""
+    n = d.rank
+    ws = [Weight(tuple(1 if k == i else 0 for k in range(n))) for i in range(n)]
+    ws = [w for w in ws if is_minuscule(d, w)]
+    for w in ws:
+        _check_orbit_budget(d, w)
+    return ws
+
+
+def check_orbit_budget(t: CartanType) -> None:
+    """Raise PreconditionError, without expanding any orbit, when a minuscule
+    orbit of t has more than ORBIT_BUDGET weights."""
+    _minuscule_weights(build_root_datum(t))
 
 
 def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
@@ -143,15 +161,11 @@ def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
     For the classical families this reproduces the standard table:
     A_n -> w_1..w_n, B_n -> w_n, C_n -> w_1, D_n -> w_1, w_{n-1}, w_n.
     E6 and E7 contribute their (non-tabulated) minuscule weights as well;
-    F4 and G2 contribute none.
+    F4 and G2 contribute none.  No orbit is expanded unless all of them fit
+    ORBIT_BUDGET.
     """
     d = build_root_datum(t)
-    out = []
-    for i in range(t.rank):
-        w = Weight(tuple(1 if k == i else 0 for k in range(t.rank)))
-        if is_minuscule(d, w):
-            out.append(expand_rep(d, w, _rep_name(t, i + 1)))
-    return out
+    return [expand_rep(d, w) for w in _minuscule_weights(d)]
 
 
 def minuscule_rep(t: CartanType, weight_index: int) -> MinusculeRep:

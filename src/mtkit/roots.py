@@ -32,6 +32,10 @@ FAMILIES = CLASSICAL_FAMILIES + EXCEPTIONAL_FAMILIES
 _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _FIXED_RANK = {"E6": 6, "E7": 7, "F4": 4, "G2": 2}
 
+# Largest positive system build_root_datum will generate (2^16 roots, C256);
+# the count has a closed form, so larger systems are refused before building.
+ROOT_BUDGET = 2**16
+
 
 @dataclass(frozen=True)
 class CartanType:
@@ -189,10 +193,17 @@ def build_root_datum(t: CartanType) -> RootDatum:
     Every root is checked to have a positive even norm and an integral
     coroot.  The datum also records the highest coroot (the positive coroot
     of largest height) and 2 rho_coroot (the sum of the positive coroots).
+    Raises PreconditionError before generating anything when the positive
+    system has more than ROOT_BUDGET roots.
     """
+    n = t.rank
+    count = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}.get(t.family, 0)
+    if count > ROOT_BUDGET:
+        raise PreconditionError(
+            f"{t} has {count} positive roots, more than the root budget of {ROOT_BUDGET} roots"
+        )
     a = _cartan_matrix(t)
     d = _symmetrizer(t)
-    n = t.rank
     cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
 
     roots = []  # (simple-root coordinates, half norm)

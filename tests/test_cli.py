@@ -206,6 +206,25 @@ GOLDEN_RUNS = {
     # the matrix basis of a root element follows the sort order of the orbit
     "oracle_drop_D5_spinplus.json": ["oracle", "drop", "--type", "D", "--rank", "5",
                                      "--weight", "spin+", "--roots", "e1-e2,e3-e4"],
+    "mt_exceptional_Z_1000000.json": ["mt-exceptional", "--max-g", "1000000", "--endo", "Z"],
+    "mt_exceptional_II_1000000.json": ["mt-exceptional", "--max-g", "1000000", "--endo", "II"],
+    "mt_exceptional_III_1000000.json": ["mt-exceptional", "--max-g", "1000000", "--endo", "III"],
+    "mt_exceptional_Z_1000000.csv": ["mt-exceptional", "--max-g", "1000000", "--endo", "Z",
+                                     "--format", "csv"],
+    "mt_exceptional_Z_1000000.md": ["mt-exceptional", "--max-g", "1000000", "--endo", "Z",
+                                    "--format", "markdown"],
+    # one mt-check run per status path
+    "mt_check_5_0_Z.json": ["mt-check", "--g", "5", "--s", "0", "--endo", "Z"],
+    "mt_check_4_0_Z.json": ["mt-check", "--g", "4", "--s", "0", "--endo", "Z"],
+    "mt_check_10_4_Z.json": ["mt-check", "--g", "10", "--s", "4", "--endo", "Z"],
+    "mt_check_126_70_Z.json": ["mt-check", "--g", "126", "--s", "70", "--endo", "Z"],
+    "mt_check_6_4_III.json": ["mt-check", "--g", "6", "--s", "4", "--endo", "III"],
+    "mt_check_32_16_II.json": ["mt-check", "--g", "32", "--s", "16", "--endo", "II"],
+    "mt_check_10_2_III.json": ["mt-check", "--g", "10", "--s", "2", "--endo", "III"],
+    "mt_check_126_70_Z.csv": ["mt-check", "--g", "126", "--s", "70", "--endo", "Z",
+                              "--format", "csv"],
+    "mt_check_126_70_Z.md": ["mt-check", "--g", "126", "--s", "70", "--endo", "Z",
+                             "--format", "markdown"],
 }
 
 
@@ -216,15 +235,19 @@ def test_stdout_matches_golden_file(capsys, golden):
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    ["classify", "--two-g", "1099511627776"],
-    ["minuscule", "--type", "B", "--rank", "40"],
-], ids=["classify", "minuscule"])
-def test_orbit_over_budget_exit_2(capsys, argv):
+@pytest.mark.parametrize("argv,bound", [
+    (["classify", "--two-g", "1099511627776"], "orbit budget of 1048576 weights"),
+    (["minuscule", "--type", "B", "--rank", "40"], "orbit budget of 1048576 weights"),
+    # A22 w10 is over the budget, A1 to A21 are not: refused before any expansion
+    (["table", "--max-rank", "22"], "orbit budget of 1048576 weights"),
+    # C500000
+    (["classify", "--two-g", "1000000"], "root budget of 65536 roots"),
+], ids=["classify", "minuscule", "table", "classify_root_datum"])
+def test_orbit_over_budget_exit_2(capsys, argv, bound):
     code, out, err = invoke(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "more than the orbit budget of 1048576 weights" in err
+    assert f"more than the {bound}" in err
 
 
 def test_help_exits_zero(capsys):

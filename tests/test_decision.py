@@ -1,5 +1,6 @@
-"""Pink gate, mt_check branching, exceptional enumeration, witness self-checks."""
+"""Pink gate, mt_check branching, exceptional enumeration, witness checks."""
 
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
@@ -82,6 +83,12 @@ def test_pink_proves_without_bad_place():
 def test_s_zero_routes_to_not_covered():
     assert mt_check(MtQuery(4, 0, Z)).status == Status.NOT_COVERED
     assert mt_check(MtQuery(16, 0, II)).status == Status.NOT_COVERED
+
+
+def test_verdict_is_frozen():
+    v = mt_check(MtQuery(10, 6, Z))
+    with pytest.raises(FrozenInstanceError):
+        v.status = Status.PROVED_BY_PINK
 
 
 def test_exceptional_phrasing_never_claims_falsity():
@@ -168,17 +175,45 @@ def test_verdict_serialization_round_trip(g, s, endo):
     assert MtVerdict.from_dict(v.to_dict()) == v
 
 
-@given(st.integers(1, 5000))
-def test_exceptional_witness_equations_hold(g):
+# The closed forms of both families, written out independently of the engine.
+def _family1_point(r, endo):
+    if endo == Z:
+        return comb(2 * r, r) // 2, comb(2 * r - 2, r - 1)
+    return comb(2 * r, r), 2 * comb(2 * r - 2, r - 1)
+
+
+FAMILY1_R = {Z: (3, 1), II: (3, 1), III: (2, 0)}  # smallest r, parity of r
+FAMILY2_T = {Z: (4, {0, 1}), II: (5, {1, 2}), III: (4, {0, 3})}  # smallest t, t mod 4
+
+
+@pytest.mark.parametrize("endo", [Z, II, III], ids=["Z", "II", "III"])
+@given(g=st.integers(1, 5000))
+def test_exceptional_witness_equations_hold(endo, g):
     for s in {1, 2, comb(4, 2), g // 2, g}:
-        if not 0 <= s <= g:
+        if not 0 <= s <= g or (endo != Z and s % 2):
             continue
-        v = mt_check(MtQuery(g, s if s % 2 == 0 else s, Z))
+        v = mt_check(MtQuery(g, s, endo))
         if v.status == Status.EXCEPTIONAL_CASE:
             w = v.witness
+            assert (w.g, w.s) == (g, s)
             if w.family == 1:
-                assert w.g == comb(2 * w.parameter, w.parameter) // 2
-                assert w.s == comb(2 * w.parameter - 2, w.parameter - 1)
+                first, parity = FAMILY1_R[endo]
+                assert w.parameter >= first and w.parameter % 2 == parity
+                assert (w.g, w.s) == _family1_point(w.parameter, endo)
             else:
+                first, classes = FAMILY2_T[endo]
+                assert w.parameter >= first and w.parameter % 4 in classes
                 assert w.g == 2**w.parameter
                 assert w.s in (w.g, w.g // 2)
+
+
+@pytest.mark.parametrize("endo", [Z, II, III], ids=["Z", "II", "III"])
+def test_every_enumerated_instance_is_an_exceptional_case(endo):
+    # Pink's gate leaves every type-Z family g open, and mt_check finds the
+    # witness that enumerate_exceptional lists
+    instances = enumerate_exceptional(10**12, endo)
+    assert len(instances) > 20
+    for inst in instances:
+        v = mt_check(MtQuery(inst.g, inst.s, endo))
+        assert v.status == Status.EXCEPTIONAL_CASE
+        assert (v.witness.family, v.witness.parameter) == (inst.family, inst.parameter)

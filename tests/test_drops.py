@@ -1,5 +1,6 @@
 """Drop computations and the symplectic-minuscule classifier."""
 
+from dataclasses import FrozenInstanceError
 from math import comb
 
 import pytest
@@ -16,6 +17,19 @@ from mtkit import (
     root_element_drop,
 )
 from mtkit.roots import pair_with_coroot
+
+
+def test_drop_report_and_candidate_list_are_frozen():
+    report = drop_spectrum(minuscule_rep(CartanType("B", 3), 3))
+    with pytest.raises(FrozenInstanceError):
+        report.per_length_class = {}
+    for field in (report.per_length_class, report.quadratic):
+        with pytest.raises(TypeError):
+            field["long"] = 0
+    assert report.per_length_class == {"long": 2, "short": 4}
+    found = classify_symplectic_minuscule(20)
+    with pytest.raises(FrozenInstanceError):
+        found.candidates = ()
 
 
 def test_a5_middle_long_drop():

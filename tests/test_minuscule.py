@@ -20,7 +20,9 @@ from mtkit import (
     pairing,
     weyl_dimension,
 )
+from mtkit import minuscule
 from mtkit.drops import drop_spectrum
+from mtkit.minuscule import check_orbit_budget
 
 
 def test_is_minuscule_c3_std():
@@ -163,6 +165,17 @@ def test_orbit_budget_rejects_before_expanding():
     assert weyl_dimension(build_root_datum(CartanType("B", 20)), Weight((0,) * 19 + (1,))) == ORBIT_BUDGET
     with pytest.raises(PreconditionError, match=f"orbit budget of {ORBIT_BUDGET} weights"):
         minuscule_rep(CartanType("B", 21), 21)
+
+
+def test_orbit_budget_holds_per_type(monkeypatch):
+    # A22: w1 to w9 fit the budget, w10 (C(23, 10) = 1144066 weights) does not
+    def no_expansion(d, w):
+        raise AssertionError(f"expanded {w} of {d.cartan_type}")
+
+    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
+    for refuse in (check_orbit_budget, enumerate_minuscule):
+        with pytest.raises(PreconditionError, match="w10 of A22 has 1144066 weights"):
+            refuse(CartanType("A", 22))
 
 
 # --- highest-coroot test and 2 rho_coroot parity against a scan of all coroots ---

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtkit import (
+    ROOT_BUDGET,
     CartanType,
     InvalidCartanType,
     PreconditionError,
@@ -61,6 +62,16 @@ SMALL_TYPES = [
 def test_positive_root_counts(family, rank):
     d = build_root_datum(CartanType(family, rank))
     assert len(d.positive_roots) == POSITIVE_ROOT_COUNT[(family, rank)]
+
+
+def test_root_budget_refuses_before_building():
+    assert ROOT_BUDGET == 2**16  # C256 has exactly 2^16 positive roots
+    # the first rank of each classical family over the budget, and C500000
+    for family, rank, count in (("A", 362, 65703), ("B", 257, 66049), ("C", 257, 66049),
+                                ("D", 257, 65792), ("C", 500000, 250000000000)):
+        with pytest.raises(PreconditionError, match=f"{family}{rank} has {count} positive "
+                                                    "roots, more than the root budget of 65536"):
+            build_root_datum(CartanType(family, rank))
 
 
 @pytest.mark.parametrize("t", SMALL_TYPES, ids=str)
