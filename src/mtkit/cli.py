@@ -21,8 +21,8 @@ from .errors import DomainError, PreconditionError
 from .minuscule import (
     DEFAULT_RANK_BOUND,
     MinusculeRep,
-    check_orbit_budget,
     enumerate_minuscule,
+    iter_minuscule,
     minuscule_rep,
 )
 from .oracle import (
@@ -128,10 +128,7 @@ def _cmd_table(args) -> tuple[dict, list[dict], list[str]]:
         raise UsageError("--max-rank must be >= 1")
     cartan_types = [CartanType(f, n) for f, lo in _MIN_RANK.items() for n in range(lo, bound + 1)]
     cartan_types += [CartanType(f, n) for f, n in (("E6", 6), ("E7", 7)) if n <= bound]
-    for t in cartan_types:
-        if t.rank == bound:  # orbits grow with the rank: the top rank bounds the table
-            check_orbit_budget(t)
-    rows = [_rep_row(rep) for t in cartan_types for rep in enumerate_minuscule(t)]
+    rows = [_rep_row(rep) for rep in iter_minuscule(cartan_types)]
     return {"max_rank": bound, "rows": rows}, rows, TABLE_COLUMNS
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -121,6 +121,11 @@ def expand_rep(d: RootDatum, w: Weight) -> MinusculeRep:
     if not is_minuscule(d, w):
         raise PreconditionError(f"{w.coords} is not minuscule for {d.cartan_type}")
     _check_orbit_budget(d, w)
+    return _expand(d, w)
+
+
+def _expand(d: RootDatum, w: Weight) -> MinusculeRep:
+    # w is minuscule and its orbit fits ORBIT_BUDGET
     orbit = weyl_orbit(d, w)
     sign = duality_sign(d, w)
     quad: dict[str, bool] = {}
@@ -155,6 +160,22 @@ def check_orbit_budget(t: CartanType) -> None:
     _minuscule_weights(build_root_datum(t))
 
 
+def iter_minuscule(types: Sequence[CartanType]) -> Iterator[MinusculeRep]:
+    """The reps of enumerate_minuscule for each type in turn, expanded one at a time.
+
+    Every orbit of every type is checked against ORBIT_BUDGET before this
+    returns, highest rank first (orbits grow with the rank), so an
+    over-budget request is refused before any orbit is expanded and after
+    building only the root data it needs.  Each root datum and each Weyl
+    dimension is computed once.
+    """
+    data, weights = {}, {}
+    for t in sorted(dict.fromkeys(types), key=lambda t: -t.rank):
+        data[t] = build_root_datum(t)
+        weights[t] = _minuscule_weights(data[t])
+    return (_expand(data[t], w) for t in types for w in weights[t])
+
+
 def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
     """All minuscule fundamental weights of t, expanded, in weight-index order.
 
@@ -164,8 +185,7 @@ def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
     F4 and G2 contribute none.  No orbit is expanded unless all of them fit
     ORBIT_BUDGET.
     """
-    d = build_root_datum(t)
-    return [expand_rep(d, w) for w in _minuscule_weights(d)]
+    return list(iter_minuscule([t]))
 
 
 def minuscule_rep(t: CartanType, weight_index: int) -> MinusculeRep:

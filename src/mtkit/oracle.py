@@ -13,6 +13,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, count
+from operator import mul
 
 from .errors import FieldMismatch, NotUnipotent, PreconditionError
 from .minuscule import MinusculeRep
@@ -52,9 +54,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def _require_prime(p: int) -> int:
     """Return p if it is a prime the primality test can certify; raise otherwise."""
+    if not isinstance(p, int):  # typed cache: 7.0 must not hit the entry for 7
+        raise PreconditionError(f"prime must be an integer, got {p!r}")
     if p >= _MR_BOUND:
         raise PreconditionError(
             f"prime must be below {_MR_BOUND}, the range of the deterministic "
@@ -65,24 +69,46 @@ def _require_prime(p: int) -> int:
     return p
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ExactMatrix:
-    """Dense square matrix over the rationals (prime=None) or over F_p."""
+    """Immutable dense square matrix over the rationals (prime=None) or over F_p.
 
-    rows: list[list]
+    rows is a tuple of row tuples.  Caller-supplied rows are checked once,
+    here: square shape, no float entry, a certified prime, entries reduced
+    mod p.  Matrices the class derives from checked ones (products,
+    Kronecker products, M - 1, identities, root elements) skip the re-scan.
+
+    Hot paths build tuples from lists, not generators: CPython allocates a
+    tuple built from a generator at a guessed size and resizes it, so once
+    freed such tuples pile up on its per-size free lists instead of being
+    reused, which shows as resident memory.
+    """
+
+    rows: tuple[tuple, ...]
     prime: int | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
+        rows = tuple([tuple(row) for row in self.rows])
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise PreconditionError("ExactMatrix must be square")
             for x in row:
                 if isinstance(x, float):
                     raise PreconditionError("floating point entries are not allowed")
-        if self.prime is not None:
-            _require_prime(self.prime)
-            self.rows = [[x % self.prime for x in row] for row in self.rows]
+        p = self.prime
+        if p is not None:
+            _require_prime(p)
+            rows = tuple([tuple([x % p for x in row]) for row in rows])
+        object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _derived(cls, rows: tuple[tuple, ...], prime: int | None) -> "ExactMatrix":
+        """Wrap rows built from checked entries, without checking them again."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "prime", prime)
+        return m
 
     @property
     def dim(self) -> int:
@@ -90,10 +116,14 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int, prime: int | None = None) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], prime)
+        if prime is not None:
+            _require_prime(prime)
+        # row i is a window of one tuple that holds a single 1 in its middle
+        e = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
+        return cls._derived(tuple([e[n - 1 - i:2 * n - 1 - i] for i in range(n)]), prime)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self.rows))
 
     def is_identity(self) -> bool:
         return all(
@@ -103,6 +133,8 @@ class ExactMatrix:
         )
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Product; a row with fewer than n/4 nonzeros combines rows of other,
+        a denser one takes dot products with the columns of other."""
         if self.prime != other.prime:
             raise FieldMismatch("cannot multiply matrices over different fields")
         if self.dim != other.dim:
@@ -110,28 +142,40 @@ class ExactMatrix:
         n = self.dim
         b = other.rows
         p = self.prime
+        cols = None
         out = []
         for arow in self.rows:
-            acc = [0] * n
-            for k, a in enumerate(arow):
-                if a:
-                    brow = b[k]
-                    acc = [x + a * y for x, y in zip(acc, brow)]
-            out.append([x % p for x in acc] if p else acc)
-        return ExactMatrix(out, p)
+            if 4 * (n - arow.count(0)) < n:
+                acc = None
+                for k in compress(range(n), arow):
+                    a = arow[k]
+                    if acc is None:
+                        acc = b[k] if a == 1 else [a * y for y in b[k]]
+                    else:
+                        acc = [x + a * y for x, y in zip(acc, b[k])]
+                if acc is None:
+                    out.append((0,) * n)
+                    continue
+            else:
+                if cols is None:
+                    cols = list(zip(*b))
+                acc = [sum(map(mul, arow, col)) for col in cols]
+            out.append(tuple([x % p for x in acc]) if p else tuple(acc))
+        return ExactMatrix._derived(tuple(out), p)
 
     def sub_identity(self) -> "ExactMatrix":
         """M - 1, the nilpotent part candidate."""
-        n = self.dim
-        rows = [row[:] for row in self.rows]
-        for i in range(n):
-            rows[i][i] = rows[i][i] - 1
-        return ExactMatrix(rows, self.prime)
+        p = self.prime
+        rows = tuple([
+            row[:i] + (((row[i] - 1) % p if p else row[i] - 1),) + row[i + 1:]
+            for i, row in enumerate(self.rows)
+        ])
+        return ExactMatrix._derived(rows, p)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.prime != other.prime:
             raise FieldMismatch("cannot tensor matrices over different fields")
-        n2 = other.dim
+        zero = (0,) * other.dim
         p = self.prime
         rows = []
         for arow in self.rows:
@@ -141,38 +185,35 @@ class ExactMatrix:
                     if a:
                         row.extend((a * bb) % p if p else a * bb for bb in brow)
                     else:
-                        row.extend([0] * n2)
-                rows.append(row)
-        return ExactMatrix(rows, p)
+                        row.extend(zero)
+                rows.append(tuple(row))
+        return ExactMatrix._derived(tuple(rows), p)
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination (fraction arithmetic over Q)."""
-        n = self.dim
-        rows = [row[:] for row in self.rows]
+        """Exact rank by elimination: each row is reduced by the kept row that
+        leads in its leading column until it vanishes or leads in a new one.
+
+        Over Q a row stays integral while the pivot divides the entry it
+        clears; only otherwise does the multiplier become a Fraction.
+        """
         p = self.prime
-        r = 0
-        for c in range(n):
-            piv = next((i for i in range(r, n) if rows[i][c] != 0), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pivot = rows[r][c]
-            inv = pow(pivot, -1, p) if p else None
-            prow = rows[r]
-            for i in range(r + 1, n):
-                v = rows[i][c]
-                if v == 0:
-                    continue
+        kept: dict[int, tuple | list] = {}  # leading column -> row
+        for row in self.rows:
+            while (lead := next(compress(count(), row), None)) is not None:
+                prow = kept.get(lead)
+                if prow is None:
+                    kept[lead] = row
+                    break
+                v, pivot = row[lead], prow[lead]
                 if p:
-                    f = v * inv % p
-                    rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
+                    f = v * pow(pivot, -1, p) % p
+                    row = [(x - f * y) % p for x, y in zip(row, prow)]
                 else:
-                    f = Fraction(v) / Fraction(pivot)
-                    rows[i] = [x - f * y for x, y in zip(rows[i], prow)]
-            r += 1
-            if r == n:
-                break
-        return r
+                    f, rest = divmod(v, pivot)
+                    if rest:
+                        f = Fraction(v) / Fraction(pivot)
+                    row = [x - f * y for x, y in zip(row, prow)]
+        return len(kept)
 
 
 @dataclass
@@ -273,23 +314,26 @@ def build_root_element(
                 )
 
     order = {mu.coords: i for i, mu in enumerate(rep.orbit)}
-    n = rep.dimension
+    identity = ExactMatrix.identity(rep.dimension, prime).rows
     product: ExactMatrix | None = None
     for idx in root_indices:
         cr = d.coroots[idx]
         alpha_w = d.root_weight_coords(d.positive_roots[idx])
-        m = ExactMatrix.identity(n, prime)
-        for mu in rep.orbit:
+        rows = list(identity)
+        for src, mu in enumerate(rep.orbit):
             if pair_with_coroot(cr, mu.coords) != -1:
                 continue
-            target = tuple(x + y for x, y in zip(mu.coords, alpha_w))
-            if target not in order:
+            target = tuple([x + y for x, y in zip(mu.coords, alpha_w)])
+            dst = order.get(target)
+            if dst is None:
                 raise AssertionError(
                     f"weight {target} fell outside the orbit; minuscule bookkeeping broken"
                 )
-            src, dst = order[mu.coords], order[target]
             c = 1 if signs == "plus" else (-1 if (src + dst) % 2 else 1)
-            m.rows[dst][src] = c % prime if prime else c
+            row = list(rows[dst])
+            row[src] = c % prime if prime else c
+            rows[dst] = tuple(row)
+        m = ExactMatrix._derived(tuple(rows), prime)
         product = m if product is None else product @ m
     return product
 

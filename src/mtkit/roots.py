@@ -67,7 +67,7 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Weight:
     """Integer coefficient vector in the fundamental-weight basis."""
 
@@ -123,11 +123,7 @@ class RootDatum:
 
     def root_weight_coords(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Convert simple-root coordinates to fundamental-weight coordinates."""
-        n = self.rank
-        return tuple(
-            sum(self.cartan_matrix[i][j] * root[j] for j in range(n) if root[j])
-            for i in range(n)
-        )
+        return tuple([sum(map(mul, row, root)) for row in self.cartan_matrix])
 
 
 def _cartan_matrix(t: CartanType) -> list[list[int]]:

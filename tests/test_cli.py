@@ -206,6 +206,24 @@ GOLDEN_RUNS = {
     # the matrix basis of a root element follows the sort order of the orbit
     "oracle_drop_D5_spinplus.json": ["oracle", "drop", "--type", "D", "--rank", "5",
                                      "--weight", "spin+", "--roots", "e1-e2,e3-e4"],
+    # the shared-line product
+    "oracle_drop_D5_spinplus_shared.json": ["oracle", "drop", "--type", "D", "--rank", "5",
+                                            "--weight", "spin+", "--roots", "e1-e2,e1+e2"],
+    "oracle_drop_A5_w3_p3.json": ["oracle", "drop", "--type", "A", "--rank", "5",
+                                  "--weight", "w3", "--roots", "e1-e6", "--prime", "3"],
+    "oracle_drop_C3_std.csv": ["oracle", "drop", "--type", "C", "--rank", "3",
+                               "--weight", "std", "--roots", "2e1", "--format", "csv"],
+    # default dims 6,6; the prime-2 run records 20 characteristic deviations
+    "oracle_tensor_3_4_seed7.json": ["oracle", "tensor-lemma", "--k1", "3", "--k2", "4",
+                                     "--trials", "40", "--seed", "7"],
+    "oracle_tensor_3_4_seed7.csv": ["oracle", "tensor-lemma", "--k1", "3", "--k2", "4",
+                                    "--trials", "40", "--seed", "7", "--format", "csv"],
+    "oracle_tensor_3_4_seed7.md": ["oracle", "tensor-lemma", "--k1", "3", "--k2", "4",
+                                   "--trials", "40", "--seed", "7", "--format", "markdown"],
+    "oracle_tensor_3_4_seed7_p10007.json": ["oracle", "tensor-lemma", "--k1", "3", "--k2", "4",
+                                            "--trials", "40", "--seed", "7", "--prime", "10007"],
+    "oracle_tensor_2_2_seed7_p2.json": ["oracle", "tensor-lemma", "--k1", "2", "--k2", "2",
+                                        "--trials", "20", "--seed", "7", "--prime", "2"],
     "mt_exceptional_Z_1000000.json": ["mt-exceptional", "--max-g", "1000000", "--endo", "Z"],
     "mt_exceptional_II_1000000.json": ["mt-exceptional", "--max-g", "1000000", "--endo", "II"],
     "mt_exceptional_III_1000000.json": ["mt-exceptional", "--max-g", "1000000", "--endo", "III"],

@@ -22,7 +22,7 @@ from mtkit import (
 )
 from mtkit import minuscule
 from mtkit.drops import drop_spectrum
-from mtkit.minuscule import check_orbit_budget
+from mtkit.minuscule import check_orbit_budget, iter_minuscule
 
 
 def test_is_minuscule_c3_std():
@@ -176,6 +176,33 @@ def test_orbit_budget_holds_per_type(monkeypatch):
     for refuse in (check_orbit_budget, enumerate_minuscule):
         with pytest.raises(PreconditionError, match="w10 of A22 has 1144066 weights"):
             refuse(CartanType("A", 22))
+
+
+def test_orbit_budget_holds_across_types(monkeypatch):
+    # A21 fits the budget and B21 spin (2^21 weights) does not: the whole
+    # sequence is refused before A1 is expanded, each root datum built once
+    built = []
+
+    def no_expansion(d, w):
+        raise AssertionError(f"expanded {w} of {d.cartan_type}")
+
+    def counting_datum(t):
+        built.append(t)
+        return build_root_datum(t)
+
+    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
+    monkeypatch.setattr(minuscule, "build_root_datum", counting_datum)
+    types = [CartanType(f, n) for f in "AB" for n in range(2, 22)]
+    with pytest.raises(PreconditionError, match="w21 of B21 has 2097152 weights"):
+        iter_minuscule(types)
+    assert built == [CartanType("A", 21), CartanType("B", 21)]
+
+
+def test_iter_minuscule_matches_enumerate_minuscule():
+    types = [CartanType("D", 5), CartanType("A", 4), CartanType("E6", 6), CartanType("D", 5)]
+    got = [(r.cartan_type, r.weight_index, r.orbit) for r in iter_minuscule(types)]
+    want = [(r.cartan_type, r.weight_index, r.orbit) for t in types for r in enumerate_minuscule(t)]
+    assert got == want
 
 
 # --- highest-coroot test and 2 rho_coroot parity against a scan of all coroots ---

@@ -1,6 +1,7 @@
 """Exact matrices, unipotence, root-element construction, tensor trials."""
 
 import json
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,152 @@ def test_primality_test_matches_trial_division():
 def test_prime_beyond_certified_range_rejected():
     with pytest.raises(PreconditionError, match="primality test"):
         ExactMatrix([[1]], prime=2**89 - 1)
+
+
+# --- immutability and validation at the boundary -----------------------------
+
+
+def test_exact_matrix_is_immutable():
+    rep = minuscule_rep(CartanType("C", 2), 1)
+    m = ExactMatrix([[1, 0], [0, 1]])
+    derived = [m, m @ m, m.kron(m), m.sub_identity(), ExactMatrix.identity(3, 7),
+               build_root_element(rep, [0])]
+    for d in derived:
+        with pytest.raises(TypeError):
+            d.rows[0][0] = 99
+        with pytest.raises(TypeError):
+            d.rows[0] = (99,) * d.dim
+        with pytest.raises(FrozenInstanceError):
+            d.rows = ((99,),)
+        with pytest.raises(FrozenInstanceError):
+            d.prime = 3
+    assert m.rows == ((1, 0), (0, 1))
+
+
+def test_floats_rejected_at_every_entry_point():
+    import random
+
+    m = ExactMatrix([[1, 2], [3, 4]])
+    with pytest.raises(PreconditionError, match="floating point"):
+        ExactMatrix(((1, 0.5), (0, 1)), 7)  # tuple rows, as a re-wrap passes them
+    with pytest.raises(PreconditionError, match="floating point"):
+        ExactMatrix((m.rows[0], (3.0, 4)))
+    # a float prime would turn every reduced entry into a float
+    with pytest.raises(PreconditionError, match="integer"):
+        ExactMatrix(m.rows, 7.0)
+    with pytest.raises(PreconditionError, match="integer"):
+        random_unipotent(4, 2, random.Random(1), prime=7.0)
+    assert ExactMatrix(m.rows, 7).rows == ((1, 2), (3, 4))
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, 561])
+def test_non_prime_rejected_by_identity(p):
+    with pytest.raises(PreconditionError, match="prime >= 2"):
+        ExactMatrix.identity(3, p)
+
+
+# --- the product, the rank and is_zero against textbook references ----------
+
+
+def _textbook_product(a, b, p):
+    n = len(a)
+    out = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(tuple(x % p for x in row) if p else tuple(row) for row in out)
+
+
+def _random_rows(rng, n, fractions):
+    """Rows of mixed kinds: zero, sparse (< n/4 nonzeros) and dense, with 0/1,
+    negative and (optionally) Fraction entries."""
+    def entry():
+        if fractions and rng.random() < 0.3:
+            return Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 7))
+        return rng.choice((1, 1, rng.randint(-50, 50) or -1))
+
+    rows = []
+    for _ in range(n):
+        kind = rng.choice(("zero", "sparse", "dense", "dense"))
+        if kind == "zero":
+            count = 0
+        elif kind == "sparse":
+            count = rng.randint(1, max(1, (n - 1) // 4))
+        else:
+            count = rng.randint(-(-n // 4), n)
+        row = [0] * n
+        for j in rng.sample(range(n), count):
+            row[j] = entry()
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("prime", [None, 2, 10007])
+def test_product_matches_textbook_triple_loop(prime):
+    import random
+
+    rng = random.Random(prime or 1)
+    for n in range(1, 41):
+        fractions = prime is None and n % 6 == 1 and n < 20  # Fraction products are slow
+        a = ExactMatrix(_random_rows(rng, n, fractions), prime)
+        b = ExactMatrix(_random_rows(rng, n, fractions), prime)
+        assert (a @ b).rows == _textbook_product(a.rows, b.rows, prime)
+        if n % 3:
+            continue
+        # a root-element-shaped factor: identity plus a few 0/1 entries
+        rows = [list(r) for r in ExactMatrix.identity(n, prime).rows]
+        for _ in range(n // 3):
+            rows[rng.randrange(n)][rng.randrange(n)] = 1
+        e = ExactMatrix(rows, prime)
+        assert (e @ b).rows == _textbook_product(e.rows, b.rows, prime)
+        assert (b @ e).rows == _textbook_product(b.rows, e.rows, prime)
+
+
+def _reference_rank(rows, p):
+    """Row echelon form with Fraction (or mod p) arithmetic throughout."""
+    m = [[x % p if p else Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(m)):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, len(m)):
+            if m[i][c]:
+                f = m[i][c] * pow(m[r][c], -1, p) if p else m[i][c] / m[r][c]
+                m[i] = [(x - f * y) % p if p else x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
+def test_rank_matches_fraction_elimination_on_deficient_products():
+    import random
+
+    rng = random.Random(5)
+    for trial in range(300):
+        n = rng.randint(1, 10)
+        k = rng.randint(0, n)  # rank(A B) <= k
+        fractions = trial % 3 == 0
+
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if fractions else rng.randint(-3, 3)
+
+        a = [[entry() for _ in range(k)] for _ in range(n)]
+        b = [[entry() for _ in range(n)] for _ in range(k)]
+        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
+                for i in range(n)]
+        m = ExactMatrix(rows)
+        assert m.rank() == _reference_rank(rows, None) <= k
+        if not fractions:
+            for p in (2, 3, 10007):
+                assert ExactMatrix(rows, p).rank() == _reference_rank(rows, p)
+
+
+def test_is_zero_on_zero_and_single_entry_matrices():
+    for n in range(1, 6):
+        for prime in (None, 2, 7):
+            assert ExactMatrix([[0] * n for _ in range(n)], prime).is_zero()
+            for i in range(n):
+                for j in range(n):
+                    for x in (1, -1, Fraction(1, 3)) if prime is None else (1, 3):
+                        rows = [[0] * n for _ in range(n)]
+                        rows[i][j] = x
+                        assert not ExactMatrix(rows, prime).is_zero()
+    assert ExactMatrix([[2, 0], [0, 4]], 2).is_zero()  # reduced mod 2

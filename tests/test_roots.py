@@ -141,6 +141,10 @@ def test_pairing_b3_spin_against_highest_root():
     assert pairing(d, Weight((0, 0, 1)), theta) == 1
 
 
+def test_weight_has_slots_and_no_dict():
+    assert not hasattr(Weight((1, 0)), "__dict__")
+
+
 def test_pairing_zero_weight():
     d = build_root_datum(CartanType("C", 4))
     for i in range(len(d.coroots)):
