@@ -203,6 +203,16 @@ GOLDEN_RUNS = {
     "table_max_rank_12.json": ["table", "--max-rank", "12", "--format", "json"],
     "table_max_rank_12.csv": ["table", "--max-rank", "12", "--format", "csv"],
     "table_max_rank_12.md": ["table", "--max-rank", "12", "--format", "markdown"],
+    "table_max_rank_16.csv": ["table", "--max-rank", "16", "--format", "csv"],
+    "minuscule_B7.json": ["minuscule", "--type", "B", "--rank", "7"],
+    "minuscule_D6.md": ["minuscule", "--type", "D", "--rank", "6", "--format", "markdown"],
+    "minuscule_E7.json": ["minuscule", "--type", "E7"],
+    # B5 spin has a short class
+    "drops_B5_spin.json": ["drops", "--type", "B", "--rank", "5", "--weight", "spin"],
+    "drops_C4_std.csv": ["drops", "--type", "C", "--rank", "4", "--weight", "std",
+                         "--format", "csv"],
+    "classify_252.json": ["classify", "--two-g", "252"],
+    "classify_20.csv": ["classify", "--two-g", "20", "--format", "csv"],
     # the matrix basis of a root element follows the sort order of the orbit
     "oracle_drop_D5_spinplus.json": ["oracle", "drop", "--type", "D", "--rank", "5",
                                      "--weight", "spin+", "--roots", "e1-e2,e3-e4"],
