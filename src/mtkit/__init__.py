@@ -39,7 +39,6 @@ from .errors import (
     FieldMismatch,
     InvalidCartanType,
     NoSuchLengthClass,
-    NotQuadratic,
     NotUnipotent,
     PreconditionError,
     QueryInvalid,
@@ -56,6 +55,7 @@ from .minuscule import (
 )
 from .oracle import (
     DEFAULT_PRIME,
+    MATRIX_BUDGET,
     ExactMatrix,
     TensorLemmaReport,
     UnipotenceReport,
@@ -94,9 +94,9 @@ __all__ = [
     "drop_spectrum", "classify_symplectic_minuscule",
     "ExactMatrix", "UnipotenceReport", "TensorLemmaReport", "build_root_element",
     "unipotence", "nilpotency_degree", "tensor", "verify_tensor_lemma",
-    "random_unipotent", "DEFAULT_PRIME",
+    "random_unipotent", "DEFAULT_PRIME", "MATRIX_BUDGET",
     "EndoType", "Status", "MtQuery", "MtVerdict", "Witness", "PinkResult",
     "ExceptionalInstance", "pink_gate", "mt_check", "enumerate_exceptional",
     "DomainError", "InvalidCartanType", "PreconditionError", "NoSuchLengthClass",
-    "NotQuadratic", "NotUnipotent", "FieldMismatch", "QueryInvalid",
+    "NotUnipotent", "FieldMismatch", "QueryInvalid",
 ]

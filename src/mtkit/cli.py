@@ -22,7 +22,6 @@ from .minuscule import (
     DEFAULT_RANK_BOUND,
     MinusculeRep,
     enumerate_minuscule,
-    iter_minuscule,
     minuscule_rep,
 )
 from .oracle import (
@@ -32,7 +31,14 @@ from .oracle import (
     unipotence,
     verify_tensor_lemma,
 )
-from .roots import CartanType, find_positive_root, _FIXED_RANK, _MIN_RANK
+from .roots import (
+    ROOT_BUDGET,
+    CartanType,
+    find_positive_root,
+    positive_root_count,
+    _FIXED_RANK,
+    _MIN_RANK,
+)
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -128,7 +134,13 @@ def _cmd_table(args) -> tuple[dict, list[dict], list[str]]:
         raise UsageError("--max-rank must be >= 1")
     cartan_types = [CartanType(f, n) for f, lo in _MIN_RANK.items() for n in range(lo, bound + 1)]
     cartan_types += [CartanType(f, n) for f, n in (("E6", 6), ("E7", 7)) if n <= bound]
-    rows = [_rep_row(rep) for rep in iter_minuscule(cartan_types)]
+    roots = sum(map(positive_root_count, cartan_types))
+    if roots > ROOT_BUDGET:
+        raise PreconditionError(
+            f"the types up to rank {bound} have {roots} positive roots in all, "
+            f"more than the root budget of {ROOT_BUDGET} roots"
+        )
+    rows = [_rep_row(rep) for t in cartan_types for rep in enumerate_minuscule(t)]
     return {"max_rank": bound, "rows": rows}, rows, TABLE_COLUMNS
 
 

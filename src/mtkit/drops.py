@@ -3,8 +3,10 @@
 On a minuscule orbit a root element x_alpha moves the weight vector v_mu
 to v_mu +- v_{mu+alpha} exactly when <mu, alpha_coroot> = -1, so the rank
 of rho(x_alpha) - 1 equals the number of orbit weights pairing to +1 with
-the coroot.  That weight count is what this module computes; the exact
-matrix route in mtkit.oracle cross-checks it.
+the coroot.  Every orbit weight pairs into {-1, 0, 1} with every coroot,
+so root elements act quadratically.  This module gets the count in closed
+form, without the orbit (see root_element_drop); the exact matrix route in
+mtkit.oracle cross-checks it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from .errors import NoSuchLengthClass, NotQuadratic, PreconditionError
+from .errors import NoSuchLengthClass, PreconditionError
 from .minuscule import MinusculeRep, enumerate_minuscule
 from .roots import CartanType, pair_with_coroot
 
@@ -46,42 +48,37 @@ class CandidateList:
     candidates: tuple[Candidate, ...]
 
 
-def representative_root_index(rep: MinusculeRep, length_class: str) -> int:
-    """First positive root (in the fixed lexicographic order) of the class."""
+def root_element_drop(rep: MinusculeRep, length_class: str) -> int:
+    """Drop of a root element of the given length class acting on rep.
+
+    Counts the pairs (mu, beta_coroot) with mu in the orbit, beta a root of
+    the class (positive or negative) and <mu, beta_coroot> = 1 in two ways.
+    W permutes the roots of a class transitively, so each of the 2 N+
+    coroots meets drop weights; W also permutes the orbit, so each weight
+    meets as many coroots as the highest weight does, the N1 positive ones
+    pairing to 1 with it.  Hence drop = dim * N1 / (2 N+).
+    """
     if length_class not in LENGTH_CLASSES:
         raise NoSuchLengthClass(f"unknown length class {length_class!r}")
     d = rep.datum
     if not d.cartan_type.is_classical:
         raise PreconditionError("drops are computed for classical types only")
-    try:
-        return d.length_class.index(length_class)
-    except ValueError:
+    w = rep.highest_weight.coords
+    pairings = [
+        pair_with_coroot(cr, w) for cr, cls in zip(d.coroots, d.length_class) if cls == length_class
+    ]
+    if not pairings:
         raise NoSuchLengthClass(
             f"{d.cartan_type} is simply laced and has no {length_class!r} roots"
-        ) from None
-
-
-def root_element_drop(rep: MinusculeRep, length_class: str) -> int:
-    """Drop of a root element of the given length class acting on rep.
-
-    Counts orbit weights with pairing +1 against one representative coroot
-    of the class; every root of a class gives the same count (a tested
-    invariant).
-    """
-    idx = representative_root_index(rep, length_class)
-    if not rep.quadratic_classes.get(length_class, False):
-        raise NotQuadratic(
-            f"{length_class} root elements do not act quadratically on {rep.name}"
         )
-    cr = rep.datum.coroots[idx]
-    return sum(1 for mu in rep.orbit if pair_with_coroot(cr, mu.coords) == 1)
+    return rep.dimension * pairings.count(1) // (2 * len(pairings))
 
 
 def drop_spectrum(rep: MinusculeRep) -> DropReport:
-    """Drops for every root-length class the root system has."""
+    """Drops for every root-length class the root system has; all are quadratic."""
     per = {cls: root_element_drop(rep, cls) for cls in rep.datum.classes}
     return DropReport(rep=rep, per_length_class=MappingProxyType(per),
-                      quadratic=rep.quadratic_classes)
+                      quadratic=MappingProxyType(dict.fromkeys(per, True)))
 
 
 def _exact_log2(n: int) -> int | None:

@@ -22,10 +22,6 @@ class NoSuchLengthClass(DomainError):
     """Asked for a root-length class the root system does not have."""
 
 
-class NotQuadratic(DomainError):
-    """A root class whose orbit pairings leave {-1, 0, 1}."""
-
-
 class NotUnipotent(DomainError):
     """Matrix M with M - 1 not nilpotent passed to a unipotence computation."""
 

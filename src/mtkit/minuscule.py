@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PreconditionError
 from .roots import (
@@ -23,7 +22,7 @@ from .roots import (
 # whole sweep in the low seconds.
 DEFAULT_RANK_BOUND = 12
 
-# Largest orbit expand_rep will materialize (2^20 weights).  The Weyl
+# Largest orbit MinusculeRep.orbit will materialize (2^20 weights).  The
 # dimension gives the orbit size up front, so larger requests, such as the
 # 2^40-weight spin orbit of B40, are refused before any expansion.
 ORBIT_BUDGET = 2**20
@@ -31,12 +30,10 @@ ORBIT_BUDGET = 2**20
 
 @dataclass(frozen=True)
 class MinusculeRep:
-    """A minuscule highest weight together with its fully expanded orbit.
+    """A minuscule highest weight with its dimension and duality sign.
 
-    sign is +1 for orthogonal, -1 for symplectic, 0 for non-self-dual.
-    quadratic_classes records, per root-length class, whether every orbit
-    weight pairs into {-1, 0, 1} with that class (what the drop machinery
-    needs to treat a root element as quadratic); it is a read-only mapping.
+    sign is +1 for orthogonal, -1 for symplectic, 0 for non-self-dual.  The
+    Weyl orbit is not stored: rep.orbit expands it on first read.
     """
 
     datum: RootDatum
@@ -44,8 +41,20 @@ class MinusculeRep:
     name: str
     dimension: int
     sign: int
-    orbit: tuple[Weight, ...] = field(repr=False)
-    quadratic_classes: Mapping[str, bool] = field(repr=False)
+
+    @cached_property
+    def orbit(self) -> tuple[Weight, ...]:
+        """The Weyl orbit of the highest weight, sorted; expanded once, on first read.
+
+        Raises PreconditionError before expanding when the orbit, whose size
+        is the dimension, has more than ORBIT_BUDGET weights.
+        """
+        if self.dimension > ORBIT_BUDGET:
+            raise PreconditionError(
+                f"the orbit of w{self.weight_index} of {self.cartan_type} has "
+                f"{self.dimension} weights, more than the orbit budget of {ORBIT_BUDGET} weights"
+            )
+        return weyl_orbit(self.datum, self.highest_weight)
 
     @property
     def cartan_type(self) -> CartanType:
@@ -103,89 +112,34 @@ def _rep_name(t: CartanType, j: int) -> str:
     return f"w{j}"
 
 
-def _check_orbit_budget(d: RootDatum, w: Weight) -> None:
-    size = weyl_dimension(d, w)
-    if size > ORBIT_BUDGET:
-        raise PreconditionError(
-            f"the orbit of w{w.coords.index(1) + 1} of {d.cartan_type} has {size} weights, "
-            f"more than the orbit budget of {ORBIT_BUDGET} weights"
-        )
-
-
 def expand_rep(d: RootDatum, w: Weight) -> MinusculeRep:
-    """Build the full MinusculeRep record for a minuscule dominant weight.
+    """Build the MinusculeRep record for a minuscule dominant weight.
 
-    Raises PreconditionError before expanding anything when the orbit, whose
-    size is the Weyl dimension, has more than ORBIT_BUDGET weights.
+    Nothing is expanded: the dimension is the Weyl dimension and the sign
+    comes from duality_sign; the orbit waits until rep.orbit is read.
     """
     if not is_minuscule(d, w):
         raise PreconditionError(f"{w.coords} is not minuscule for {d.cartan_type}")
-    _check_orbit_budget(d, w)
-    return _expand(d, w)
-
-
-def _expand(d: RootDatum, w: Weight) -> MinusculeRep:
-    # w is minuscule and its orbit fits ORBIT_BUDGET
-    orbit = weyl_orbit(d, w)
-    sign = duality_sign(d, w)
-    quad: dict[str, bool] = {}
-    for cls in d.classes:
-        rep_idx = d.length_class.index(cls)
-        cr = d.coroots[rep_idx]
-        quad[cls] = all(pair_with_coroot(cr, mu.coords) in (-1, 0, 1) for mu in orbit)
     return MinusculeRep(
         datum=d,
         highest_weight=w,
         name=_rep_name(d.cartan_type, w.coords.index(1) + 1),
-        dimension=len(orbit),
-        sign=sign,
-        orbit=orbit,
-        quadratic_classes=MappingProxyType(quad),
+        dimension=weyl_dimension(d, w),
+        sign=duality_sign(d, w),
     )
 
 
-def _minuscule_weights(d: RootDatum) -> list[Weight]:
-    """The minuscule fundamental weights of d, each orbit checked against ORBIT_BUDGET."""
-    n = d.rank
-    ws = [Weight(tuple(1 if k == i else 0 for k in range(n))) for i in range(n)]
-    ws = [w for w in ws if is_minuscule(d, w)]
-    for w in ws:
-        _check_orbit_budget(d, w)
-    return ws
-
-
-def check_orbit_budget(t: CartanType) -> None:
-    """Raise PreconditionError, without expanding any orbit, when a minuscule
-    orbit of t has more than ORBIT_BUDGET weights."""
-    _minuscule_weights(build_root_datum(t))
-
-
-def iter_minuscule(types: Sequence[CartanType]) -> Iterator[MinusculeRep]:
-    """The reps of enumerate_minuscule for each type in turn, expanded one at a time.
-
-    Every orbit of every type is checked against ORBIT_BUDGET before this
-    returns, highest rank first (orbits grow with the rank), so an
-    over-budget request is refused before any orbit is expanded and after
-    building only the root data it needs.  Each root datum and each Weyl
-    dimension is computed once.
-    """
-    data, weights = {}, {}
-    for t in sorted(dict.fromkeys(types), key=lambda t: -t.rank):
-        data[t] = build_root_datum(t)
-        weights[t] = _minuscule_weights(data[t])
-    return (_expand(data[t], w) for t in types for w in weights[t])
-
-
 def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
-    """All minuscule fundamental weights of t, expanded, in weight-index order.
+    """The reps of all minuscule fundamental weights of t, in weight-index order.
 
     For the classical families this reproduces the standard table:
     A_n -> w_1..w_n, B_n -> w_n, C_n -> w_1, D_n -> w_1, w_{n-1}, w_n.
     E6 and E7 contribute their (non-tabulated) minuscule weights as well;
-    F4 and G2 contribute none.  No orbit is expanded unless all of them fit
-    ORBIT_BUDGET.
+    F4 and G2 contribute none.
     """
-    return list(iter_minuscule([t]))
+    d = build_root_datum(t)
+    ws = [Weight(tuple(int(k == i) for k in range(t.rank))) for i in range(t.rank)]
+    return [expand_rep(d, w) for w in ws if is_minuscule(d, w)]
 
 
 def minuscule_rep(t: CartanType, weight_index: int) -> MinusculeRep:

@@ -10,11 +10,13 @@ rationals, machine ints mod p over a prime field.  No floats anywhere.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, count
 from operator import mul
+from types import MappingProxyType
 
 from .errors import FieldMismatch, NotUnipotent, PreconditionError
 from .minuscule import MinusculeRep
@@ -27,6 +29,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 SIGN_CONVENTIONS = ("plus", "alternating")
+
+# Largest module build_root_element writes out as a dense matrix (4096 rows).
+# The n row tuples take at least 8 n^2 bytes (134 MB at the bound), so larger
+# modules, such as the 8192-dimensional half-spin modules of D14, are refused
+# before their orbit or any row is built.
+MATRIX_BUDGET = 4096
 
 
 def _is_prime(p: int) -> bool:
@@ -74,9 +82,10 @@ class ExactMatrix:
     """Immutable dense square matrix over the rationals (prime=None) or over F_p.
 
     rows is a tuple of row tuples.  Caller-supplied rows are checked once,
-    here: square shape, no float entry, a certified prime, entries reduced
-    mod p.  Matrices the class derives from checked ones (products,
-    Kronecker products, M - 1, identities, root elements) skip the re-scan.
+    here: square shape, int entries (or Fraction entries over Q), a
+    certified prime, entries reduced mod p.  Matrices the class derives
+    from checked ones (products, Kronecker products, M - 1, identities,
+    root elements) skip the re-scan.
 
     Hot paths build tuples from lists, not generators: CPython allocates a
     tuple built from a generator at a guessed size and resizes it, so once
@@ -90,13 +99,17 @@ class ExactMatrix:
     def __post_init__(self) -> None:
         rows = tuple([tuple(row) for row in self.rows])
         n = len(rows)
+        p = self.prime
+        exact = int if p is not None else (int, Fraction)
         for row in rows:
             if len(row) != n:
                 raise PreconditionError("ExactMatrix must be square")
             for x in row:
-                if isinstance(x, float):
-                    raise PreconditionError("floating point entries are not allowed")
-        p = self.prime
+                if not isinstance(x, exact):
+                    raise PreconditionError(
+                        "floating point entries are not allowed" if isinstance(x, float)
+                        else f"entries must be int{'' if p else ' or Fraction'}, got {x!r}"
+                    )
         if p is not None:
             _require_prime(p)
             rows = tuple([tuple([x % p for x in row]) for row in rows])
@@ -216,7 +229,7 @@ class ExactMatrix:
         return len(kept)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UnipotenceReport:
     """Degree k with (M-1)^k = 0 != (M-1)^{k-1}, plus the drop rank(M-1)."""
 
@@ -291,7 +304,7 @@ def build_root_element(
     Multiple roots must be pairwise orthogonal; the product is taken in the
     given order.  Single-root elements are certified quadratic; products are
     exploratory (the sign convention is not certified to define a group
-    representation).
+    representation).  Modules of dimension above MATRIX_BUDGET are refused.
     """
     if prime is not None:
         _require_prime(prime)
@@ -299,6 +312,11 @@ def build_root_element(
         raise PreconditionError("at least one root is required")
     if signs not in SIGN_CONVENTIONS:
         raise PreconditionError(f"unknown sign convention {signs!r}")
+    if rep.dimension > MATRIX_BUDGET:
+        raise PreconditionError(
+            f"{rep.name} of {rep.cartan_type} has dimension {rep.dimension}, "
+            f"more than the matrix budget of {MATRIX_BUDGET} rows"
+        )
     d = rep.datum
     for idx in root_indices:
         if not 0 <= idx < len(d.positive_roots):
@@ -341,7 +359,7 @@ def build_root_element(
 # --- randomized tensor-lemma verification ------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorLemmaReport:
     """Outcome of seeded random trials of degree additivity for tensor products.
 
@@ -350,6 +368,8 @@ class TensorLemmaReport:
     the degree can drop, which is recorded in char_deviations rather than
     counted as a failure.  corollary_violations records any quadratic tensor
     whose factors are both different from the identity (there must be none).
+    The report is read-only: degree_counts and the records are read-only
+    mappings, and the record lists are tuples.
     """
 
     k1: int
@@ -359,10 +379,16 @@ class TensorLemmaReport:
     seed: int
     prime: int | None
     expected_degree: int
-    degree_counts: dict[int, int] = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)
-    char_deviations: list[dict] = field(default_factory=list)
-    corollary_violations: list[dict] = field(default_factory=list)
+    degree_counts: Mapping[int, int] = field(default_factory=dict)
+    failures: tuple[Mapping, ...] = ()
+    char_deviations: tuple[Mapping, ...] = ()
+    corollary_violations: tuple[Mapping, ...] = ()
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "degree_counts", MappingProxyType(dict(self.degree_counts)))
+        for name in ("failures", "char_deviations", "corollary_violations"):
+            records = tuple([MappingProxyType(dict(r)) for r in getattr(self, name)])
+            object.__setattr__(self, name, records)
 
     @property
     def passed(self) -> bool:
@@ -378,9 +404,9 @@ class TensorLemmaReport:
             "prime": self.prime,
             "expected_degree": self.expected_degree,
             "degree_counts": {str(k): v for k, v in sorted(self.degree_counts.items())},
-            "failures": self.failures,
-            "char_deviations": self.char_deviations,
-            "corollary_violations": self.corollary_violations,
+            "failures": [dict(r) for r in self.failures],
+            "char_deviations": [dict(r) for r in self.char_deviations],
+            "corollary_violations": [dict(r) for r in self.corollary_violations],
             "passed": self.passed,
         }
 
@@ -483,10 +509,8 @@ def verify_tensor_lemma(
         raise PreconditionError(f"dims {dims} too small for degrees ({k1}, {k2})")
 
     expected = k1 + k2 - 1
-    report = TensorLemmaReport(
-        k1=k1, k2=k2, dims=(d1, d2), trials=trials, seed=seed, prime=prime,
-        expected_degree=expected,
-    )
+    counts: dict[int, int] = {}
+    failures, deviations, violations = [], [], []
     base = random.Random(seed)
     trial_seeds = [base.randrange(2**63) for _ in range(trials)]
     for t, ts in enumerate(trial_seeds):
@@ -494,13 +518,17 @@ def verify_tensor_lemma(
         m1 = random_unipotent(d1, k1, rng, prime)
         m2 = random_unipotent(d2, k2, rng, prime)
         deg = nilpotency_degree(tensor(m1, m2).sub_identity())
-        report.degree_counts[deg] = report.degree_counts.get(deg, 0) + 1
+        counts[deg] = counts.get(deg, 0) + 1
         if deg != expected:
             record = {"trial": t, "degree": deg, "expected": expected}
             if prime is None:
-                report.failures.append(record)
+                failures.append(record)
             else:
-                report.char_deviations.append(record)
+                deviations.append(record)
         if deg <= 2 and not m1.is_identity() and not m2.is_identity():
-            report.corollary_violations.append({"trial": t, "degree": deg})
-    return report
+            violations.append({"trial": t, "degree": deg})
+    return TensorLemmaReport(
+        k1=k1, k2=k2, dims=(d1, d2), trials=trials, seed=seed, prime=prime,
+        expected_degree=expected, degree_counts=counts, failures=failures,
+        char_deviations=deviations, corollary_violations=violations,
+    )

@@ -172,6 +172,13 @@ def _symmetrizer(t: CartanType) -> list[int]:
     return [1] * n
 
 
+def positive_root_count(t: CartanType) -> int:
+    """Number of positive roots of t, in closed form."""
+    n = t.rank
+    return {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1),
+            "E6": 36, "E7": 63, "F4": 24, "G2": 6}[t.family]
+
+
 def build_root_datum(t: CartanType) -> RootDatum:
     """Generate the positive roots level by level in height, along alpha_i-strings.
 
@@ -192,12 +199,12 @@ def build_root_datum(t: CartanType) -> RootDatum:
     Raises PreconditionError before generating anything when the positive
     system has more than ROOT_BUDGET roots.
     """
-    n = t.rank
-    count = {"A": n * (n + 1) // 2, "B": n * n, "C": n * n, "D": n * (n - 1)}.get(t.family, 0)
+    count = positive_root_count(t)
     if count > ROOT_BUDGET:
         raise PreconditionError(
             f"{t} has {count} positive roots, more than the root budget of {ROOT_BUDGET} roots"
         )
+    n = t.rank
     a = _cartan_matrix(t)
     d = _symmetrizer(t)
     cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mtkit import MtQuery, MtVerdict, TensorLemmaReport
+from mtkit import MtQuery, MtVerdict, TensorLemmaReport, minuscule
 from mtkit.cli import run
 
 
@@ -263,19 +263,37 @@ def test_stdout_matches_golden_file(capsys, golden):
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
-@pytest.mark.parametrize("argv,bound", [
-    (["classify", "--two-g", "1099511627776"], "orbit budget of 1048576 weights"),
-    (["minuscule", "--type", "B", "--rank", "40"], "orbit budget of 1048576 weights"),
-    # A22 w10 is over the budget, A1 to A21 are not: refused before any expansion
-    (["table", "--max-rank", "22"], "orbit budget of 1048576 weights"),
+@pytest.mark.parametrize("argv,code,expected", [
+    # C_{2^39}
+    (["classify", "--two-g", "1099511627776"], 2, "more than the root budget of 65536 roots"),
+    # the 2^40-dimensional spin module needs no orbit
+    (["minuscule", "--type", "B", "--rank", "40", "--format", "csv"], 0,
+     "B,40,w40,Spin,1099511627776,1,274877906944,549755813888,True"),
+    # A1 to E7 up to rank 38 have 66291 positive roots in all
+    (["table", "--max-rank", "38"], 2, "more than the root budget of 65536 roots"),
     # C500000
-    (["classify", "--two-g", "1000000"], "root budget of 65536 roots"),
-], ids=["classify", "minuscule", "table", "classify_root_datum"])
-def test_orbit_over_budget_exit_2(capsys, argv, bound):
-    code, out, err = invoke(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert f"more than the {bound}" in err
+    (["classify", "--two-g", "1000000"], 2, "more than the root budget of 65536 roots"),
+    (["oracle", "drop", "--type", "D", "--rank", "14", "--weight", "spin+", "--roots", "e1-e2"],
+     2, "more than the matrix budget of 4096 rows"),
+], ids=["classify", "minuscule", "table", "classify_root_datum", "oracle_drop"])
+def test_orbit_over_budget_exit_2(capsys, argv, code, expected):
+    got, out, err = invoke(capsys, *argv)
+    assert got == code
+    if code:
+        assert out == ""
+        assert expected in err
+    else:
+        assert out.splitlines()[1] == expected
+
+
+def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
+    def no_datum(t):
+        raise AssertionError(f"built the root datum of {t}")
+
+    monkeypatch.setattr(minuscule, "build_root_datum", no_datum)
+    code, out, err = invoke(capsys, "table", "--max-rank", "38")
+    assert (code, out) == (2, "")
+    assert "up to rank 38 have 66291 positive roots" in err
 
 
 def test_help_exits_zero(capsys):

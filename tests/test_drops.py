@@ -1,6 +1,7 @@
 """Drop computations and the symplectic-minuscule classifier."""
 
 from dataclasses import FrozenInstanceError
+from functools import partial
 from math import comb
 
 import pytest
@@ -89,25 +90,38 @@ def test_drop_bounds_when_quadratic():
             assert 1 <= drop <= rep.dimension // 2
 
 
-def test_representative_independence_up_to_rank_eight():
-    # every root of a length class gives the same weight count
+def _weight_count(orbit_coords, coroot):
+    # the drop by definition: orbit weights pairing to +1 with the coroot
+    return list(map(partial(pair_with_coroot, coroot), orbit_coords)).count(1)
+
+
+def test_representative_independence_up_to_rank_12():
+    # every root of a length class gives the same orbit weight count, and the
+    # closed form dim * N1 / (2 N+) divides exactly and equals it, on all 152
+    # classical (rep, class) pairs up to rank 12
     types = (
-        [CartanType("A", n) for n in range(1, 9)]
-        + [CartanType("B", n) for n in range(2, 9)]
-        + [CartanType("C", n) for n in range(2, 9)]
-        + [CartanType("D", n) for n in range(3, 9)]
+        [CartanType("A", n) for n in range(1, 13)]
+        + [CartanType("B", n) for n in range(2, 13)]
+        + [CartanType("C", n) for n in range(2, 13)]
+        + [CartanType("D", n) for n in range(3, 13)]
     )
+    pairs = 0
     for t in types:
         for rep in enumerate_minuscule(t):
             d = rep.datum
+            orbit_coords = [mu.coords for mu in rep.orbit]
             counts = {}
-            for idx, cls in enumerate(d.length_class):
-                cr = d.coroots[idx]
-                c = sum(1 for mu in rep.orbit if pair_with_coroot(cr, mu.coords) == 1)
-                counts.setdefault(cls, set()).add(c)
+            for cr, cls in zip(d.coroots, d.length_class):
+                counts.setdefault(cls, set()).add(_weight_count(orbit_coords, cr))
             for cls, seen in counts.items():
                 assert len(seen) == 1, (t, rep.name, cls, seen)
+                n_pos = d.length_class.count(cls)
+                n_1 = sum(pair_with_coroot(cr, rep.highest_weight.coords) == 1
+                          for cr, c in zip(d.coroots, d.length_class) if c == cls)
+                assert rep.dimension * n_1 % (2 * n_pos) == 0, (t, rep.name, cls)
                 assert seen == {root_element_drop(rep, cls)}
+                pairs += 1
+    assert pairs == 152
 
 
 def _pairs(cl: CandidateList):

@@ -19,10 +19,10 @@ from mtkit import (
     minuscule_rep,
     pairing,
     weyl_dimension,
+    weyl_orbit,
 )
 from mtkit import minuscule
 from mtkit.drops import drop_spectrum
-from mtkit.minuscule import check_orbit_budget, iter_minuscule
 
 
 def test_is_minuscule_c3_std():
@@ -112,8 +112,6 @@ def test_rep_invariants_small_sweep():
             for mu in rep.orbit:
                 for i in range(len(d.coroots)):
                     assert pairing(d, mu, i) in (-1, 0, 1)
-            for cls in d.classes:
-                assert rep.quadratic_classes[cls] is True
 
 
 def _assert_orbit_size(rep, closed_form):
@@ -144,10 +142,10 @@ def test_closed_form_and_weyl_dimensions_to_rank_14():
 
 
 def test_quadratic_classes_is_read_only():
-    rep = minuscule_rep(CartanType("C", 3), 1)
+    report = drop_spectrum(minuscule_rep(CartanType("C", 3), 1))
     with pytest.raises(TypeError):
-        rep.quadratic_classes["long"] = False
-    assert drop_spectrum(rep).quadratic == {"long": True, "short": True}
+        report.quadratic["long"] = False
+    assert report.quadratic == {"long": True, "short": True}
 
 
 def test_minuscule_rep_is_frozen():
@@ -159,50 +157,33 @@ def test_minuscule_rep_is_frozen():
     assert (rep.dimension, rep.sign) == (6, -1)
 
 
-def test_orbit_budget_rejects_before_expanding():
+def test_orbit_budget_rejects_before_expanding(monkeypatch):
     assert ORBIT_BUDGET == 2**20
     # B20 spin has exactly 2^20 weights; B21 spin has twice the budget
     assert weyl_dimension(build_root_datum(CartanType("B", 20)), Weight((0,) * 19 + (1,))) == ORBIT_BUDGET
+
+    def no_expansion(d, w):
+        raise AssertionError(f"expanded {w} of {d.cartan_type}")
+
+    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
+    rep = minuscule_rep(CartanType("B", 21), 21)
+    assert (rep.dimension, rep.sign) == (2**21, -1)
     with pytest.raises(PreconditionError, match=f"orbit budget of {ORBIT_BUDGET} weights"):
-        minuscule_rep(CartanType("B", 21), 21)
+        rep.orbit
 
 
-def test_orbit_budget_holds_per_type(monkeypatch):
-    # A22: w1 to w9 fit the budget, w10 (C(23, 10) = 1144066 weights) does not
-    def no_expansion(d, w):
-        raise AssertionError(f"expanded {w} of {d.cartan_type}")
+def test_orbit_is_expanded_once_on_first_read(monkeypatch):
+    calls = []
 
-    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
-    for refuse in (check_orbit_budget, enumerate_minuscule):
-        with pytest.raises(PreconditionError, match="w10 of A22 has 1144066 weights"):
-            refuse(CartanType("A", 22))
+    def counting_orbit(d, w):
+        calls.append(w)
+        return weyl_orbit(d, w)
 
-
-def test_orbit_budget_holds_across_types(monkeypatch):
-    # A21 fits the budget and B21 spin (2^21 weights) does not: the whole
-    # sequence is refused before A1 is expanded, each root datum built once
-    built = []
-
-    def no_expansion(d, w):
-        raise AssertionError(f"expanded {w} of {d.cartan_type}")
-
-    def counting_datum(t):
-        built.append(t)
-        return build_root_datum(t)
-
-    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
-    monkeypatch.setattr(minuscule, "build_root_datum", counting_datum)
-    types = [CartanType(f, n) for f in "AB" for n in range(2, 22)]
-    with pytest.raises(PreconditionError, match="w21 of B21 has 2097152 weights"):
-        iter_minuscule(types)
-    assert built == [CartanType("A", 21), CartanType("B", 21)]
-
-
-def test_iter_minuscule_matches_enumerate_minuscule():
-    types = [CartanType("D", 5), CartanType("A", 4), CartanType("E6", 6), CartanType("D", 5)]
-    got = [(r.cartan_type, r.weight_index, r.orbit) for r in iter_minuscule(types)]
-    want = [(r.cartan_type, r.weight_index, r.orbit) for t in types for r in enumerate_minuscule(t)]
-    assert got == want
+    monkeypatch.setattr(minuscule, "weyl_orbit", counting_orbit)
+    rep = minuscule_rep(CartanType("D", 5), 5)
+    assert calls == []
+    assert rep.orbit is rep.orbit and len(rep.orbit) == rep.dimension == 16
+    assert calls == [rep.highest_weight]
 
 
 # --- highest-coroot test and 2 rho_coroot parity against a scan of all coroots ---

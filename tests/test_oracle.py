@@ -273,6 +273,35 @@ def test_floats_rejected_at_every_entry_point():
     with pytest.raises(PreconditionError, match="integer"):
         random_unipotent(4, 2, random.Random(1), prime=7.0)
     assert ExactMatrix(m.rows, 7).rows == ((1, 2), (3, 4))
+    # only int entries, and Fraction entries over Q
+    for bad in (1j, "a", None):
+        with pytest.raises(PreconditionError, match="entries must be int or Fraction"):
+            ExactMatrix([[bad]])
+    with pytest.raises(PreconditionError, match="entries must be int, got Fraction"):
+        ExactMatrix([[Fraction(1, 2)]], 7)
+    assert ExactMatrix([[Fraction(1, 2)]]).rows == ((Fraction(1, 2),),)
+
+
+def test_reports_are_frozen():
+    report = unipotence(jordan([2, 1]))
+    with pytest.raises(FrozenInstanceError):
+        report.degree = 99
+    passing = verify_tensor_lemma(2, 3, (4, 4), 5, 1)
+    with pytest.raises(FrozenInstanceError):
+        passing.failures = ()
+    with pytest.raises(AttributeError):
+        passing.failures.append({"trial": 0})
+    with pytest.raises(TypeError):
+        passing.degree_counts[4] = 0
+    assert passing.passed and passing.degree_counts == {4: 5}
+    tensor_report = verify_tensor_lemma(2, 2, (4, 4), 20, 5, prime=2)
+    with pytest.raises(TypeError):
+        tensor_report.char_deviations[0]["degree"] = 3
+    # to_dict gives plain, JSON-ready dicts and lists
+    d = tensor_report.to_dict()
+    assert type(d["degree_counts"]) is dict and type(d["failures"]) is list
+    assert type(d["char_deviations"][0]) is dict
+    assert json.loads(json.dumps(d)) == d
 
 
 @pytest.mark.parametrize("p", [0, 1, 4, 561])

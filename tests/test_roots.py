@@ -21,6 +21,7 @@ from mtkit import (
     weyl_dimension,
     weyl_orbit,
 )
+from mtkit.roots import positive_root_count
 
 POSITIVE_ROOT_COUNT = {
     ("A", 5): 15, ("A", 1): 1, ("B", 2): 4, ("B", 5): 25, ("C", 4): 16,
@@ -60,8 +61,9 @@ SMALL_TYPES = [
 
 @pytest.mark.parametrize("family,rank", sorted(POSITIVE_ROOT_COUNT))
 def test_positive_root_counts(family, rank):
-    d = build_root_datum(CartanType(family, rank))
-    assert len(d.positive_roots) == POSITIVE_ROOT_COUNT[(family, rank)]
+    t = CartanType(family, rank)
+    assert len(build_root_datum(t).positive_roots) == POSITIVE_ROOT_COUNT[(family, rank)]
+    assert positive_root_count(t) == POSITIVE_ROOT_COUNT[(family, rank)]
 
 
 def test_root_budget_refuses_before_building():
