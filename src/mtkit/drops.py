@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, PreconditionError
 from .minuscule import MinusculeRep, enumerate_minuscule
-from .roots import CartanType, pair_with_coroot
+from .roots import CartanType, coroot_pairings
 
 LENGTH_CLASSES = ("long", "short")
 
@@ -63,15 +64,15 @@ def root_element_drop(rep: MinusculeRep, length_class: str) -> int:
     d = rep.datum
     if not d.cartan_type.is_classical:
         raise PreconditionError("drops are computed for classical types only")
-    w = rep.highest_weight.coords
-    pairings = [
-        pair_with_coroot(cr, w) for cr, cls in zip(d.coroots, d.length_class) if cls == length_class
-    ]
-    if not pairings:
+    n_pos = d.length_class.count(length_class)
+    if not n_pos:
         raise NoSuchLengthClass(
             f"{d.cartan_type} is simply laced and has no {length_class!r} roots"
         )
-    return rep.dimension * pairings.count(1) // (2 * len(pairings))
+    # a minuscule weight pairs to 0 or 1 with every positive coroot
+    pairs = coroot_pairings(d, rep.highest_weight)
+    n_1 = list(compress(d.length_class, pairs)).count(length_class)
+    return rep.dimension * n_1 // (2 * n_pos)
 
 
 def drop_spectrum(rep: MinusculeRep) -> DropReport:

@@ -337,6 +337,19 @@ def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
     return tuple(map(Weight, orbit))
 
 
+def coroot_pairings(d: RootDatum, w: Weight) -> list[int]:
+    """<w, beta_coroot> for every positive coroot, in the datum's order.
+
+    Built one support coordinate of w at a time, so a fundamental weight
+    costs one pass over a single coordinate of the coroots.
+    """
+    pairs = [0] * len(d.coroots)
+    for i, c in enumerate(w.coords):
+        if c:
+            pairs = list(map(add, pairs, map(c.__mul__, map(itemgetter(i), d.coroots))))
+    return pairs
+
+
 def weyl_dimension(d: RootDatum, w: Weight) -> int:
     """Dimension of the irreducible representation with dominant highest weight w.
 
@@ -348,13 +361,9 @@ def weyl_dimension(d: RootDatum, w: Weight) -> int:
     """
     if not w.is_dominant:
         raise PreconditionError("weyl_dimension requires a dominant weight")
-    coroots = d.coroots
-    pairs = [0] * len(coroots)  # <w, beta_coroot>, one support coordinate of w at a time
-    for i, c in enumerate(w.coords):
-        if c:
-            pairs = list(map(add, pairs, map(c.__mul__, map(itemgetter(i), coroots))))
+    pairs = coroot_pairings(d, w)
     num = den = 1
-    for cr, p in zip(compress(coroots, pairs), filter(None, pairs)):
+    for cr, p in zip(compress(d.coroots, pairs), filter(None, pairs)):
         h = sum(cr)
         num *= p + h
         den *= h
@@ -364,22 +373,28 @@ def weyl_dimension(d: RootDatum, w: Weight) -> int:
 def dual_weight(d: RootDatum, w: Weight) -> Weight:
     """Highest weight of the dual representation: the negated antidominant orbit element.
 
-    Computed by greedy descent (reflect away the first positive coordinate),
-    which reaches the unique antidominant element without enumerating the
-    orbit.
+    Computed by descent without enumerating the orbit: reflecting in any
+    simple root whose coordinate is positive steps down the orbit, and the
+    walk ends at the unique antidominant element.  A reflection in alpha_i
+    changes only coordinate i and its neighbours (the sparse column i of
+    the Cartan matrix), so a worklist of the coordinates that may have
+    turned positive makes each step cost O(1) for the classical types.
     """
     if not w.is_dominant:
         raise PreconditionError("dual_weight requires a dominant weight")
     n = d.rank
     a = d.cartan_matrix
+    cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
     mu = list(w.coords)
-    while True:
-        i = next((k for k in range(n) if mu[k] > 0), None)
-        if i is None:
-            break
-        ci = mu[i]
-        for k in range(n):
-            mu[k] -= ci * a[k][i]
+    todo = [i for i in range(n) if mu[i] > 0]
+    while todo:
+        i = todo.pop()
+        c = mu[i]
+        if c > 0:
+            for k, x in cols[i]:
+                mu[k] -= c * x
+                if mu[k] > 0:
+                    todo.append(k)
     return Weight(tuple(-x for x in mu))
 
 

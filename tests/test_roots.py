@@ -409,6 +409,26 @@ def test_downward_walk_matches_bfs_on_fundamental_weights(t):
         assert weyl_orbit(d, w) == _bfs_orbit(d, w), (t, i + 1)
 
 
+def test_dual_weight_negates_the_antidominant_orbit_weight():
+    # reference: the one orbit weight with no positive coordinate
+    def antidominant(d, w):
+        (low,) = [mu for mu in weyl_orbit(d, w) if max(mu.coords) <= 0]
+        return -low
+
+    for t in RANK_4_TYPES:
+        d = build_root_datum(t)
+        for coords in product(range(2), repeat=t.rank):
+            w = Weight(coords)
+            assert dual_weight(d, w) == antidominant(d, w), (t, coords)
+    for t in FUNDAMENTAL_ORBIT_TYPES:
+        if t.rank > 7:
+            continue
+        d = build_root_datum(t)
+        for i in range(t.rank):
+            w = Weight(tuple(int(k == i) for k in range(t.rank)))
+            assert dual_weight(d, w) == antidominant(d, w), (t, i + 1)
+
+
 def test_weyl_dimension_small_cases():
     # adjoint of A2 (8), the 7-dimensional rep of G2, the 26 of F4, the 27 of E6
     assert weyl_dimension(build_root_datum(CartanType("A", 2)), Weight((1, 1))) == 8
