@@ -31,14 +31,8 @@ from .oracle import (
     unipotence,
     verify_tensor_lemma,
 )
-from .roots import (
-    ROOT_BUDGET,
-    CartanType,
-    find_positive_root,
-    positive_root_count,
-    _FIXED_RANK,
-    _MIN_RANK,
-)
+from .roots import ROOT_BUDGET, CartanType, find_positive_root, positive_root_count
+from .roots import _FIXED_RANK, _MIN_RANK
 
 FORMATS = ("json", "csv", "markdown")
 

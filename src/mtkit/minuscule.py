@@ -17,9 +17,7 @@ from .roots import (
     weyl_orbit,
 )
 
-# Largest rank swept by the exhaustive table-reproduction tests.  The
-# biggest orbit this forces is a few thousand weights, which keeps the
-# whole sweep in the low seconds.
+# Default --max-rank of table.
 DEFAULT_RANK_BOUND = 12
 
 # Largest orbit MinusculeRep.orbit will materialize (2^20 weights).  The

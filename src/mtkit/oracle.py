@@ -30,10 +30,9 @@ _MR_BOUND = 3317044064679887385961981
 
 SIGN_CONVENTIONS = ("plus", "alternating")
 
-# Largest module build_root_element writes out as a dense matrix (4096 rows).
-# The n row tuples take at least 8 n^2 bytes (134 MB at the bound), so larger
-# modules, such as the 8192-dimensional half-spin modules of D14, are refused
-# before their orbit or any row is built.
+# Largest module build_root_element writes out as a dense matrix: its rows
+# take at least 8 n^2 bytes (134 MB at 4096), so the 8192-dimensional
+# half-spin modules of D14 are refused before their orbit or any row is built.
 MATRIX_BUDGET = 4096
 
 

@@ -172,6 +172,11 @@ def _symmetrizer(t: CartanType) -> list[int]:
     return [1] * n
 
 
+def _sparse_columns(a) -> list[list[tuple[int, int]]]:
+    """Column i of the Cartan matrix a as its nonzero (row, entry) pairs."""
+    return [[(k, row[i]) for k, row in enumerate(a) if row[i]] for i in range(len(a))]
+
+
 def positive_root_count(t: CartanType) -> int:
     """Number of positive roots of t, in closed form."""
     n = t.rank
@@ -207,7 +212,7 @@ def build_root_datum(t: CartanType) -> RootDatum:
     n = t.rank
     a = _cartan_matrix(t)
     d = _symmetrizer(t)
-    cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
+    cols = _sparse_columns(a)
 
     roots = []  # (simple-root coordinates, half norm)
     # a level holds (coordinates, {i: <beta, alpha_i_coroot>}, {i: r_i(beta)}), nonzero only
@@ -317,9 +322,7 @@ def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
         raise PreconditionError(
             "weyl_orbit requires a dominant weight; take the dominant representative first"
         )
-    n = d.rank
-    a = d.cartan_matrix
-    cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
+    cols = _sparse_columns(d.cartan_matrix)
     orbit: list[tuple[int, ...]] = []
     level = [w.coords]
     while level:
@@ -338,11 +341,7 @@ def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
 
 
 def coroot_pairings(d: RootDatum, w: Weight) -> list[int]:
-    """<w, beta_coroot> for every positive coroot, in the datum's order.
-
-    Built one support coordinate of w at a time, so a fundamental weight
-    costs one pass over a single coordinate of the coroots.
-    """
+    """<w, beta_coroot> for every positive coroot, one support coordinate of w at a time."""
     pairs = [0] * len(d.coroots)
     for i, c in enumerate(w.coords):
         if c:
@@ -373,20 +372,16 @@ def weyl_dimension(d: RootDatum, w: Weight) -> int:
 def dual_weight(d: RootDatum, w: Weight) -> Weight:
     """Highest weight of the dual representation: the negated antidominant orbit element.
 
-    Computed by descent without enumerating the orbit: reflecting in any
-    simple root whose coordinate is positive steps down the orbit, and the
-    walk ends at the unique antidominant element.  A reflection in alpha_i
-    changes only coordinate i and its neighbours (the sparse column i of
-    the Cartan matrix), so a worklist of the coordinates that may have
-    turned positive makes each step cost O(1) for the classical types.
+    Reflecting in any simple root with a positive coordinate steps down the
+    orbit, ending at the unique antidominant element.  A reflection in
+    alpha_i changes only the entries of the sparse column i of the Cartan
+    matrix, so a worklist of coordinates that may be positive suffices.
     """
     if not w.is_dominant:
         raise PreconditionError("dual_weight requires a dominant weight")
-    n = d.rank
-    a = d.cartan_matrix
-    cols = [[(k, a[k][i]) for k in range(n) if a[k][i]] for i in range(n)]
+    cols = _sparse_columns(d.cartan_matrix)
     mu = list(w.coords)
-    todo = [i for i in range(n) if mu[i] > 0]
+    todo = [i for i, c in enumerate(mu) if c > 0]
     while todo:
         i = todo.pop()
         c = mu[i]
