@@ -172,6 +172,43 @@ def test_orbit_budget_rejects_before_expanding(monkeypatch):
         rep.orbit
 
 
+def test_orbit_budget_holds_per_type(monkeypatch):
+    # A22: w1 to w9 fit the budget, w10 (C(23, 10) = 1144066 weights) does not;
+    # enumerating A22 expands no orbit, and reading w10's orbit is refused
+    def no_expansion(d, w):
+        raise AssertionError(f"expanded {w} of {d.cartan_type}")
+
+    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
+    reps = enumerate_minuscule(CartanType("A", 22))
+    assert [r.dimension for r in reps] == [comb(23, k) for k in range(1, 23)]
+    assert [r.weight_index for r in reps if r.dimension <= ORBIT_BUDGET] == list(range(1, 10)) + list(range(14, 23))
+    with pytest.raises(PreconditionError, match="w10 of A22 has 1144066 weights"):
+        reps[9].orbit
+
+
+def test_orbit_budget_holds_across_types(monkeypatch):
+    # A21 fits the budget and B21 spin (2^21 weights) does not: enumerating
+    # the whole sequence expands no orbit and builds each root datum once
+    built = []
+
+    def no_expansion(d, w):
+        raise AssertionError(f"expanded {w} of {d.cartan_type}")
+
+    def counting_datum(t):
+        built.append(t)
+        return build_root_datum(t)
+
+    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
+    monkeypatch.setattr(minuscule, "build_root_datum", counting_datum)
+    types = [CartanType(f, n) for f in "AB" for n in range(2, 22)]
+    reps = [r for t in types for r in enumerate_minuscule(t)]
+    assert built == types
+    over = [r for r in reps if r.dimension > ORBIT_BUDGET]
+    assert [(r.cartan_type, r.weight_index) for r in over] == [(CartanType("B", 21), 21)]
+    with pytest.raises(PreconditionError, match="w21 of B21 has 2097152 weights"):
+        over[0].orbit
+
+
 def test_orbit_is_expanded_once_on_first_read(monkeypatch):
     calls = []
 
