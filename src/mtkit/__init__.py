@@ -56,13 +56,13 @@ from .minuscule import (
 from .oracle import (
     DEFAULT_PRIME,
     MATRIX_BUDGET,
+    TENSOR_BUDGET,
     ExactMatrix,
     TensorLemmaReport,
     UnipotenceReport,
     build_root_element,
     nilpotency_degree,
     random_unipotent,
-    tensor,
     unipotence,
     verify_tensor_lemma,
 )
@@ -93,8 +93,8 @@ __all__ = [
     "DropReport", "Candidate", "CandidateList", "root_element_drop",
     "drop_spectrum", "classify_symplectic_minuscule",
     "ExactMatrix", "UnipotenceReport", "TensorLemmaReport", "build_root_element",
-    "unipotence", "nilpotency_degree", "tensor", "verify_tensor_lemma",
-    "random_unipotent", "DEFAULT_PRIME", "MATRIX_BUDGET",
+    "unipotence", "nilpotency_degree", "verify_tensor_lemma",
+    "random_unipotent", "DEFAULT_PRIME", "MATRIX_BUDGET", "TENSOR_BUDGET",
     "EndoType", "Status", "MtQuery", "MtVerdict", "Witness", "PinkResult",
     "ExceptionalInstance", "pink_gate", "mt_check", "enumerate_exceptional",
     "DomainError", "InvalidCartanType", "PreconditionError", "NoSuchLengthClass",

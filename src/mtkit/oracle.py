@@ -10,12 +10,14 @@ rationals, machine ints mod p over a prime field.  No floats anywhere.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, count
-from operator import mul
+from itertools import chain, compress, count
+from math import lcm
+from operator import lshift, mul
 from types import MappingProxyType
 
 from .errors import FieldMismatch, NotUnipotent, PreconditionError
@@ -34,6 +36,10 @@ SIGN_CONVENTIONS = ("plus", "alternating")
 # take at least 8 n^2 bytes (134 MB at 4096), so the 8192-dimensional
 # half-spin modules of D14 are refused before their orbit or any row is built.
 MATRIX_BUDGET = 4096
+
+# Largest d1 * d2 verify_tensor_lemma builds; its slowest case, one trial with
+# k1 = d1 = 128 and k2 = d2 = 1, takes 127 products of 128 x 128 matrices.
+TENSOR_BUDGET = 128
 
 
 def _is_prime(p: int) -> bool:
@@ -74,6 +80,62 @@ def _require_prime(p: int) -> int:
     if not _is_prime(p):
         raise PreconditionError(f"prime must be a prime >= 2, got {p}")
     return p
+
+
+# --- the product kernel: Kronecker substitution --------------------------------
+# A row x of n integers packs into the one int sum_c x_c 2^(w c), with signed
+# slots of w = 8 * size bits.  size comes from an a-priori bound on |x_c|
+# (n max|A| max|B| for a product row), so |x_c| < 2^(w-1) and a packed row is
+# 0 exactly when the row is.  Row i of A @ B packs to sum_k A_ik packed(B_k)
+# over the nonzero A_ik: one big-int multiply-add per coefficient.
+
+
+def _slot_size(bound: int) -> int:
+    """Bytes per signed slot, a power of two, holding every |x| <= bound."""
+    return 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()
+
+
+def _times(terms, packed, op=mul) -> list[int]:
+    """Packed rows of A @ B, from the nonzero entries of A and the packed rows of B."""
+    out = [0] * len(packed)
+    for i, coeffs, cols in terms:
+        out[i] = sum(map(op, coeffs, map(packed.__getitem__, cols)))
+    return out
+
+
+def _pack(terms, n: int, size: int) -> list[int]:
+    # A @ 1, with row k of 1 packed to 2^(w k)
+    return _times(terms, range(0, 8 * size * n, 8 * size), lshift)
+
+
+def _unpack(packed: list[int], size: int, p: int | None = None, d: int = 1) -> list[tuple]:
+    """The rows of these packed rows, reduced mod p or divided by d."""
+    # a bias of 2^(w-1) per slot keeps the slots from borrowing from each
+    # other; xor-ing it away leaves each slot's two's complement bytes
+    n = len(packed)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    raw = [((v + bias) ^ bias).to_bytes(n * size, "little") for v in packed]
+    fmt = {1: "b", 2: "h", 4: "i", 8: "q"}.get(size) if sys.byteorder == "little" else None
+    slots = range(0, n * size, size)
+    rows = [tuple(memoryview(b).cast(fmt)) if fmt else tuple(
+        [int.from_bytes(b[i:i + size], "little", signed=True) for i in slots]) for b in raw]
+    if p:
+        return [tuple([x % p for x in row]) for row in rows]
+    return [tuple([Fraction(x, d) for x in row]) for row in rows] if d > 1 else rows
+
+
+def _nonzero(rows) -> tuple[list[tuple[int, list, list[int]]], int, int]:
+    """Each nonzero row i as (i, its nonzero entries, their columns), with the
+    entries made integers by their common denominator D; D; and max |entry|."""
+    cols = range(len(rows))
+    terms = [(i, list(compress(rows[i], rows[i])), list(compress(cols, rows[i])))
+             for i in compress(cols, map(any, rows))]
+    entries = list(chain.from_iterable([c for _, c, _ in terms]))
+    if set(map(type, entries)) <= {int}:
+        return terms, 1, max(map(abs, entries), default=0)
+    d = lcm(*[x.denominator for x in entries])
+    scaled = _nonzero([[int(x * d) for x in row] for row in rows])
+    return scaled[0], d, scaled[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,42 +200,19 @@ class ExactMatrix:
         return not any(map(any, self.rows))
 
     def is_identity(self) -> bool:
-        return all(
-            x == (1 if i == j else 0)
-            for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
-        )
+        return self.rows == ExactMatrix.identity(self.dim).rows
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Product; a row with fewer than n/4 nonzeros combines rows of other,
-        a denser one takes dot products with the columns of other."""
+        """Product by Kronecker substitution: each row of other packs into one int."""
         if self.prime != other.prime:
             raise FieldMismatch("cannot multiply matrices over different fields")
         if self.dim != other.dim:
             raise PreconditionError("dimension mismatch in matrix product")
-        n = self.dim
-        b = other.rows
-        p = self.prime
-        cols = None
-        out = []
-        for arow in self.rows:
-            if 4 * (n - arow.count(0)) < n:
-                acc = None
-                for k in compress(range(n), arow):
-                    a = arow[k]
-                    if acc is None:
-                        acc = b[k] if a == 1 else [a * y for y in b[k]]
-                    else:
-                        acc = [x + a * y for x, y in zip(acc, b[k])]
-                if acc is None:
-                    out.append((0,) * n)
-                    continue
-            else:
-                if cols is None:
-                    cols = list(zip(*b))
-                acc = [sum(map(mul, arow, col)) for col in cols]
-            out.append(tuple([x % p for x in acc]) if p else tuple(acc))
-        return ExactMatrix._derived(tuple(out), p)
+        a, da, ma = _nonzero(self.rows)
+        b, db, mb = _nonzero(other.rows)
+        size = _slot_size(self.dim * ma * mb)
+        rows = _unpack(_times(a, _pack(b, self.dim, size)), size, self.prime, da * db)
+        return ExactMatrix._derived(tuple(rows), self.prime)
 
     def sub_identity(self) -> "ExactMatrix":
         """M - 1, the nilpotent part candidate."""
@@ -185,21 +224,17 @@ class ExactMatrix:
         return ExactMatrix._derived(rows, p)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Kronecker product: row (i, j) packs to packed(other_j) times row i
+        of self packed into slots dim(other) times as wide."""
         if self.prime != other.prime:
             raise FieldMismatch("cannot tensor matrices over different fields")
-        zero = (0,) * other.dim
-        p = self.prime
-        rows = []
-        for arow in self.rows:
-            for brow in other.rows:
-                row = []
-                for a in arow:
-                    if a:
-                        row.extend((a * bb) % p if p else a * bb for bb in brow)
-                    else:
-                        row.extend(zero)
-                rows.append(tuple(row))
-        return ExactMatrix._derived(tuple(rows), p)
+        a, da, ma = _nonzero(self.rows)
+        b, db, mb = _nonzero(other.rows)
+        size = _slot_size(ma * mb)
+        spread = _pack(a, self.dim, size * other.dim)
+        packed = _pack(b, other.dim, size)
+        rows = _unpack([x * y for x in spread for y in packed], size, self.prime, da * db)
+        return ExactMatrix._derived(tuple(rows), self.prime)
 
     def rank(self) -> int:
         """Exact rank by elimination: each row is reduced by the kept row that
@@ -247,29 +282,30 @@ class UnipotenceReport:
             "prime": self.prime,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "UnipotenceReport":
-        return cls(
-            degree=d["degree"],
-            drop=d["drop"],
-            dim=d["dim"],
-            quadratic=d["quadratic"],
-            prime=d.get("prime"),
-        )
-
 
 def nilpotency_degree(nil: ExactMatrix) -> int:
-    """Smallest k >= 1 with nil^k = 0; raises NotUnipotent when none exists."""
-    if nil.is_zero():
+    """Smallest k >= 1 with nil^k = 0; raises NotUnipotent when none exists.
+
+    nil^(k+1) = nil nil^k stays packed (over Q, as powers of D nil for the
+    common denominator D); a power is unpacked only to reduce it mod p, or to
+    widen the slots when the bound on the next one outgrows them."""
+    n, p = nil.dim, nil.prime
+    terms, _, bound = _nonzero(nil.rows)  # bound: on the entries of the current power
+    if not terms:
         return 1
-    power = nil
-    k = 1
-    while k < nil.dim:
-        power = power @ nil
-        k += 1
-        if power.is_zero():
+    step = n * bound  # the next power's entries are at most step * bound
+    size = _slot_size(step * bound)
+    packed = _pack(terms, n, size)
+    for k in range(2, n + 1):
+        packed = _times(terms, packed)
+        bound *= step
+        if p or (any(packed) and _slot_size(step * bound) > size):
+            power, _, bound = _nonzero(_unpack(packed, size, p))
+            size = _slot_size(step * bound)
+            packed = _pack(power, n, size)
+        if not any(packed):
             return k
-    raise NotUnipotent(f"(M - 1)^{nil.dim} != 0, so M is not unipotent")
+    raise NotUnipotent(f"(M - 1)^{n} != 0, so M is not unipotent")
 
 
 def unipotence(m: ExactMatrix) -> UnipotenceReport:
@@ -279,11 +315,6 @@ def unipotence(m: ExactMatrix) -> UnipotenceReport:
     return UnipotenceReport(
         degree=degree, drop=drop, dim=m.dim, quadratic=degree <= 2, prime=m.prime
     )
-
-
-def tensor(m1: ExactMatrix, m2: ExactMatrix) -> ExactMatrix:
-    """Kronecker product, in the standard row-major block ordering."""
-    return m1.kron(m2)
 
 
 def build_root_element(
@@ -466,15 +497,10 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
             jordan[pos + i][pos + i + 1] = 1
         pos += part
 
-    lo = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)] for i in range(dim)]
-    up = _transpose(
-        [[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)] for i in range(dim)]
-    )
-    lo_inv = _unit_lower_inverse(lo)
-    up_inv = _transpose(_unit_lower_inverse(_transpose(up)))
-
-    conj = ExactMatrix(lo, None) @ ExactMatrix(up, None)
-    conj_inv = ExactMatrix(up_inv, None) @ ExactMatrix(lo_inv, None)
+    lo, lo2 = ([[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)]
+                for i in range(dim)] for _ in range(2))
+    conj = ExactMatrix(lo) @ ExactMatrix(_transpose(lo2))
+    conj_inv = ExactMatrix(_transpose(_unit_lower_inverse(lo2))) @ ExactMatrix(_unit_lower_inverse(lo))
     m = conj @ ExactMatrix(jordan, None) @ conj_inv
     if prime is not None:
         return ExactMatrix(m.rows, prime)
@@ -506,6 +532,9 @@ def verify_tensor_lemma(
     d1, d2 = dims
     if d1 < k1 or d2 < k2:
         raise PreconditionError(f"dims {dims} too small for degrees ({k1}, {k2})")
+    if d1 * d2 > TENSOR_BUDGET:
+        raise PreconditionError(f"dims {dims} give a tensor product of dimension {d1 * d2}, "
+                                f"more than the tensor budget of {TENSOR_BUDGET}")
 
     expected = k1 + k2 - 1
     counts: dict[int, int] = {}
@@ -516,7 +545,7 @@ def verify_tensor_lemma(
         rng = random.Random(ts)
         m1 = random_unipotent(d1, k1, rng, prime)
         m2 = random_unipotent(d2, k2, rng, prime)
-        deg = nilpotency_degree(tensor(m1, m2).sub_identity())
+        deg = nilpotency_degree(m1.kron(m2).sub_identity())
         counts[deg] = counts.get(deg, 0) + 1
         if deg != expected:
             record = {"trial": t, "degree": deg, "expected": expected}

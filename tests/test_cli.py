@@ -286,6 +286,13 @@ def test_orbit_over_budget_exit_2(capsys, argv, code, expected):
         assert out.splitlines()[1] == expected
 
 
+def test_tensor_lemma_over_budget_exit_2(capsys):
+    code, out, err = invoke(capsys, "oracle", "tensor-lemma", "--k1", "2", "--k2", "2",
+                            "--trials", "1", "--seed", "1", "--dims", "1000000,2")
+    assert (code, out) == (2, "")
+    assert "dimension 2000000, more than the tensor budget of 128" in err
+
+
 def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
     def no_datum(t):
         raise AssertionError(f"built the root datum of {t}")

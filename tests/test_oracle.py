@@ -1,8 +1,13 @@
 """Exact matrices, unipotence, root-element construction, tensor trials."""
 
 import json
+import runpy
+import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from itertools import compress
+from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +18,7 @@ from mtkit import (
     ExactMatrix,
     FieldMismatch,
     NotUnipotent,
+    TENSOR_BUDGET,
     PreconditionError,
     build_root_element,
     find_positive_root,
@@ -20,10 +26,10 @@ from mtkit import (
     nilpotency_degree,
     random_unipotent,
     root_element_drop,
-    tensor,
     unipotence,
     verify_tensor_lemma,
 )
+from mtkit import oracle
 from mtkit.oracle import _is_prime
 
 
@@ -72,22 +78,22 @@ def test_rank_mod_p():
 
 def test_tensor_with_identity_is_identity_on_blocks():
     m = jordan([2, 1])
-    assert tensor(ExactMatrix.identity(1), m).rows == m.rows
+    assert ExactMatrix.identity(1).kron(m).rows == m.rows
 
 
 def test_tensor_two_quadratics_is_cubic():
-    t = tensor(jordan([2, 2]), jordan([2, 2]))
+    t = jordan([2, 2]).kron(jordan([2, 2]))
     assert unipotence(t).degree == 3
 
 
 def test_tensor_jordan3_jordan2_degree_four():
-    t = tensor(jordan([3]), jordan([2]))
+    t = jordan([3]).kron(jordan([2]))
     assert unipotence(t).degree == 4
 
 
 def test_tensor_field_mismatch():
     with pytest.raises(FieldMismatch):
-        tensor(jordan([2]), jordan([2], prime=7))
+        jordan([2]).kron(jordan([2], prime=7))
 
 
 def test_c2_std_long_root_is_a_transvection():
@@ -190,6 +196,19 @@ def test_verify_tensor_lemma_reproducible_reports():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
 
+def test_verify_tensor_lemma_refuses_dims_over_budget_before_any_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("built a matrix")
+
+    monkeypatch.setattr(oracle, "random_unipotent", no_matrix)
+    with pytest.raises(PreconditionError, match="dimension 2000000, more than the tensor budget of 128"):
+        verify_tensor_lemma(2, 2, (1000000, 2), 1, 1)
+    with pytest.raises(PreconditionError, match="tensor budget"):
+        verify_tensor_lemma(1, 1, (TENSOR_BUDGET // 2 + 1, 2), 1, 1)
+    monkeypatch.undo()
+    assert verify_tensor_lemma(1, 1, (TENSOR_BUDGET // 2, 2), 1, 1).passed
+
+
 def test_small_characteristic_records_deviations_without_failing():
     # p = 2 < k1 + k2 - 1 = 3: degree drops are recorded, not failed
     report = verify_tensor_lemma(2, 2, (4, 4), 20, 5, prime=2)
@@ -208,7 +227,7 @@ def test_tensor_degree_additivity_property(k1, k2, pad1, pad2, seed):
     rng = random.Random(seed)
     m1 = random_unipotent(k1 + pad1, k1, rng)
     m2 = random_unipotent(k2 + pad2, k2, rng)
-    assert nilpotency_degree(tensor(m1, m2).sub_identity()) == k1 + k2 - 1
+    assert nilpotency_degree(m1.kron(m2).sub_identity()) == k1 + k2 - 1
 
 
 @pytest.mark.parametrize("p", [-7, 0, 1, 4, 9, 561, 2047, 3215031751])
@@ -415,3 +434,171 @@ def test_is_zero_on_zero_and_single_entry_matrices():
                         rows[i][j] = x
                         assert not ExactMatrix(rows, prime).is_zero()
     assert ExactMatrix([[2, 0], [0, 4]], 2).is_zero()  # reduced mod 2
+
+
+# --- the packed kernel against the row-adaptive product it replaced ----------
+
+
+def _row_adaptive_product(a, b, p):
+    """The product before the packed kernel: a row with fewer than n/4
+    nonzeros combines rows of b, a denser one takes dot products with the
+    columns of b."""
+    n = len(a)
+    cols = None
+    out = []
+    for arow in a:
+        if 4 * (n - arow.count(0)) < n:
+            acc = None
+            for k in compress(range(n), arow):
+                x = arow[k]
+                if acc is None:
+                    acc = b[k] if x == 1 else [x * y for y in b[k]]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, b[k])]
+            if acc is None:
+                out.append((0,) * n)
+                continue
+        else:
+            if cols is None:
+                cols = list(zip(*b))
+            acc = [sum(map(mul, arow, col)) for col in cols]
+        out.append(tuple([x % p for x in acc]) if p else tuple(acc))
+    return tuple(out)
+
+
+def _reference_degree(nil):
+    """nilpotency_degree by repeated row-adaptive products power @ nil."""
+    if nil.is_zero():
+        return 1
+    power = nil.rows
+    k = 1
+    while k < nil.dim:
+        power = _row_adaptive_product(power, nil.rows, nil.prime)
+        k += 1
+        if not any(map(any, power)):
+            return k
+    raise NotUnipotent(f"(M - 1)^{nil.dim} != 0, so M is not unipotent")
+
+
+def _degree_or_message(f, nil):
+    try:
+        return f(nil)
+    except NotUnipotent as exc:
+        return str(exc)
+
+
+def _nilpotent_rows(rng, n, entry):
+    """A strictly upper triangular matrix with zero, sparse and dense rows,
+    its rows and columns permuted: nilpotent in every characteristic."""
+    upper = [[0] * n for _ in range(n)]
+    for i in range(n - 1):
+        count = rng.choice((0, 1, n - 1 - i, rng.randint(0, n - 1 - i)))
+        for j in rng.sample(range(i + 1, n), count):
+            upper[i][j] = entry()
+    perm = rng.sample(range(n), n)
+    return [[upper[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+PRIMES = [None, 2, 3, 10007, 2**61 - 1]
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_product_matches_row_adaptive_reference(prime):
+    import random
+
+    rng = random.Random(prime or 3)
+    for n in range(1, 25):
+        fractions = prime is None and n % 4 == 1
+        big = rng.choice((1, 2**40 + 3, -(2**61) - 5))
+        a = _random_rows(rng, n, fractions)
+        b = [[x * big for x in row] for row in _random_rows(rng, n, fractions)]
+        a, b = ExactMatrix(a, prime), ExactMatrix(b, prime)
+        assert (a @ b).rows == _row_adaptive_product(a.rows, b.rows, prime)
+        assert (b @ a).rows == _row_adaptive_product(b.rows, a.rows, prime)
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_kron_matches_entrywise_products(prime):
+    import random
+
+    rng = random.Random(prime or 5)
+    for n1, n2 in [(1, 1), (1, 4), (4, 1), (2, 5), (5, 3), (6, 6)]:
+        big = rng.choice((1, 2**40 + 3, -(2**61) - 5))
+        a = ExactMatrix(_random_rows(rng, n1, prime is None), prime)
+        b = ExactMatrix([[x * big for x in row] for row in _random_rows(rng, n2, prime is None)], prime)
+        want = tuple(tuple(x * y % prime if prime else x * y for x in arow for y in brow)
+                     for arow in a.rows for brow in b.rows)
+        assert a.kron(b).rows == want
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_nilpotency_degree_matches_repeated_products(prime):
+    import random
+
+    rng = random.Random(prime or 4)
+    entries = [lambda: rng.choice((1, -1, rng.randint(-50, 50) or 7)),
+               lambda: rng.choice((1, -1)) * rng.randint(2**40, 2**45)]
+    if prime is None:
+        entries.append(lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)))
+    for n in range(1, 13):
+        for entry in entries:
+            nil = ExactMatrix(_nilpotent_rows(rng, n, entry), prime)
+            assert nilpotency_degree(nil) == _reference_degree(nil)
+        # dense, with negative entries, and the same scaled past 2^40
+        k = rng.randint(1, n)
+        nil = random_unipotent(n, k, rng).sub_identity()
+        for scale in (1, 2**40 + 1):
+            scaled = ExactMatrix([[x * scale for x in row] for row in nil.rows], prime)
+            assert nilpotency_degree(scaled) == _reference_degree(scaled)
+            if prime is None:
+                assert nilpotency_degree(scaled) == k
+
+
+def test_large_entries_widen_the_slots(monkeypatch):
+    import random
+
+    nil = random_unipotent(6, 6, random.Random(2)).sub_identity()
+    big = ExactMatrix([[x * 2**40 for x in row] for row in nil.rows])
+    unpacked = []
+    unpack = oracle._unpack
+    monkeypatch.setattr(oracle, "_unpack", lambda *args: unpacked.append(1) or unpack(*args))
+    assert nilpotency_degree(big) == 6
+    assert unpacked  # over Z only a widening unpacks a power
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])
+def test_slots_hold_their_bound_with_a_sign_bit(size):
+    top = 2 ** (8 * size - 1) - 1  # the largest |x| a signed slot of this size holds
+    assert oracle._slot_size(top) == size
+    assert oracle._slot_size(top + 1) == 2 * size
+    rows = [(top, -top, 0, 1), (0, 0, 0, 0), (-1, top, -top, -1), (-top, 0, 0, top)]
+    terms = oracle._nonzero(rows)[0]
+    packed = oracle._pack(terms, 4, size)
+    assert packed[1] == 0 and all(packed[i] for i in (0, 2, 3))
+    assert oracle._unpack(packed, size) == rows
+
+
+@pytest.mark.parametrize("prime", PRIMES)
+def test_zero_one_by_one_and_non_nilpotent_against_reference(prime):
+    import random
+
+    rng = random.Random(6)
+    cases = [[[0]], [[1]], [[-3]], [[0] * 4 for _ in range(4)], [[1, 1], [0, 0]],
+             [[0, 2**50], [1, 0]], [[6, -4], [9, -6]]]  # the last is nilpotent over Z
+    cases += [_random_rows(rng, n, prime is None) for n in range(1, 9)]
+    for rows in cases:
+        nil = ExactMatrix(rows, prime)
+        assert _degree_or_message(nilpotency_degree, nil) == _degree_or_message(_reference_degree, nil)
+    assert nilpotency_degree(ExactMatrix([[0] * 3 for _ in range(3)], prime)) == 1
+    with pytest.raises(NotUnipotent, match=r"^\(M - 1\)\^2 != 0, so M is not unipotent$"):
+        nilpotency_degree(ExactMatrix([[1, 1], [0, 0]], prime))
+
+
+def test_halfspin_product_survey_matches_golden(capsys, monkeypatch):
+    # products of several root elements over Q, F2, F3 and F5
+    root = Path(__file__).parent
+    script = root.parent / "scripts" / "halfspin_product_survey.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "8"])
+    runpy.run_path(str(script), run_name="__main__")
+    golden = root / "golden" / "halfspin_product_survey_8.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
