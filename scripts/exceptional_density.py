@@ -8,13 +8,26 @@ numeric criterion alone, how many need a bad semistable place, and which
 Run:  python scripts/exceptional_density.py [g_max]
 """
 
-import sys
+import argparse
 
 from mtkit import EndoType, enumerate_exceptional, pink_gate
 
 
+def _g_max(text: str) -> int:
+    try:
+        g_max = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"g_max must be an integer, got {text!r}") from None
+    if g_max < 1:
+        raise argparse.ArgumentTypeError(f"g_max must be at least 1, got {g_max}")
+    return g_max
+
+
 def main() -> None:
-    g_max = int(sys.argv[1]) if len(sys.argv) > 1 else 5000
+    parser = argparse.ArgumentParser(description="Criterion density over g <= g_max.")
+    parser.add_argument("g_max", nargs="?", type=_g_max, default=5000,
+                        help="largest dimension g (default 5000)")
+    g_max = parser.parse_args().g_max
 
     inconclusive = [g for g in range(1, g_max + 1) if not pink_gate(g).proves]
     print(f"g <= {g_max}")

@@ -57,6 +57,7 @@ from .oracle import (
     DEFAULT_PRIME,
     MATRIX_BUDGET,
     TENSOR_BUDGET,
+    TRIAL_BUDGET,
     ExactMatrix,
     TensorLemmaReport,
     UnipotenceReport,
@@ -95,6 +96,7 @@ __all__ = [
     "ExactMatrix", "UnipotenceReport", "TensorLemmaReport", "build_root_element",
     "unipotence", "nilpotency_degree", "verify_tensor_lemma",
     "random_unipotent", "DEFAULT_PRIME", "MATRIX_BUDGET", "TENSOR_BUDGET",
+    "TRIAL_BUDGET",
     "EndoType", "Status", "MtQuery", "MtVerdict", "Witness", "PinkResult",
     "ExceptionalInstance", "pink_gate", "mt_check", "enumerate_exceptional",
     "DomainError", "InvalidCartanType", "PreconditionError", "NoSuchLengthClass",

@@ -160,28 +160,20 @@ def _int_nth_root(n: int, k: int) -> int:
 
 
 def _odd_power_witness(n: int) -> tuple[int, int] | None:
-    """(m, k) with m**k = n, k odd > 1, m >= 2; None when no such pair exists."""
-    k = 3
-    while 1 << k <= n:
-        m = _int_nth_root(n, k)
-        if m >= 2 and m**k == n:
+    """(m, k) with m**k = n, k odd > 1 and least; None if none.  n even forces
+    m even, so k divides v = v_2(n) and only those k are tried."""
+    v = (n & -n).bit_length() - 1
+    for k in range(3, v + 1, 2):
+        if v % k == 0 and (m := _int_nth_root(n, k)) ** k == n:
             return m, k
-        k += 2
-    return None
-
-
-def _central_binomial_witness(n: int) -> int | None:
-    """Odd m >= 3 with C(2m, m) = n, if any (central binomials grow fast)."""
-    m = 3
-    while (c := comb(2 * m, m)) <= n:
-        if c == n:
-            return m
-        m += 2
     return None
 
 
 def pink_gate(g: int) -> PinkResult:
-    """Pink's numeric criterion on g alone (no bad-reduction input needed)."""
+    """Pink's numeric criterion on g alone (no bad-reduction input needed).
+
+    2g = C(2m, m) with odd m >= 3 exactly when g is on family 1 of End(A) = Z.
+    """
     if g < 1:
         raise QueryInvalid("g must be a positive integer")
     n = 2 * g
@@ -189,8 +181,8 @@ def pink_gate(g: int) -> PinkResult:
     if power is not None:
         m, k = power
         return PinkResult(False, f"2g = {n} = {m}^{k} with odd exponent {k}")
-    m = _central_binomial_witness(n)
-    if m is not None:
+    m, fg, _ = _family1_from(g, EndoType.TRIVIAL_Z)
+    if fg == g:
         return PinkResult(False, f"2g = {n} = C({2 * m}, {m}) with odd m = {m}")
     return PinkResult(True)
 
@@ -209,9 +201,15 @@ _FAMILIES = {
 
 
 def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
-    """Walk r up from the first r to the family-1 point with the least g' >= g: (r, g', s')."""
+    """The family-1 point with the least g' >= g: (r, g', s').
+
+    C(2r, r) < 4**r, so every r with 4**r <= 2g/k gives g' < g: the walk
+    starts at the least r of the family above those.
+    """
     k = 1 if endo == EndoType.TRIVIAL_Z else 2
-    r = _FAMILIES[endo][0]
+    first = _FAMILIES[endo][0]
+    r = ((2 * g // k).bit_length() + 1) // 2
+    r = max(first, r + (r - first) % 2)
     while (fg := k * comb(2 * r, r) // 2) < g:
         r += 2
     return r, fg, k * comb(2 * r - 2, r - 1)

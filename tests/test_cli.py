@@ -293,6 +293,13 @@ def test_tensor_lemma_over_budget_exit_2(capsys):
     assert "dimension 2000000, more than the tensor budget of 128" in err
 
 
+def test_tensor_lemma_over_trial_budget_exit_2(capsys):
+    code, out, err = invoke(capsys, "oracle", "tensor-lemma", "--k1", "2", "--k2", "2",
+                            "--trials", "1000000000", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert "1000000000 trials are more than the trial budget of 10000" in err
+
+
 def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
     def no_datum(t):
         raise AssertionError(f"built the root datum of {t}")

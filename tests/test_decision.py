@@ -1,22 +1,29 @@
 """Pink gate, mt_check branching, exceptional enumeration, witness checks."""
 
+import runpy
+import sys
 from dataclasses import FrozenInstanceError
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mtkit import (
+    CartanType,
     EndoType,
     MtQuery,
     MtVerdict,
     QueryInvalid,
     Status,
     enumerate_exceptional,
+    enumerate_minuscule,
     mt_check,
     pink_gate,
+    root_element_drop,
 )
+from mtkit.decision import _family1_from, _int_nth_root
 
 Z, II, III = EndoType.TRIVIAL_Z, EndoType.QUATERNION_TYPE_II, EndoType.QUATERNION_TYPE_III
 
@@ -217,3 +224,160 @@ def test_every_enumerated_instance_is_an_exceptional_case(endo):
         v = mt_check(MtQuery(inst.g, inst.s, endo))
         assert v.status == Status.EXCEPTIONAL_CASE
         assert (v.witness.family, v.witness.parameter) == (inst.family, inst.parameter)
+
+
+# Reference gate and family-1 walk that try every candidate: every odd k
+# with 2**k <= n, and every family r from the first one.
+def _reference_odd_power_witness(n):
+    k = 3
+    while 1 << k <= n:
+        m = _int_nth_root(n, k)
+        if m >= 2 and m**k == n:
+            return m, k
+        k += 2
+    return None
+
+
+def _reference_central_binomial_witness(n):
+    m = 3
+    while (c := comb(2 * m, m)) <= n:
+        if c == n:
+            return m
+        m += 2
+    return None
+
+
+def _reference_pink_gate(g):
+    n = 2 * g
+    power = _reference_odd_power_witness(n)
+    if power is not None:
+        m, k = power
+        return False, f"2g = {n} = {m}^{k} with odd exponent {k}"
+    m = _reference_central_binomial_witness(n)
+    if m is not None:
+        return False, f"2g = {n} = C({2 * m}, {m}) with odd m = {m}"
+    return True, None
+
+
+def _reference_family1_from(g, endo):
+    k = 1 if endo == Z else 2
+    r = FAMILY1_R[endo][0]
+    while (fg := k * comb(2 * r, r) // 2) < g:
+        r += 2
+    return r, fg, k * comb(2 * r - 2, r - 1)
+
+
+def _gate_test_dimensions():
+    gs = set(range(1, 5001))
+    for k in range(3, 120, 2):
+        top = _int_nth_root(2**120, k) // 2 * 2  # the largest even m with m**k <= 2**120
+        for m in {*range(2, min(top, 98) + 1, 2), top}:
+            gs.update(m**k // 2 + d for d in (-1, 0, 1))
+    for m in range(1, 70):
+        gs.update(c + d for c in (comb(2 * m, m) // 2, comb(2 * m, m)) for d in (-1, 0, 1))
+    odd_parts = (1, 3, 5, 7, 9, 15, 21, 27, 3**5, 5**3, 3**7, 21**3, 15**5, 3**9, 3**15, 99**3)
+    gs.update(2**j * odd for j in range(100) for odd in odd_parts)
+    return sorted(gs - {0})
+
+
+def test_pink_gate_and_family1_match_the_reference_walks():
+    gs = _gate_test_dimensions()
+    assert len(gs) > 8000
+    for g in gs:
+        got = pink_gate(g)
+        assert (got.proves, got.reason) == _reference_pink_gate(g), g
+        for endo in (Z, II, III):
+            assert _family1_from(g, endo) == _reference_family1_from(g, endo), (g, endo)
+
+
+@pytest.mark.parametrize("endo", [Z, II, III], ids=["Z", "II", "III"])
+def test_enumerate_exceptional_matches_the_reference_walk(endo):
+    g_max = 10**40
+    want = []
+    r, fg, fs = _reference_family1_from(1, endo)
+    while fg <= g_max:
+        want.append((fg, fs, 1, r))
+        r, fg, fs = _reference_family1_from(fg + 1, endo)
+    first, classes = FAMILY2_T[endo]
+    for t in range(first, g_max.bit_length()):
+        if t % 4 in classes:
+            want += [(2**t, 2 ** (t - 1), 2, t), (2**t, 2**t, 2, t)]
+    got = [(i.g, i.s, i.family, i.parameter) for i in enumerate_exceptional(g_max, endo)]
+    assert got == sorted(want)
+
+
+# The exceptional pairs derived from the representation engine: g (or 2g for
+# End(A) = Z) is the dimension of a self-dual minuscule module of type
+# A_{2j-1}, B_m or D_m, and s is the drop of one root element on it (twice
+# the drop for types II and III).  Pairs the derivation yields but the
+# family table does not, each with its reason:
+DERIVED_ONLY = {
+    II: {
+        (2, 2): "A1 = C1: the A1 standard module is the C1 standard one, the target group GSp_2",
+        (4, 2): "B2 = C2: the B2 spin module is the C2 standard one, the target group GSp_4",
+        (4, 4): "B2 = C2: the B2 spin module is the C2 standard one, the target group GSp_4",
+    },
+    III: {
+        (8, 4): "the 8-dimensional B3 spin and D4 half-spin modules, D4 triality coincidences",
+        (8, 8): "the 8-dimensional B3 spin module, a D4 triality coincidence",
+    },
+}
+
+
+def _self_dual_minuscule(bound):
+    """Every self-dual minuscule module of dimension <= bound of the types
+    A_{2j-1}, B_m and D_m, except the D_m standard modules (the target groups
+    GSO); the ranks stop where the dimensions C(2j, j) and 2**m pass bound."""
+    ranks = [("A", 2 * j - 1) for j in range(1, bound.bit_length()) if comb(2 * j, j) <= bound]
+    ranks += [("B", m) for m in range(2, bound.bit_length())]
+    ranks += [("D", m) for m in range(3, bound.bit_length() + 1)]
+    for family, n in ranks:
+        for rep in enumerate_minuscule(CartanType(family, n)):
+            if rep.sign and rep.dimension <= bound and (family, rep.weight_index) != ("D", 1):
+                yield rep
+
+
+def test_exceptional_families_are_derived_from_the_representation_engine():
+    g_max = 10**12
+    reps = list(_self_dual_minuscule(2 * g_max))
+
+    def drops(rep):
+        return {root_element_drop(rep, c) for c in rep.datum.classes}
+
+    derived = {Z: {(rep.dimension // 2, s) for rep in reps
+                   if rep.sign == -1 and not pink_gate(rep.dimension // 2).proves
+                   for s in drops(rep)}}
+    for endo, sign in ((II, -1), (III, 1)):
+        derived[endo] = {(rep.dimension, 2 * s) for rep in reps
+                         if rep.sign == sign and rep.dimension <= g_max for s in drops(rep)}
+    for endo in (Z, II, III):
+        listed = {(i.g, i.s) for i in enumerate_exceptional(g_max, endo)}
+        only = DERIVED_ONLY.get(endo, {})
+        assert len(listed) > 40
+        assert only.keys() <= derived[endo] and not only.keys() & listed
+        assert derived[endo] - only.keys() == listed
+
+
+DENSITY_SCRIPT = Path(__file__).parent.parent / "scripts" / "exceptional_density.py"
+
+
+def test_exceptional_density_matches_golden(capsys, monkeypatch):
+    # runs pink_gate on every g <= 5000
+    monkeypatch.setattr(sys, "argv", [str(DENSITY_SCRIPT)])
+    runpy.run_path(str(DENSITY_SCRIPT), run_name="__main__")
+    golden = Path(__file__).parent / "golden" / "exceptional_density_5000.txt"
+    assert capsys.readouterr().out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("arg, message", [
+    ("0", "g_max must be at least 1, got 0"),
+    ("-3", "g_max must be at least 1, got -3"),
+    ("abc", "g_max must be an integer, got 'abc'"),
+])
+def test_exceptional_density_refuses_bad_g_max(capsys, monkeypatch, arg, message):
+    monkeypatch.setattr(sys, "argv", [str(DENSITY_SCRIPT), arg])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(DENSITY_SCRIPT), run_name="__main__")
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert message in err

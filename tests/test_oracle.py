@@ -19,6 +19,7 @@ from mtkit import (
     FieldMismatch,
     NotUnipotent,
     TENSOR_BUDGET,
+    TRIAL_BUDGET,
     PreconditionError,
     build_root_element,
     find_positive_root,
@@ -207,6 +208,37 @@ def test_verify_tensor_lemma_refuses_dims_over_budget_before_any_matrix(monkeypa
         verify_tensor_lemma(1, 1, (TENSOR_BUDGET // 2 + 1, 2), 1, 1)
     monkeypatch.undo()
     assert verify_tensor_lemma(1, 1, (TENSOR_BUDGET // 2, 2), 1, 1).passed
+
+
+def test_verify_tensor_lemma_refuses_trials_over_budget_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew a seed")
+
+    monkeypatch.setattr(oracle.random, "Random", no_draw)
+    with pytest.raises(PreconditionError, match=f"more than the trial budget of {TRIAL_BUDGET}"):
+        verify_tensor_lemma(2, 2, (6, 6), 10**9, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "TRIAL_BUDGET", 3)
+    assert verify_tensor_lemma(1, 1, (1, 1), 3, 1).passed
+    with pytest.raises(PreconditionError, match="4 trials are more than the trial budget of 3"):
+        verify_tensor_lemma(1, 1, (1, 1), 4, 1)
+
+
+def test_trial_seeds_are_drawn_in_order_one_per_trial(monkeypatch):
+    import random
+
+    base = random.Random(5)
+    want = [random.Random(base.randrange(2**63)).getstate() for _ in range(6)]
+    got = []
+    draw = oracle.random_unipotent
+
+    def recording(d, k, rng, prime):
+        got.append(rng.getstate())
+        return draw(d, k, rng, prime)
+
+    monkeypatch.setattr(oracle, "random_unipotent", recording)
+    verify_tensor_lemma(2, 2, (3, 3), 6, 5)
+    assert got[::2] == want  # each trial's first draw starts from its own seed
 
 
 def test_small_characteristic_records_deviations_without_failing():
