@@ -176,12 +176,17 @@ def pink_gate(g: int) -> PinkResult:
     """
     if g < 1:
         raise QueryInvalid("g must be a positive integer")
+    return _pink_gate(g, _family1_from(g, EndoType.TRIVIAL_Z))
+
+
+def _pink_gate(g: int, family1: tuple[int, int, int]) -> PinkResult:
+    """pink_gate(g), given the family-1 point _family1_from(g, TRIVIAL_Z)."""
     n = 2 * g
     power = _odd_power_witness(n)
     if power is not None:
         m, k = power
         return PinkResult(False, f"2g = {n} = {m}^{k} with odd exponent {k}")
-    m, fg, _ = _family1_from(g, EndoType.TRIVIAL_Z)
+    m, fg, _ = family1
     if fg == g:
         return PinkResult(False, f"2g = {n} = C({2 * m}, {m}) with odd m = {m}")
     return PinkResult(True)
@@ -237,7 +242,10 @@ def mt_check(q: MtQuery) -> MtVerdict:
     q.validate()
     notes = _notes_for(q.g, q.endo)
 
-    pink = pink_gate(q.g) if q.endo == EndoType.TRIVIAL_Z else None
+    family1 = pink = None
+    if q.endo == EndoType.TRIVIAL_Z:
+        family1 = _family1_from(q.g, q.endo)
+        pink = _pink_gate(q.g, family1)
     if pink is not None and pink.proves:
         return MtVerdict(
             status=Status.PROVED_BY_PINK,
@@ -268,7 +276,7 @@ def mt_check(q: MtQuery) -> MtVerdict:
         )
 
     witness = None
-    r, fg, fs = _family1_from(q.g, q.endo)
+    r, fg, fs = family1 or _family1_from(q.g, q.endo)
     if (fg, fs) == (q.g, q.s):
         witness = Witness(family=1, parameter=r, g=fg, s=fs)
     elif q.s in (q.g, q.g // 2):

@@ -18,7 +18,7 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, PreconditionError
-from .minuscule import MinusculeRep, enumerate_minuscule
+from .minuscule import MinusculeRep, _rep_name, enumerate_minuscule
 from .roots import CartanType, coroot_pairings
 
 LENGTH_CLASSES = ("long", "short")
@@ -89,46 +89,38 @@ def _exact_log2(n: int) -> int | None:
 
 
 def classify_symplectic_minuscule(two_g: int) -> CandidateList:
-    """All symplectic (sign -1) minuscule reps of dimension two_g.
+    """All symplectic (sign -1) minuscule reps of dimension two_g, in family order.
 
-    Each family can realize two_g at a single rank only, so the scan builds
-    exactly those ranks and filters through the real dimension and sign
-    machinery rather than pattern-matching a known list:
+    Each family realizes two_g at one rank only.  C_n has one minuscule
+    weight, w1, whose standard rep is symplectic of dimension 2n, so the C
+    row (n = two_g / 2 >= 2; C1 is A1) needs no root datum.  The other ranks
+    are O(log two_g), built and filtered through the real dimension and sign:
 
     * A: self-dual middle exterior powers have central-binomial dimension
-      C(2j, j), strictly increasing in j;
+      C(2j, j) < 4**j, strictly increasing in j, so the walk starts at the
+      least j with 4**j > two_g;
     * B: the spin dimension 2^n forces n = log2(two_g);
-    * C: the standard dimension 2n forces n = two_g / 2;
     * D: standard reps are orthogonal, so only the half-spin rank
       n = log2(two_g) + 1 can contribute.
     """
     if two_g < 2 or two_g % 2:
         raise PreconditionError(f"two_g must be an even integer >= 2, got {two_g}")
 
-    scan: list[tuple[str, int, int]] = []  # (family, rank, witness r)
-    j = 1
-    while (central := comb(2 * j, j)) <= two_g:
-        if central == two_g:
-            scan.append(("A", 2 * j - 1, j))
+    j = (two_g.bit_length() + 1) // 2
+    while (central := comb(2 * j, j)) < two_g:
         j += 1
+    scan = [("A", 2 * j - 1, j)] if central == two_g else []  # (family, rank, witness r)
     m = _exact_log2(two_g)
     if m is not None and m >= 2:
-        scan.append(("B", m, m))
-    if two_g >= 4:
-        scan.append(("C", two_g // 2, two_g // 2))
-    if m is not None and m + 1 >= 3:
-        scan.append(("D", m + 1, m + 1))
+        scan += [("B", m, m), ("D", m + 1, m + 1)]
 
-    found = []
-    for family, rank, witness in sorted(scan):
-        for rep in enumerate_minuscule(CartanType(family, rank)):
-            if rep.dimension == two_g and rep.sign == -1:
-                found.append(
-                    Candidate(
-                        cartan_type=rep.cartan_type,
-                        weight_index=rep.weight_index,
-                        name=rep.name,
-                        witness_r=witness if family != "A" else rep.weight_index,
-                    )
-                )
-    return CandidateList(two_g=two_g, candidates=tuple(found))
+    found = [
+        Candidate(rep.cartan_type, rep.weight_index, rep.name, witness)
+        for family, rank, witness in scan
+        for rep in enumerate_minuscule(CartanType(family, rank))
+        if rep.dimension == two_g and rep.sign == -1
+    ]
+    if two_g >= 4:
+        c_n = CartanType("C", two_g // 2)
+        found.append(Candidate(c_n, 1, _rep_name(c_n, 1), c_n.rank))
+    return CandidateList(two_g, tuple(sorted(found, key=lambda c: c.cartan_type.family)))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -213,6 +214,8 @@ GOLDEN_RUNS = {
                          "--format", "csv"],
     "classify_252.json": ["classify", "--two-g", "252"],
     "classify_20.csv": ["classify", "--two-g", "20", "--format", "csv"],
+    # g = 1716 is on family 1: A13 w7 beside the C1716 row, which needs no C1716 datum
+    "classify_3432.csv": ["classify", "--two-g", "3432", "--format", "csv"],
     # the matrix basis of a root element follows the sort order of the orbit
     "oracle_drop_D5_spinplus.json": ["oracle", "drop", "--type", "D", "--rank", "5",
                                      "--weight", "spin+", "--roots", "e1-e2,e3-e4"],
@@ -264,18 +267,27 @@ def test_stdout_matches_golden_file(capsys, golden):
 
 
 @pytest.mark.parametrize("argv,code,expected", [
-    # C_{2^39}
-    (["classify", "--two-g", "1099511627776"], 2, "more than the root budget of 65536 roots"),
+    # 2^40: the C_{2^39} row is a closed form; B40 and D41 are within budget,
+    # but the B40 spin is orthogonal and the D41 half-spins are not self-dual
+    (["classify", "--two-g", "1099511627776", "--format", "csv"], 0,
+     "1099511627776,C,549755813888,w1,Std,549755813888"),
     # the 2^40-dimensional spin module needs no orbit
     (["minuscule", "--type", "B", "--rank", "40", "--format", "csv"], 0,
      "B,40,w40,Spin,1099511627776,1,274877906944,549755813888,True"),
     # A1 to E7 up to rank 38 have 66291 positive roots in all
     (["table", "--max-rank", "38"], 2, "more than the root budget of 65536 roots"),
-    # C500000
-    (["classify", "--two-g", "1000000"], 2, "more than the root budget of 65536 roots"),
+    # C500000 needs no root datum
+    (["classify", "--two-g", "1000000", "--format", "csv"], 0, "1000000,C,500000,w1,Std,500000"),
+    # the spin rank log2(two_g) = 257 is over the budget
+    (["classify", "--two-g", str(2**257)], 2,
+     "B257 has 66049 positive roots, more than the root budget of 65536 roots"),
+    # the middle exterior power of A1997
+    (["classify", "--two-g", str(comb(1998, 999))], 2,
+     "A1997 has 1995003 positive roots, more than the root budget of 65536 roots"),
     (["oracle", "drop", "--type", "D", "--rank", "14", "--weight", "spin+", "--roots", "e1-e2"],
      2, "more than the matrix budget of 4096 rows"),
-], ids=["classify", "minuscule", "table", "classify_root_datum", "oracle_drop"])
+], ids=["classify", "minuscule", "table", "classify_root_datum", "classify_spin_rank",
+        "classify_middle_power", "oracle_drop"])
 def test_orbit_over_budget_exit_2(capsys, argv, code, expected):
     got, out, err = invoke(capsys, *argv)
     assert got == code
@@ -283,7 +295,7 @@ def test_orbit_over_budget_exit_2(capsys, argv, code, expected):
         assert out == ""
         assert expected in err
     else:
-        assert out.splitlines()[1] == expected
+        assert out.splitlines()[1:] == [expected]
 
 
 def test_tensor_lemma_over_budget_exit_2(capsys):

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from mtkit import (
+    Candidate,
     CandidateList,
     CartanType,
     NoSuchLengthClass,
@@ -150,6 +151,36 @@ def test_classify_candidates_really_are_symplectic_of_that_dimension():
             rep = minuscule_rep(c.cartan_type, c.weight_index)
             assert rep.dimension == two_g
             assert rep.sign == -1
+
+
+def _classify_reference(two_g):
+    """Reference classifier: every family, C included, is built and filtered
+    through enumerate_minuscule's dimension and sign; the A walk starts at 1."""
+    scan = []
+    j = 1
+    while (central := comb(2 * j, j)) <= two_g:
+        if central == two_g:
+            scan.append(("A", 2 * j - 1, j))
+        j += 1
+    m = two_g.bit_length() - 1 if two_g & (two_g - 1) == 0 else None
+    if m is not None and m >= 2:
+        scan.append(("B", m, m))
+    if two_g >= 4:
+        scan.append(("C", two_g // 2, two_g // 2))
+    if m is not None and m + 1 >= 3:
+        scan.append(("D", m + 1, m + 1))
+    found = []
+    for family, rank, witness in sorted(scan):
+        for rep in enumerate_minuscule(CartanType(family, rank)):
+            if rep.dimension == two_g and rep.sign == -1:
+                found.append(Candidate(rep.cartan_type, rep.weight_index, rep.name,
+                                       witness if family != "A" else rep.weight_index))
+    return CandidateList(two_g=two_g, candidates=tuple(found))
+
+
+def test_classify_closed_form_c_row_matches_the_full_scan():
+    for two_g in range(2, 129, 2):
+        assert classify_symplectic_minuscule(two_g) == _classify_reference(two_g), two_g
 
 
 def test_classify_rejects_odd():
