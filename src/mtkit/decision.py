@@ -71,26 +71,49 @@ class Status(str, Enum):
     NOT_COVERED = "NotCovered"
 
 
+# Module-level aliases: the engine compares members by identity, and a class
+# attribute read on an Enum costs more than the comparison itself.
+_Z, _II, _III = EndoType.TRIVIAL_Z, EndoType.QUATERNION_TYPE_II, EndoType.QUATERNION_TYPE_III
+_PINK, _MAIN, _THEOREM_41 = (
+    Status.PROVED_BY_PINK, Status.PROVED_BY_MAIN_THEOREM, Status.PROVED_BY_THEOREM_41
+)
+_EXCEPTIONAL, _NOT_COVERED = Status.EXCEPTIONAL_CASE, Status.NOT_COVERED
+
+
+def _endo_type(endo) -> EndoType:
+    """endo as an EndoType member; a plain string equal to a member's value is accepted."""
+    try:
+        return EndoType(endo)
+    except ValueError:
+        raise QueryInvalid(
+            f"unknown endomorphism type {endo!r}; expected one of Z, II, III"
+        ) from None
+
+
 @dataclass(frozen=True)
 class MtQuery:
     g: int
     s: int
     endo: EndoType
 
-    def validate(self) -> None:
-        if self.g < 1:
+    def validate(self) -> EndoType:
+        """Check the query's invariants and return its endomorphism type as a member."""
+        g, s = self.g, self.s
+        if g.__class__ is not int or g < 1:
             raise QueryInvalid("g must be a positive integer")
-        if not 0 <= self.s <= self.g:
+        if s.__class__ is not int:
+            raise QueryInvalid("toric dimension must be an integer")
+        if not 0 <= s <= g:
             raise QueryInvalid("toric dimension must satisfy 0 <= s <= g")
-        if self.endo != EndoType.TRIVIAL_Z and self.s > 0 and self.s % 2:
+        endo = self.endo
+        if endo.__class__ is not EndoType:
+            endo = _endo_type(endo)
+        if endo is not _Z and s % 2:
             raise QueryInvalid("Type II/III requires even s")
+        return endo
 
     def to_dict(self) -> dict:
-        return {"g": self.g, "s": self.s, "endo": self.endo.value}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MtQuery":
-        return cls(g=d["g"], s=d["s"], endo=EndoType(d["endo"]))
+        return {"g": self.g, "s": self.s, "endo": _endo_type(self.endo).value}
 
 
 @dataclass(frozen=True)
@@ -104,10 +127,6 @@ class Witness:
 
     def to_dict(self) -> dict:
         return {"family": self.family, "r_or_t": self.parameter, "g": self.g, "s": self.s}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Witness":
-        return cls(family=d["family"], parameter=d["r_or_t"], g=d["g"], s=d["s"])
 
 
 @dataclass(frozen=True)
@@ -129,17 +148,6 @@ class MtVerdict:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MtVerdict":
-        return cls(
-            status=Status(d["status"]),
-            target_group=d.get("target_group"),
-            witness=Witness.from_dict(d["witness"]) if d.get("witness") else None,
-            explanation=d.get("explanation", ""),
-            citations=tuple(d.get("citations", ())),
-            notes=tuple(d.get("notes", ())),
-        )
-
 
 @dataclass(frozen=True)
 class PinkResult:
@@ -159,16 +167,6 @@ def _int_nth_root(n: int, k: int) -> int:
         x = y
 
 
-def _odd_power_witness(n: int) -> tuple[int, int] | None:
-    """(m, k) with m**k = n, k odd > 1 and least; None if none.  n even forces
-    m even, so k divides v = v_2(n) and only those k are tried."""
-    v = (n & -n).bit_length() - 1
-    for k in range(3, v + 1, 2):
-        if v % k == 0 and (m := _int_nth_root(n, k)) ** k == n:
-            return m, k
-    return None
-
-
 def pink_gate(g: int) -> PinkResult:
     """Pink's numeric criterion on g alone (no bad-reduction input needed).
 
@@ -176,33 +174,58 @@ def pink_gate(g: int) -> PinkResult:
     """
     if g < 1:
         raise QueryInvalid("g must be a positive integer")
-    return _pink_gate(g, _family1_from(g, EndoType.TRIVIAL_Z))
+    m, fg, _ = _family1_from(g, _Z)
+    reason = _pink_reason(g, m, fg)
+    return PinkResult(reason is None, reason)
 
 
-def _pink_gate(g: int, family1: tuple[int, int, int]) -> PinkResult:
-    """pink_gate(g), given the family-1 point _family1_from(g, TRIVIAL_Z)."""
+def _pink_reason(g: int, m: int, fg: int) -> str | None:
+    """Why Pink's criterion is inconclusive at g; None when it proves GSp_2g.
+
+    (m, fg) are r and g' of the family-1 point _family1_from(g, TRIVIAL_Z).
+    An odd power x**k = 2g has x even, so k divides v = v_2(2g) and only
+    those k are tried; the least one is reported.
+    """
     n = 2 * g
-    power = _odd_power_witness(n)
-    if power is not None:
-        m, k = power
-        return PinkResult(False, f"2g = {n} = {m}^{k} with odd exponent {k}")
-    m, fg, _ = family1
+    v = (n & -n).bit_length() - 1
+    for k in range(3, v + 1, 2):
+        if v % k == 0 and (root := _int_nth_root(n, k)) ** k == n:
+            return f"2g = {n} = {root}^{k} with odd exponent {k}"
     if fg == g:
-        return PinkResult(False, f"2g = {n} = C({2 * m}, {m}) with odd m = {m}")
-    return PinkResult(True)
+        return f"2g = {n} = C({2 * m}, {m}) with odd m = {m}"
+    return None
 
 
-# The exceptional families, per endomorphism type: (first r, first t,
-# classes of t mod 4).  Family 1 is the middle exterior power, g = C(2r, r)/2
-# and s = C(2r-2, r-1) for End(A) = Z, twice both for types II and III; r
-# steps by 2 from the first r, which thereby fixes its parity.  Family 2 is
-# the spin family, g = 2**t and s in {g, g/2}, for every t from the first t
-# on whose class mod 4 is listed.
+# The exceptional families, per endomorphism type: (family-1 multiplier k,
+# first r, first t, classes of t mod 4).  Family 1 is the middle exterior
+# power, g = k C(2r, r)/2 and s = k C(2r-2, r-1), with k = 1 for End(A) = Z
+# and k = 2 for types II and III; r steps by 2 from the first r, which
+# thereby fixes its parity.  Family 2 is the spin family, g = 2**t and s in
+# {g, g/2}, for every t from the first t on whose class mod 4 is listed.
 _FAMILIES = {
-    EndoType.TRIVIAL_Z: (3, 4, (0, 1)),
-    EndoType.QUATERNION_TYPE_II: (3, 5, (1, 2)),
-    EndoType.QUATERNION_TYPE_III: (2, 4, (0, 3)),
+    _Z: (1, 3, 4, (0, 1)),
+    _II: (2, 3, 5, (1, 2)),
+    _III: (2, 2, 4, (0, 3)),
 }
+
+# The verdict when no family matches, per endomorphism type: status,
+# target-group prefix and the multiplier of g in its index, citations (also
+# those of an exceptional verdict).
+_PROVED = {
+    _Z: (_MAIN, "GSp_", 2, (CITATION_MAIN,)),
+    _II: (_THEOREM_41, "GSp_", 1, (CITATION_QUATERNION,)),
+    _III: (_THEOREM_41, "GSO_", 1, (CITATION_QUATERNION,)),
+}
+
+_PINK_EXPLANATION = (
+    "Mumford-Tate conjecture holds: Pink's numeric criterion applies "
+    "without any bad-reduction hypothesis"
+)
+_PINK_CITATIONS = (CITATION_PINK,)
+_NO_PLACE_QUATERNION = (
+    "no bad semistable place is known (s = 0); the quaternionic criteria need one"
+)
+_DISCREPANCY_NOTES = (DISCREPANCY_NOTE,)
 
 
 def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
@@ -211,10 +234,9 @@ def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
     C(2r, r) < 4**r, so every r with 4**r <= 2g/k gives g' < g: the walk
     starts at the least r of the family above those.
     """
-    k = 1 if endo == EndoType.TRIVIAL_Z else 2
-    first = _FAMILIES[endo][0]
+    k, first, _, _ = _FAMILIES[endo]
     r = ((2 * g // k).bit_length() + 1) // 2
-    r = max(first, r + (r - first) % 2)
+    r = first if r <= first else r + (r - first) % 2
     while (fg := k * comb(2 * r, r) // 2) < g:
         r += 2
     return r, fg, k * comb(2 * r - 2, r - 1)
@@ -222,14 +244,12 @@ def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
 
 def _in_family2(t: int | None, endo: EndoType) -> bool:
     """True iff g = 2**t is a family-2 dimension; t is None when g is no power of 2."""
-    _, first_t, classes = _FAMILIES[endo]
+    _, _, first_t, classes = _FAMILIES[endo]
     return t is not None and t >= first_t and t % 4 in classes
 
 
 def _notes_for(g: int, endo: EndoType) -> tuple[str, ...]:
-    if endo == EndoType.TRIVIAL_Z and g in (84, 126):
-        return (DISCREPANCY_NOTE,)
-    return ()
+    return _DISCREPANCY_NOTES if endo is _Z and (g == 84 or g == 126) else ()
 
 
 def mt_check(q: MtQuery) -> MtVerdict:
@@ -239,80 +259,42 @@ def mt_check(q: MtQuery) -> MtVerdict:
     the endo-specific exceptional-family tests, then the generic proved
     verdict with the matching target group.
     """
-    q.validate()
-    notes = _notes_for(q.g, q.endo)
+    endo = q.validate()
+    g, s = q.g, q.s
+    notes = _notes_for(g, endo)
+    r, fg, fs = _family1_from(g, endo)
+    if endo is _Z:
+        reason = _pink_reason(g, r, fg)
+        if reason is None:
+            return MtVerdict(_PINK, f"GSp_{2 * g}", None, _PINK_EXPLANATION, _PINK_CITATIONS, notes)
 
-    family1 = pink = None
-    if q.endo == EndoType.TRIVIAL_Z:
-        family1 = _family1_from(q.g, q.endo)
-        pink = _pink_gate(q.g, family1)
-    if pink is not None and pink.proves:
-        return MtVerdict(
-            status=Status.PROVED_BY_PINK,
-            target_group=f"GSp_{2 * q.g}",
-            witness=None,
-            explanation=(
-                "Mumford-Tate conjecture holds: Pink's numeric criterion applies "
-                "without any bad-reduction hypothesis"
-            ),
-            citations=(CITATION_PINK,),
-            notes=notes,
-        )
-
-    if q.s == 0:
+    if s == 0:
         why = (
-            f"Pink's criterion is inconclusive ({pink.reason}) and no bad semistable "
+            f"Pink's criterion is inconclusive ({reason}) and no bad semistable "
             "place is known (s = 0); the reduction-based criteria need one"
-            if pink is not None
-            else "no bad semistable place is known (s = 0); the quaternionic criteria need one"
+            if endo is _Z
+            else _NO_PLACE_QUATERNION
         )
-        return MtVerdict(
-            status=Status.NOT_COVERED,
-            target_group=None,
-            witness=None,
-            explanation=why,
-            citations=(),
-            notes=notes,
-        )
+        return MtVerdict(_NOT_COVERED, None, None, why, (), notes)
 
-    witness = None
-    r, fg, fs = family1 or _family1_from(q.g, q.endo)
-    if (fg, fs) == (q.g, q.s):
-        witness = Witness(family=1, parameter=r, g=fg, s=fs)
-    elif q.s in (q.g, q.g // 2):
-        t = _exact_log2(q.g)
-        if _in_family2(t, q.endo):
-            witness = Witness(family=2, parameter=t, g=q.g, s=q.s)
-    if witness is not None:
-        pname = "r" if witness.family == 1 else "t"
-        return MtVerdict(
-            status=Status.EXCEPTIONAL_CASE,
-            target_group=None,
-            witness=witness,
-            explanation=(
-                f"not proved by these theorems: (g, s) = ({q.g}, {q.s}) lies in "
-                f"exceptional family {witness.family} with witness {pname} = {witness.parameter}"
-            ),
-            citations=(CITATION_MAIN if q.endo == EndoType.TRIVIAL_Z else CITATION_QUATERNION,),
-            notes=notes,
-        )
-
-    if q.endo == EndoType.TRIVIAL_Z:
-        status, target, cite = Status.PROVED_BY_MAIN_THEOREM, f"GSp_{2 * q.g}", CITATION_MAIN
-    elif q.endo == EndoType.QUATERNION_TYPE_II:
-        status, target, cite = Status.PROVED_BY_THEOREM_41, f"GSp_{q.g}", CITATION_QUATERNION
+    status, prefix, multiplier, citations = _PROVED[endo]
+    if fg == g and fs == s:
+        family, pname, parameter = 1, "r", r
+    elif (s == g or s == g // 2) and _in_family2(t := _exact_log2(g), endo):
+        family, pname, parameter = 2, "t", t
     else:
-        status, target, cite = Status.PROVED_BY_THEOREM_41, f"GSO_{q.g}", CITATION_QUATERNION
-    return MtVerdict(
-        status=status,
-        target_group=target,
-        witness=None,
-        explanation=(
+        target = f"{prefix}{multiplier * g}"
+        return MtVerdict(
+            status, target, None,
             f"Mumford-Tate conjecture holds with monodromy {target}: "
-            f"s = {q.s} matches no exceptional family"
-        ),
-        citations=(cite,),
-        notes=notes,
+            f"s = {s} matches no exceptional family",
+            citations, notes,
+        )
+    return MtVerdict(
+        _EXCEPTIONAL, None, Witness(family, parameter, g, s),
+        f"not proved by these theorems: (g, s) = ({g}, {s}) lies in "
+        f"exceptional family {family} with witness {pname} = {parameter}",
+        citations, notes,
     )
 
 
@@ -333,18 +315,12 @@ class ExceptionalInstance:
             "notes": list(self.notes),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExceptionalInstance":
-        return cls(
-            g=d["g"], s=d["s"], family=d["family"], parameter=d["r_or_t"],
-            notes=tuple(d.get("notes", ())),
-        )
-
 
 def enumerate_exceptional(g_max: int, endo: EndoType) -> tuple[ExceptionalInstance, ...]:
     """All exceptional (g, s) pairs with g <= g_max, from the family table."""
     if g_max < 1:
         raise QueryInvalid("g_max must be a positive integer")
+    endo = _endo_type(endo)
     out = []
     r, fg, fs = _family1_from(1, endo)
     while fg <= g_max:

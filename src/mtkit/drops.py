@@ -19,7 +19,7 @@ from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, PreconditionError
 from .minuscule import MinusculeRep, _rep_name, enumerate_minuscule
-from .roots import CartanType, coroot_pairings
+from .roots import CartanType, _require_root_budget, coroot_pairings
 
 LENGTH_CLASSES = ("long", "short")
 
@@ -102,6 +102,9 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     * B: the spin dimension 2^n forces n = log2(two_g);
     * D: standard reps are orthogonal, so only the half-spin rank
       n = log2(two_g) + 1 can contribute.
+
+    Raises PreconditionError, before any root datum is built, when one of
+    these ranks has more than ROOT_BUDGET positive roots.
     """
     if two_g < 2 or two_g % 2:
         raise PreconditionError(f"two_g must be an even integer >= 2, got {two_g}")
@@ -113,6 +116,8 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     m = _exact_log2(two_g)
     if m is not None and m >= 2:
         scan += [("B", m, m), ("D", m + 1, m + 1)]
+    for family, rank, _ in scan:  # refuse before building any root datum
+        _require_root_budget(CartanType(family, rank))
 
     found = [
         Candidate(rep.cartan_type, rep.weight_index, rep.name, witness)

@@ -184,6 +184,15 @@ def positive_root_count(t: CartanType) -> int:
             "E6": 36, "E7": 63, "F4": 24, "G2": 6}[t.family]
 
 
+def _require_root_budget(t: CartanType) -> None:
+    """Raise PreconditionError when t has more than ROOT_BUDGET positive roots."""
+    count = positive_root_count(t)
+    if count > ROOT_BUDGET:
+        raise PreconditionError(
+            f"{t} has {count} positive roots, more than the root budget of {ROOT_BUDGET} roots"
+        )
+
+
 def build_root_datum(t: CartanType) -> RootDatum:
     """Generate the positive roots level by level in height, along alpha_i-strings.
 
@@ -204,11 +213,7 @@ def build_root_datum(t: CartanType) -> RootDatum:
     Raises PreconditionError before generating anything when the positive
     system has more than ROOT_BUDGET roots.
     """
-    count = positive_root_count(t)
-    if count > ROOT_BUDGET:
-        raise PreconditionError(
-            f"{t} has {count} positive roots, more than the root budget of {ROOT_BUDGET} roots"
-        )
+    _require_root_budget(t)
     n = t.rank
     a = _cartan_matrix(t)
     d = _symmetrizer(t)

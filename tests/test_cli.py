@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mtkit import MtQuery, MtVerdict, TensorLemmaReport, minuscule
+from conftest import exceptional_instance_from_dict, query_from_dict, verdict_from_dict
+from mtkit import EndoType, TensorLemmaReport, enumerate_exceptional, minuscule
 from mtkit.cli import run
 
 
@@ -29,9 +30,9 @@ def test_mt_check_exceptional_json(capsys):
 def test_mt_check_round_trips_into_verdict(capsys):
     _, out, _ = invoke(capsys, "mt-check", "--g", "16", "--s", "8", "--endo", "Z")
     payload = json.loads(out)
-    verdict = MtVerdict.from_dict(payload)
+    verdict = verdict_from_dict(payload)
     assert verdict.status.value == "ExceptionalCase"
-    query = MtQuery.from_dict(payload["query"])
+    query = query_from_dict(payload["query"])
     assert (query.g, query.s) == (16, 8)
 
 
@@ -132,6 +133,10 @@ def test_mt_exceptional_command(capsys):
     ]
     note_rows = [i for i in inst if i["notes"]]
     assert [(i["g"], i["s"]) for i in note_rows] == [(126, 70)]
+    records = [exceptional_instance_from_dict(i) for i in inst]
+    assert [(r, r.notes) for r in records] == [
+        (r, r.notes) for r in enumerate_exceptional(300, EndoType.TRIVIAL_Z)
+    ]
 
 
 def test_oracle_tensor_lemma_command(capsys):

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import verdict_from_dict
 from mtkit import (
     CartanType,
     EndoType,
     MtQuery,
-    MtVerdict,
     QueryInvalid,
     Status,
     enumerate_exceptional,
@@ -48,6 +48,29 @@ def test_query_invariants():
         mt_check(MtQuery(7, 3, II))
     # s = 0 is allowed for II/III, and even s up to g
     mt_check(MtQuery(7, 0, III))
+
+
+def test_endo_given_as_its_value_string_is_answered():
+    assert mt_check(MtQuery(10, 6, "Z")) == mt_check(MtQuery(10, 6, Z))
+    assert MtQuery(10, 6, "Z").to_dict() == MtQuery(10, 6, Z).to_dict()
+    assert mt_check(MtQuery(252, 140, "II")).status == Status.EXCEPTIONAL_CASE
+    assert enumerate_exceptional(300, "Z") == enumerate_exceptional(300, Z)
+
+
+@pytest.mark.parametrize("endo", ["X", "z", None, 1, ("Z",)])
+def test_unknown_endo_is_rejected(endo):
+    with pytest.raises(QueryInvalid, match="unknown endomorphism type"):
+        mt_check(MtQuery(10, 6, endo))
+    with pytest.raises(QueryInvalid, match="unknown endomorphism type"):
+        enumerate_exceptional(300, endo)
+
+
+@pytest.mark.parametrize("g, s", [
+    (10.0, 6), (True, 0), ("10", 6), (10, 6.0), (10, True), (10, None),
+])
+def test_non_integer_g_or_s_is_rejected(g, s):
+    with pytest.raises(QueryInvalid, match="must be"):
+        mt_check(MtQuery(g, s, Z))
 
 
 def test_exceptional_10_6():
@@ -179,7 +202,7 @@ def test_verdict_serialization_round_trip(g, s, endo):
     if endo != Z and s % 2:
         s -= 1
     v = mt_check(MtQuery(g, s, endo))
-    assert MtVerdict.from_dict(v.to_dict()) == v
+    assert verdict_from_dict(v.to_dict()) == v
 
 
 # The closed forms of both families, written out independently of the engine.
@@ -288,6 +311,41 @@ def test_pink_gate_and_family1_match_the_reference_walks():
         assert (got.proves, got.reason) == _reference_pink_gate(g), g
         for endo in (Z, II, III):
             assert _family1_from(g, endo) == _reference_family1_from(g, endo), (g, endo)
+
+
+@pytest.mark.parametrize("endo", [Z, II, III], ids=["Z", "II", "III"])
+@pytest.mark.parametrize("g", [2 * 10**3000, 2**4000 + 1], ids=["2e3000", "2^4000+1"])
+def test_family1_walk_starts_near_huge_g(monkeypatch, endo, g):
+    # a walk from the first r would take thousands of big binomials here;
+    # from the bit length of 2g it takes a few, since
+    # C(2r, r) >= 4**r / (2 sqrt(r)).  The point returned must be the least
+    # one at or above g, checked against r - 2 directly.
+    import mtkit.decision
+
+    binomials = []
+    monkeypatch.setattr(mtkit.decision, "comb", lambda n, k: binomials.append(n) or comb(n, k))
+    r, fg, fs = _family1_from(g, endo)
+    assert len(binomials) <= 5
+    monkeypatch.undo()
+    first, parity = FAMILY1_R[endo]
+    assert r > first and r % 2 == parity
+    assert (fg, fs) == _family1_point(r, endo)
+    assert fg >= g > _family1_point(r - 2, endo)[0]
+    v = mt_check(MtQuery(fg, fs, endo))
+    assert (v.status, v.witness.family, v.witness.parameter) == (Status.EXCEPTIONAL_CASE, 1, r)
+    assert mt_check(MtQuery(g, 2, endo)).status in (
+        Status.PROVED_BY_PINK, Status.PROVED_BY_MAIN_THEOREM, Status.PROVED_BY_THEOREM_41)
+
+
+def test_not_covered_explanation_carries_the_pink_reason():
+    for g in range(1, 5001):
+        gate = pink_gate(g)
+        if gate.proves:
+            continue
+        assert mt_check(MtQuery(g, 0, Z)).explanation == (
+            f"Pink's criterion is inconclusive ({gate.reason}) and no bad semistable "
+            "place is known (s = 0); the reduction-based criteria need one"
+        ), g
 
 
 @pytest.mark.parametrize("endo", [Z, II, III], ids=["Z", "II", "III"])

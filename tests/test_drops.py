@@ -183,6 +183,21 @@ def test_classify_closed_form_c_row_matches_the_full_scan():
         assert classify_symplectic_minuscule(two_g) == _classify_reference(two_g), two_g
 
 
+def test_classify_refuses_over_budget_ranks_before_building_any_datum(monkeypatch):
+    import mtkit.minuscule
+
+    built = []
+    build = mtkit.minuscule.build_root_datum
+    monkeypatch.setattr(mtkit.minuscule, "build_root_datum", lambda t: built.append(t) or build(t))
+    assert classify_symplectic_minuscule(2**8).candidates
+    assert built == [CartanType("B", 8), CartanType("D", 9)]
+    built.clear()
+    # B256 is within the budget, D257 (65792 roots) is not
+    with pytest.raises(PreconditionError, match="D257 has 65792 positive roots"):
+        classify_symplectic_minuscule(2**256)
+    assert built == []
+
+
 def test_classify_rejects_odd():
     with pytest.raises(PreconditionError):
         classify_symplectic_minuscule(7)
