@@ -16,11 +16,12 @@ import json
 import sys
 
 from .decision import EndoType, MtQuery, enumerate_exceptional, mt_check
-from .drops import drop_spectrum, root_element_drop
+from .drops import drop_spectrum
 from .errors import DomainError, PreconditionError
 from .minuscule import (
     DEFAULT_RANK_BOUND,
     MinusculeRep,
+    _fundamental_rep,
     enumerate_minuscule,
     minuscule_rep,
 )
@@ -104,22 +105,18 @@ def resolve_weight_label(t: CartanType, label: str) -> int:
 
 def _rep_row(rep: MinusculeRep) -> dict:
     t = rep.cartan_type
-    row = {
+    drops = drop_spectrum(rep).per_length_class if t.is_classical else {}
+    return {
         "family": t.family,
         "rank": t.rank,
         "weight": f"w{rep.weight_index}",
         "name": rep.name,
         "dimension": rep.dimension,
         "sign": rep.sign,
-        "drops_long": None,
-        "drops_short": None,
+        "drops_long": drops.get("long"),
+        "drops_short": drops.get("short"),
         "classical": t.is_classical,
     }
-    if t.is_classical:
-        spectrum = drop_spectrum(rep).per_length_class
-        row["drops_long"] = spectrum.get("long")
-        row["drops_short"] = spectrum.get("short")
-    return row
 
 
 def _cmd_table(args) -> tuple[dict, list[dict], list[str]]:
@@ -147,32 +144,17 @@ def _cmd_minuscule(args) -> tuple[dict, list[dict], list[str]]:
 def _cmd_drops(args) -> tuple[dict, list[dict], list[str]]:
     t = _cartan_type(args.type, args.rank)
     j = resolve_weight_label(t, args.weight)
-    rep = minuscule_rep(t, j)
+    rep = _fundamental_rep(t, j)
     report = drop_spectrum(rep)
+    head = {"family": t.family, "rank": t.rank, "weight": f"w{j}", "name": rep.name,
+            "dimension": rep.dimension, "sign": rep.sign}
     rows = [
-        {
-            "family": t.family,
-            "rank": t.rank,
-            "weight": f"w{j}",
-            "name": rep.name,
-            "dimension": rep.dimension,
-            "sign": rep.sign,
-            "length_class": cls,
-            "drop": report.per_length_class[cls],
-            "quadratic": report.quadratic[cls],
-        }
+        {**head, "length_class": cls, "drop": report.per_length_class[cls],
+         "quadratic": report.quadratic[cls]}
         for cls in sorted(report.per_length_class)
     ]
-    payload = {
-        "family": t.family,
-        "rank": t.rank,
-        "weight": f"w{j}",
-        "name": rep.name,
-        "dimension": rep.dimension,
-        "sign": rep.sign,
-        "per_length_class": dict(report.per_length_class),
-        "quadratic": dict(report.quadratic),
-    }
+    payload = {**head, "per_length_class": dict(report.per_length_class),
+               "quadratic": dict(report.quadratic)}
     columns = ["family", "rank", "weight", "name", "dimension", "sign",
                "length_class", "drop", "quadratic"]
     return payload, rows, columns
@@ -311,34 +293,17 @@ def _cmd_oracle_drop(args) -> tuple[dict, list[dict], list[str]]:
     matrix = build_root_element(rep, indices, prime=args.prime)
     report = unipotence(matrix)
     exploratory = len(indices) > 1
-    payload = {
-        "family": t.family,
-        "rank": t.rank,
-        "weight": f"w{j}",
-        "name": rep.name,
-        "roots": specs,
-        "prime": args.prime,
-        "report": report.to_dict(),
-        "exploratory": exploratory,
-    }
+    head = {"family": t.family, "rank": t.rank, "weight": f"w{j}", "name": rep.name}
+    payload = {**head, "roots": specs, "prime": args.prime, "report": report.to_dict(),
+               "exploratory": exploratory}
     if exploratory:
         payload["note"] = (
             "product of root elements: the cocycle signs are not certified to "
             "define a group representation; treat degree/drop as exploratory"
         )
-    rows = [{
-        "family": t.family,
-        "rank": t.rank,
-        "weight": f"w{j}",
-        "name": rep.name,
-        "roots": "|".join(specs),
-        "prime": args.prime,
-        "dim": report.dim,
-        "degree": report.degree,
-        "drop": report.drop,
-        "quadratic": report.quadratic,
-        "exploratory": exploratory,
-    }]
+    rows = [{**head, "roots": "|".join(specs), "prime": args.prime, "dim": report.dim,
+             "degree": report.degree, "drop": report.drop, "quadratic": report.quadratic,
+             "exploratory": exploratory}]
     columns = ["family", "rank", "weight", "name", "roots", "prime", "dim",
                "degree", "drop", "quadratic", "exploratory"]
     return payload, rows, columns

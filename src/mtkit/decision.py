@@ -90,6 +90,12 @@ def _endo_type(endo) -> EndoType:
         ) from None
 
 
+def _require_positive_int(value, name: str) -> None:
+    """Raise QueryInvalid unless value is an int >= 1; a bool is refused too."""
+    if value.__class__ is not int or value < 1:
+        raise QueryInvalid(f"{name} must be a positive integer")
+
+
 @dataclass(frozen=True)
 class MtQuery:
     g: int
@@ -99,7 +105,7 @@ class MtQuery:
     def validate(self) -> EndoType:
         """Check the query's invariants and return its endomorphism type as a member."""
         g, s = self.g, self.s
-        if g.__class__ is not int or g < 1:
+        if g.__class__ is not int or g < 1:  # _require_positive_int, inlined: the hot path
             raise QueryInvalid("g must be a positive integer")
         if s.__class__ is not int:
             raise QueryInvalid("toric dimension must be an integer")
@@ -172,8 +178,7 @@ def pink_gate(g: int) -> PinkResult:
 
     2g = C(2m, m) with odd m >= 3 exactly when g is on family 1 of End(A) = Z.
     """
-    if g < 1:
-        raise QueryInvalid("g must be a positive integer")
+    _require_positive_int(g, "g")
     m, fg, _ = _family1_from(g, _Z)
     reason = _pink_reason(g, m, fg)
     return PinkResult(reason is None, reason)
@@ -318,8 +323,7 @@ class ExceptionalInstance:
 
 def enumerate_exceptional(g_max: int, endo: EndoType) -> tuple[ExceptionalInstance, ...]:
     """All exceptional (g, s) pairs with g <= g_max, from the family table."""
-    if g_max < 1:
-        raise QueryInvalid("g_max must be a positive integer")
+    _require_positive_int(g_max, "g_max")
     endo = _endo_type(endo)
     out = []
     r, fg, fs = _family1_from(1, endo)

@@ -4,22 +4,21 @@ On a minuscule orbit a root element x_alpha moves the weight vector v_mu
 to v_mu +- v_{mu+alpha} exactly when <mu, alpha_coroot> = -1, so the rank
 of rho(x_alpha) - 1 equals the number of orbit weights pairing to +1 with
 the coroot.  Every orbit weight pairs into {-1, 0, 1} with every coroot,
-so root elements act quadratically.  This module gets the count in closed
-form, without the orbit (see root_element_drop); the exact matrix route in
-mtkit.oracle cross-checks it.
+so root elements act quadratically.  This module reads the count off the
+closed-form row of the representation, without the orbit or the root
+datum; the exact matrix route in mtkit.oracle cross-checks it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import compress
 from math import comb
 from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, PreconditionError
-from .minuscule import MinusculeRep, _rep_name, enumerate_minuscule
-from .roots import CartanType, _require_root_budget, coroot_pairings
+from .minuscule import MinusculeRep, _classical_row, _rep_name, enumerate_minuscule
+from .roots import CartanType
 
 LENGTH_CLASSES = ("long", "short")
 
@@ -49,35 +48,33 @@ class CandidateList:
     candidates: tuple[Candidate, ...]
 
 
+def _drops(rep: MinusculeRep) -> dict[str, int]:
+    t = rep.cartan_type
+    if not t.is_classical:
+        raise PreconditionError("drops are computed for classical types only")
+    return _classical_row(t, rep.weight_index)[2]
+
+
 def root_element_drop(rep: MinusculeRep, length_class: str) -> int:
     """Drop of a root element of the given length class acting on rep.
 
-    Counts the pairs (mu, beta_coroot) with mu in the orbit, beta a root of
-    the class (positive or negative) and <mu, beta_coroot> = 1 in two ways.
-    W permutes the roots of a class transitively, so each of the 2 N+
-    coroots meets drop weights; W also permutes the orbit, so each weight
-    meets as many coroots as the highest weight does, the N1 positive ones
-    pairing to 1 with it.  Hence drop = dim * N1 / (2 N+).
+    W permutes the roots of a class transitively, so every root of the
+    class has the same drop: the closed form of mtkit.minuscule's
+    classical row (Bourbaki, Plates I-IV).
     """
     if length_class not in LENGTH_CLASSES:
         raise NoSuchLengthClass(f"unknown length class {length_class!r}")
-    d = rep.datum
-    if not d.cartan_type.is_classical:
-        raise PreconditionError("drops are computed for classical types only")
-    n_pos = d.length_class.count(length_class)
-    if not n_pos:
+    per = _drops(rep)
+    if length_class not in per:
         raise NoSuchLengthClass(
-            f"{d.cartan_type} is simply laced and has no {length_class!r} roots"
+            f"{rep.cartan_type} is simply laced and has no {length_class!r} roots"
         )
-    # a minuscule weight pairs to 0 or 1 with every positive coroot
-    pairs = coroot_pairings(d, rep.highest_weight)
-    n_1 = list(compress(d.length_class, pairs)).count(length_class)
-    return rep.dimension * n_1 // (2 * n_pos)
+    return per[length_class]
 
 
 def drop_spectrum(rep: MinusculeRep) -> DropReport:
     """Drops for every root-length class the root system has; all are quadratic."""
-    per = {cls: root_element_drop(rep, cls) for cls in rep.datum.classes}
+    per = _drops(rep)
     return DropReport(rep=rep, per_length_class=MappingProxyType(per),
                       quadratic=MappingProxyType(dict.fromkeys(per, True)))
 
@@ -91,10 +88,10 @@ def _exact_log2(n: int) -> int | None:
 def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     """All symplectic (sign -1) minuscule reps of dimension two_g, in family order.
 
-    Each family realizes two_g at one rank only.  C_n has one minuscule
-    weight, w1, whose standard rep is symplectic of dimension 2n, so the C
-    row (n = two_g / 2 >= 2; C1 is A1) needs no root datum.  The other ranks
-    are O(log two_g), built and filtered through the real dimension and sign:
+    Each family realizes two_g at one rank only, and every row is a closed
+    form: no root datum is built.  C_n has one minuscule weight, w1, whose
+    standard rep is symplectic of dimension 2n (n = two_g / 2 >= 2; C1 is
+    A1).  The A, B and D ranks are O(log two_g), filtered by dimension and sign:
 
     * A: self-dual middle exterior powers have central-binomial dimension
       C(2j, j) < 4**j, strictly increasing in j, so the walk starts at the
@@ -103,8 +100,8 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     * D: standard reps are orthogonal, so only the half-spin rank
       n = log2(two_g) + 1 can contribute.
 
-    Raises PreconditionError, before any root datum is built, when one of
-    these ranks has more than ROOT_BUDGET positive roots.
+    Raises PreconditionError when one of the A, B or D ranks has more than
+    ROOT_BUDGET positive roots (see enumerate_minuscule).
     """
     if two_g < 2 or two_g % 2:
         raise PreconditionError(f"two_g must be an even integer >= 2, got {two_g}")
@@ -116,8 +113,6 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     m = _exact_log2(two_g)
     if m is not None and m >= 2:
         scan += [("B", m, m), ("D", m + 1, m + 1)]
-    for family, rank, _ in scan:  # refuse before building any root datum
-        _require_root_budget(CartanType(family, rank))
 
     found = [
         Candidate(rep.cartan_type, rep.weight_index, rep.name, witness)

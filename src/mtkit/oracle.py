@@ -444,22 +444,6 @@ class TensorLemmaReport:
             "passed": self.passed,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TensorLemmaReport":
-        return cls(
-            k1=d["k1"],
-            k2=d["k2"],
-            dims=tuple(d["dims"]),
-            trials=d["trials"],
-            seed=d["seed"],
-            prime=d.get("prime"),
-            expected_degree=d["expected_degree"],
-            degree_counts={int(k): v for k, v in d["degree_counts"].items()},
-            failures=d["failures"],
-            char_deviations=d["char_deviations"],
-            corollary_violations=d["corollary_violations"],
-        )
-
 
 def _unit_lower_inverse(l_rows: list[list[int]]) -> list[list[int]]:
     # forward substitution; unit triangular integer matrices invert over Z

@@ -1,6 +1,14 @@
 from hypothesis import HealthCheck, settings
 
-from mtkit import EndoType, ExceptionalInstance, MtQuery, MtVerdict, Status, Witness
+from mtkit import (
+    EndoType,
+    ExceptionalInstance,
+    MtQuery,
+    MtVerdict,
+    Status,
+    TensorLemmaReport,
+    Witness,
+)
 
 settings.register_profile(
     "suite",
@@ -36,3 +44,19 @@ def verdict_from_dict(d: dict) -> MtVerdict:
 def exceptional_instance_from_dict(d: dict) -> ExceptionalInstance:
     return ExceptionalInstance(d["g"], d["s"], d["family"], d["r_or_t"],
                                tuple(d.get("notes", ())))
+
+
+def tensor_report_from_dict(d: dict) -> TensorLemmaReport:
+    return TensorLemmaReport(
+        k1=d["k1"],
+        k2=d["k2"],
+        dims=tuple(d["dims"]),
+        trials=d["trials"],
+        seed=d["seed"],
+        prime=d.get("prime"),
+        expected_degree=d["expected_degree"],
+        degree_counts={int(k): v for k, v in d["degree_counts"].items()},
+        failures=d["failures"],
+        char_deviations=d["char_deviations"],
+        corollary_violations=d["corollary_violations"],
+    )

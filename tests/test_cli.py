@@ -3,13 +3,19 @@
 import csv
 import io
 import json
+import sys
 from math import comb
 from pathlib import Path
 
 import pytest
 
-from conftest import exceptional_instance_from_dict, query_from_dict, verdict_from_dict
-from mtkit import EndoType, TensorLemmaReport, enumerate_exceptional, minuscule
+from conftest import (
+    exceptional_instance_from_dict,
+    query_from_dict,
+    tensor_report_from_dict,
+    verdict_from_dict,
+)
+from mtkit import CartanType, EndoType, enumerate_exceptional, minuscule, roots
 from mtkit.cli import run
 
 
@@ -144,7 +150,7 @@ def test_oracle_tensor_lemma_command(capsys):
             "--trials", "10", "--seed", "42", "--dims", "4,4")
     code, out, _ = invoke(capsys, *args)
     assert code == 0
-    report = TensorLemmaReport.from_dict(json.loads(out))
+    report = tensor_report_from_dict(json.loads(out))
     assert report.passed and report.degree_counts == {3: 10}
     # byte-identical reruns with the same seed
     _, out2, _ = invoke(capsys, *args)
@@ -325,6 +331,38 @@ def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
     code, out, err = invoke(capsys, "table", "--max-rank", "38")
     assert (code, out) == (2, "")
     assert "up to rank 38 have 66291 positive roots" in err
+
+
+def test_row_commands_build_a_root_datum_for_e6_e7_only(capsys, monkeypatch):
+    built = []
+    build = roots.build_root_datum
+
+    def recorder(t):
+        built.append(t)
+        return build(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mtkit" and getattr(module, "build_root_datum", None) is build:
+            monkeypatch.setattr(module, "build_root_datum", recorder)
+    for argv in (["table", "--max-rank", "14"], ["minuscule", "--type", "D", "--rank", "9"],
+                 ["drops", "--type", "B", "--rank", "8", "--weight", "spin"],
+                 ["classify", "--two-g", "256"]):
+        code, out, _ = invoke(capsys, *argv)
+        assert code == 0 and out, argv
+    assert built == [CartanType("E6", 6), CartanType("E7", 7)]
+
+
+def test_minuscule_a361_middle_rows_are_closed_forms(capsys):
+    # A361 (65341 positive roots) is the largest A within the root budget
+    code, out, _ = invoke(capsys, "minuscule", "--type", "A", "--rank", "361", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 361
+    row = rows[179]
+    assert (row["weight"], row["name"]) == ("w180", "Λ^180 Std")
+    assert int(row["dimension"]) == comb(362, 180)
+    assert int(row["drops_long"]) == comb(360, 179)
+    assert row["sign"] == "0"
 
 
 def test_help_exits_zero(capsys):

@@ -73,6 +73,16 @@ def test_non_integer_g_or_s_is_rejected(g, s):
         mt_check(MtQuery(g, s, Z))
 
 
+@pytest.mark.parametrize("g", [10.0, True, False, "10", None, 0, -4])
+def test_pink_gate_and_enumerate_exceptional_refuse_what_a_query_refuses(g):
+    with pytest.raises(QueryInvalid, match="^g must be a positive integer$"):
+        pink_gate(g)
+    with pytest.raises(QueryInvalid, match="^g_max must be a positive integer$"):
+        enumerate_exceptional(g, Z)
+    with pytest.raises(QueryInvalid, match="^g must be a positive integer$"):
+        mt_check(MtQuery(g, 0, Z))
+
+
 def test_exceptional_10_6():
     v = mt_check(MtQuery(10, 6, Z))
     assert v.status == Status.EXCEPTIONAL_CASE

@@ -114,6 +114,25 @@ def test_rep_invariants_small_sweep():
                     assert pairing(d, mu, i) in (-1, 0, 1)
 
 
+CLASSICAL_TYPES_TO_RANK_14 = (
+    [CartanType("A", n) for n in range(1, 15)]
+    + [CartanType(f, n) for f in "BC" for n in range(2, 15)]
+    + [CartanType("D", n) for n in range(3, 15)]
+)
+
+
+@pytest.mark.parametrize("t", CLASSICAL_TYPES_TO_RANK_14, ids=str)
+def test_closed_form_signs_match_the_datum_path_to_rank_14(t):
+    # the closed-form sign against the dual weight and the 2 rho_coroot
+    # parity on the root datum, for every minuscule weight of the type
+    reps = enumerate_minuscule(t)
+    assert reps
+    for rep in reps:
+        d, w = rep.datum, rep.highest_weight
+        assert (rep.sign == 0) == (dual_weight(d, w) != w), (t, rep.name)
+        assert rep.sign == duality_sign(d, w) == _scan_duality_sign(d, w), (t, rep.name)
+
+
 def _assert_orbit_size(rep, closed_form):
     assert len(rep.orbit) == rep.dimension == closed_form
     assert weyl_dimension(rep.datum, rep.highest_weight) == closed_form
@@ -188,7 +207,8 @@ def test_orbit_budget_holds_per_type(monkeypatch):
 
 def test_orbit_budget_holds_across_types(monkeypatch):
     # A21 fits the budget and B21 spin (2^21 weights) does not: enumerating
-    # the whole sequence expands no orbit and builds each root datum once
+    # the whole sequence expands no orbit and builds no root datum, and the
+    # refusal of B21's orbit builds none either
     built = []
 
     def no_expansion(d, w):
@@ -202,11 +222,12 @@ def test_orbit_budget_holds_across_types(monkeypatch):
     monkeypatch.setattr(minuscule, "build_root_datum", counting_datum)
     types = [CartanType(f, n) for f in "AB" for n in range(2, 22)]
     reps = [r for t in types for r in enumerate_minuscule(t)]
-    assert built == types
+    assert built == []
     over = [r for r in reps if r.dimension > ORBIT_BUDGET]
     assert [(r.cartan_type, r.weight_index) for r in over] == [(CartanType("B", 21), 21)]
     with pytest.raises(PreconditionError, match="w21 of B21 has 2097152 weights"):
         over[0].orbit
+    assert built == []
 
 
 def test_orbit_is_expanded_once_on_first_read(monkeypatch):
