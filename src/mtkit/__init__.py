@@ -3,7 +3,7 @@
 The library has five layers:
 
 * roots      -- Cartan matrices, positive systems, coroots, Weyl orbits;
-* minuscule  -- minuscule weight detection/enumeration, dimensions, duality signs;
+* minuscule  -- the minuscule table: closed-form dimensions and duality signs;
 * drops      -- drops of quadratic root elements, symplectic classification;
 * oracle     -- exact representation matrices, unipotence degrees, tensor checks;
 * decision   -- the (g, s, endomorphism-type) case engine.
@@ -47,10 +47,7 @@ from .minuscule import (
     DEFAULT_RANK_BOUND,
     ORBIT_BUDGET,
     MinusculeRep,
-    duality_sign,
     enumerate_minuscule,
-    expand_rep,
-    is_minuscule,
     minuscule_rep,
 )
 from .oracle import (
@@ -73,23 +70,16 @@ from .roots import (
     RootDatum,
     Weight,
     build_root_datum,
-    dual_weight,
     find_positive_root,
-    pairing,
-    reflect_in_root,
-    simple_reflection,
-    weyl_dimension,
     weyl_orbit,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanType", "RootDatum", "Weight", "build_root_datum", "ROOT_BUDGET", "pairing",
-    "simple_reflection", "reflect_in_root", "weyl_orbit", "weyl_dimension",
-    "dual_weight", "find_positive_root",
-    "MinusculeRep", "is_minuscule", "enumerate_minuscule", "minuscule_rep",
-    "expand_rep", "duality_sign", "DEFAULT_RANK_BOUND",
+    "CartanType", "RootDatum", "Weight", "build_root_datum", "ROOT_BUDGET",
+    "weyl_orbit", "find_positive_root",
+    "MinusculeRep", "enumerate_minuscule", "minuscule_rep", "DEFAULT_RANK_BOUND",
     "ORBIT_BUDGET",
     "DropReport", "Candidate", "CandidateList", "root_element_drop",
     "drop_spectrum", "classify_symplectic_minuscule",

@@ -1,7 +1,8 @@
-"""Minuscule weight detection, enumeration, dimensions and duality signs."""
+"""The minuscule table: every minuscule fundamental weight with its dimension and duality sign."""
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -13,9 +14,6 @@ from .roots import (
     Weight,
     _require_root_budget,
     build_root_datum,
-    dual_weight,
-    pair_with_coroot,
-    weyl_dimension,
     weyl_orbit,
 )
 
@@ -26,6 +24,12 @@ DEFAULT_RANK_BOUND = 12
 # dimension gives the orbit size up front, so larger requests, such as the
 # 2^40-weight spin orbit of B40, are refused before any expansion.
 ORBIT_BUDGET = 2**20
+
+# Dimension and sign of each minuscule w_j of the exceptional types
+# (Bourbaki, Lie Groups and Lie Algebras, ch. VI, Plates V-IX): the two
+# 27-dimensional reps of E6 are dual to each other, the 56 of E7 is
+# symplectic, and F4 and G2 have no minuscule weight.
+_EXCEPTIONAL_ROWS = {"E6": {1: (27, 0), 6: (27, 0)}, "E7": {7: (56, -1)}, "F4": {}, "G2": {}}
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,6 @@ def _fundamental(t: CartanType, j: int) -> Weight:
     return Weight(tuple(int(k == j - 1) for k in range(t.rank)))
 
 
-def _classical_indices(t: CartanType) -> range | tuple[int, ...]:
-    """The minuscule fundamental weights of a classical type, in index order."""
-    n = t.rank
-    return {"A": range(1, n + 1), "B": (n,), "C": (1,), "D": (1, n - 1, n)}[t.family]
-
-
 def _classical_row(t: CartanType, j: int) -> tuple[int, int, dict[str, int]]:
     """Dimension, sign and drop per root-length class of the minuscule w_j of a classical t.
 
@@ -96,37 +94,6 @@ def _classical_row(t: CartanType, j: int) -> tuple[int, int, dict[str, int]]:
     return 2 ** (n - 1), 0 if n % 2 else 1 if n % 4 == 0 else -1, {"long": 2 ** (n - 3)}
 
 
-def is_minuscule(d: RootDatum, w: Weight) -> bool:
-    """True iff the dominant weight w pairs to 0 or 1 with every positive coroot.
-
-    Every positive coroot lies below the highest coroot theta_coroot, and
-    pairings with a dominant weight grow along that order, so the largest
-    pairing is <w, theta_coroot>: the test is <w, theta_coroot> <= 1.
-    """
-    if w.is_zero:
-        raise PreconditionError("minuscule test requires a nonzero weight")
-    if not w.is_dominant:
-        raise PreconditionError("minuscule test requires a dominant weight")
-    return pair_with_coroot(d.highest_coroot, w.coords) <= 1
-
-
-def duality_sign(d: RootDatum, w: Weight) -> int:
-    """Frobenius-Schur sign of the minuscule representation with highest weight w.
-
-    0 when the dual highest weight differs from w; otherwise (-1)**p with
-    p = <w, 2 rho_coroot>, the sum of the pairings of w against all positive
-    coroots (2 rho_coroot is the sum of the positive coroots).
-    """
-    if not is_minuscule(d, w):
-        raise PreconditionError(
-            "duality sign via coroot-sum parity is only validated on minuscule weights"
-        )
-    if dual_weight(d, w) != w:
-        return 0
-    p = pair_with_coroot(d.two_rho_coroot, w.coords)
-    return -1 if p % 2 else 1
-
-
 def _rep_name(t: CartanType, j: int) -> str:
     fam, n = t.family, t.rank
     if fam == "A":
@@ -142,54 +109,39 @@ def _rep_name(t: CartanType, j: int) -> str:
     return f"w{j}"
 
 
-def expand_rep(d: RootDatum, w: Weight) -> MinusculeRep:
-    """Build the MinusculeRep record for a minuscule dominant weight from its root datum.
-
-    Nothing is expanded: the dimension is the Weyl dimension and the sign
-    comes from duality_sign; the orbit waits until rep.orbit is read.
-    """
-    if not is_minuscule(d, w):
-        raise PreconditionError(f"{w.coords} is not minuscule for {d.cartan_type}")
-    j = w.coords.index(1) + 1
-    rep = MinusculeRep(d.cartan_type, j, _rep_name(d.cartan_type, j),
-                       weyl_dimension(d, w), duality_sign(d, w))
-    vars(rep).update(datum=d, highest_weight=w)  # fill the lazy attributes at hand
-    return rep
+def _minuscule_indices(t: CartanType) -> Collection[int]:
+    """The minuscule fundamental weights of t, in index order."""
+    n = t.rank
+    if t.is_classical:
+        return {"A": range(1, n + 1), "B": (n,), "C": (1,), "D": (1, n - 1, n)}[t.family]
+    return _EXCEPTIONAL_ROWS[t.family].keys()
 
 
-def _classical_rep(t: CartanType, j: int) -> MinusculeRep:
-    return MinusculeRep(t, j, _rep_name(t, j), *_classical_row(t, j)[:2])
+def _rep(t: CartanType, j: int) -> MinusculeRep:
+    row = _classical_row(t, j)[:2] if t.is_classical else _EXCEPTIONAL_ROWS[t.family][j]
+    return MinusculeRep(t, j, _rep_name(t, j), *row)
 
 
 def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
     """The reps of all minuscule fundamental weights of t, in weight-index order.
 
-    The classical rows are closed forms: A_n -> w_1..w_n, B_n -> w_n, C_n ->
-    w_1, D_n -> w_1, w_{n-1}, w_n, built without a root datum (more than
-    ROOT_BUDGET positive roots are still refused).  E6 and E7 read theirs
-    off the root datum; F4 and G2 have none.
+    Every row is a closed form or a constant, built without a root datum:
+    A_n -> w_1..w_n, B_n -> w_n, C_n -> w_1, D_n -> w_1, w_{n-1}, w_n,
+    E6 -> w_1, w_6, E7 -> w_7; F4 and G2 have none.  Types with more than
+    ROOT_BUDGET positive roots are still refused.
     """
-    if t.is_classical:
-        _require_root_budget(t)
-        return [_classical_rep(t, j) for j in _classical_indices(t)]
-    d = build_root_datum(t)
-    ws = [_fundamental(t, j) for j in range(1, t.rank + 1)]
-    return [expand_rep(d, w) for w in ws if is_minuscule(d, w)]
+    _require_root_budget(t)
+    return [_rep(t, j) for j in _minuscule_indices(t)]
 
 
 def _fundamental_rep(t: CartanType, j: int) -> MinusculeRep:
     """The rep of the minuscule w_j of t, as enumerate_minuscule builds it."""
     if not 1 <= j <= t.rank:
         raise PreconditionError(f"weight index w{j} out of range for {t}")
-    if t.is_classical:
-        _require_root_budget(t)
-        if j in _classical_indices(t):
-            return _classical_rep(t, j)
-    else:
-        for rep in enumerate_minuscule(t):
-            if rep.weight_index == j:
-                return rep
-    raise PreconditionError(f"w{j} is not minuscule for {t}")
+    _require_root_budget(t)
+    if j not in _minuscule_indices(t):
+        raise PreconditionError(f"w{j} is not minuscule for {t}")
+    return _rep(t, j)
 
 
 def minuscule_rep(t: CartanType, weight_index: int) -> MinusculeRep:
@@ -198,6 +150,5 @@ def minuscule_rep(t: CartanType, weight_index: int) -> MinusculeRep:
     mtkit.oracle reads rep.datum: building it here keeps it out of the oracle's loops.
     """
     rep = _fundamental_rep(t, weight_index)
-    if t.is_classical:
-        vars(rep)["datum"] = build_root_datum(t)
+    rep.datum  # read once to build the cached datum
     return rep

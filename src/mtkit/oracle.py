@@ -335,10 +335,10 @@ def build_root_element(
     source and target orbit positions); ranks and unipotence degrees over the
     rationals do not depend on the choice, which the test suite asserts.
 
-    Multiple roots must be pairwise orthogonal; the product is taken in the
-    given order.  Single-root elements are certified quadratic; products are
-    exploratory (the sign convention is not certified to define a group
-    representation).  Modules of dimension above MATRIX_BUDGET are refused.
+    Multiple roots must be distinct and pairwise orthogonal; the product is
+    taken in the given order.  Single-root elements are certified quadratic;
+    products are exploratory (the sign convention is not certified to define
+    a group representation).  Modules of dimension above MATRIX_BUDGET are refused.
     """
     if prime is not None:
         _require_prime(prime)
@@ -352,9 +352,13 @@ def build_root_element(
             f"more than the matrix budget of {MATRIX_BUDGET} rows"
         )
     d = rep.datum
-    for idx in root_indices:
+    for k, idx in enumerate(root_indices):
         if not 0 <= idx < len(d.positive_roots):
             raise PreconditionError(f"root index {idx} out of range")
+        if idx in root_indices[:k]:
+            raise PreconditionError(
+                f"root {d.positive_roots[idx]} is repeated; the roots must be distinct"
+            )
     for a in root_indices:
         for b in root_indices:
             if a == b:

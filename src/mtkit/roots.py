@@ -20,8 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from operator import add, itemgetter, mul
+from operator import mul
 
 from .errors import InvalidCartanType, PreconditionError
 
@@ -73,19 +72,9 @@ class Weight:
 
     coords: tuple[int, ...]
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
-
     @property
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coords)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
 
 @dataclass(frozen=True)
@@ -96,9 +85,7 @@ class RootDatum:
     corresponding coroot in the simple-coroot basis, and ``length_class[k]``
     is "long" or "short" ("long" throughout for simply-laced types).  The
     positive roots are sorted lexicographically, so every derived ordering
-    is reproducible bit for bit.  ``highest_coroot`` is the positive coroot
-    of largest height and ``two_rho_coroot`` the sum of all positive
-    coroots, both in the simple-coroot basis.
+    is reproducible bit for bit.
     """
 
     cartan_type: CartanType
@@ -106,8 +93,6 @@ class RootDatum:
     positive_roots: tuple[tuple[int, ...], ...]
     coroots: tuple[tuple[int, ...], ...]
     length_class: tuple[str, ...]
-    highest_coroot: tuple[int, ...]
-    two_rho_coroot: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -116,10 +101,6 @@ class RootDatum:
     @property
     def classes(self) -> tuple[str, ...]:
         return ("long",) if "short" not in self.length_class else ("long", "short")
-
-    def simple_root_weight_coords(self, i: int) -> tuple[int, ...]:
-        """Simple root alpha_i in the fundamental-weight basis (column i of A)."""
-        return tuple(row[i] for row in self.cartan_matrix)
 
     def root_weight_coords(self, root: tuple[int, ...]) -> tuple[int, ...]:
         """Convert simple-root coordinates to fundamental-weight coordinates."""
@@ -208,10 +189,8 @@ def build_root_datum(t: CartanType) -> RootDatum:
     plus one copy of its parent's simple-root coordinates.
 
     Every root is checked to have a positive even norm and an integral
-    coroot.  The datum also records the highest coroot (the positive coroot
-    of largest height) and 2 rho_coroot (the sum of the positive coroots).
-    Raises PreconditionError before generating anything when the positive
-    system has more than ROOT_BUDGET roots.
+    coroot.  Raises PreconditionError before generating anything when the
+    positive system has more than ROOT_BUDGET roots.
     """
     _require_root_budget(t)
     n = t.rank
@@ -268,43 +247,12 @@ def build_root_datum(t: CartanType) -> RootDatum:
         positive_roots=positives,
         coroots=tuple(coroots),
         length_class=classes,
-        highest_coroot=max(coroots, key=sum),
-        two_rho_coroot=tuple(map(sum, zip(*coroots))),
     )
 
 
 def pair_with_coroot(coroot: tuple[int, ...], coords: tuple[int, ...]) -> int:
     """Pairing of fundamental-weight coordinates with simple-coroot coordinates."""
     return sum(map(mul, coroot, coords))
-
-
-def pairing(d: RootDatum, w: Weight, coroot_index: int) -> int:
-    """Exact integer pairing of w with the coroot at the given positive-root index."""
-    if not 0 <= coroot_index < len(d.coroots):
-        raise PreconditionError(
-            f"coroot index {coroot_index} out of range [0, {len(d.coroots)})"
-        )
-    return pair_with_coroot(d.coroots[coroot_index], w.coords)
-
-
-def simple_reflection(d: RootDatum, w: Weight, i: int) -> Weight:
-    """s_i(w) = w - <w, alpha_i_coroot> alpha_i, in fundamental-weight coordinates."""
-    if not 0 <= i < d.rank:
-        raise PreconditionError(f"simple reflection index {i} out of range [0, {d.rank})")
-    c = w.coords[i]
-    if c == 0:
-        return w
-    col = d.simple_root_weight_coords(i)
-    return Weight(tuple(w.coords[k] - c * col[k] for k in range(d.rank)))
-
-
-def reflect_in_root(d: RootDatum, w: Weight, root_index: int) -> Weight:
-    """Reflection of w in the positive root at root_index."""
-    c = pairing(d, w, root_index)
-    if c == 0:
-        return w
-    rw = d.root_weight_coords(d.positive_roots[root_index])
-    return Weight(tuple(w.coords[k] - c * rw[k] for k in range(d.rank)))
 
 
 def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
@@ -343,59 +291,6 @@ def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
         level = below
     orbit.sort()
     return tuple(map(Weight, orbit))
-
-
-def coroot_pairings(d: RootDatum, w: Weight) -> list[int]:
-    """<w, beta_coroot> for every positive coroot, one support coordinate of w at a time."""
-    pairs = [0] * len(d.coroots)
-    for i, c in enumerate(w.coords):
-        if c:
-            pairs = list(map(add, pairs, map(c.__mul__, map(itemgetter(i), d.coroots))))
-    return pairs
-
-
-def weyl_dimension(d: RootDatum, w: Weight) -> int:
-    """Dimension of the irreducible representation with dominant highest weight w.
-
-    Weyl's formula prod <w + rho, beta_coroot> / <rho, beta_coroot> over the
-    positive coroots, in exact integers; <rho, beta_coroot> is the sum of
-    beta_coroot's simple-coroot coordinates, and coroots orthogonal to w
-    contribute a factor of one.  For a minuscule w this is the orbit size,
-    known before any orbit is expanded.
-    """
-    if not w.is_dominant:
-        raise PreconditionError("weyl_dimension requires a dominant weight")
-    pairs = coroot_pairings(d, w)
-    num = den = 1
-    for cr, p in zip(compress(d.coroots, pairs), filter(None, pairs)):
-        h = sum(cr)
-        num *= p + h
-        den *= h
-    return num // den
-
-
-def dual_weight(d: RootDatum, w: Weight) -> Weight:
-    """Highest weight of the dual representation: the negated antidominant orbit element.
-
-    Reflecting in any simple root with a positive coordinate steps down the
-    orbit, ending at the unique antidominant element.  A reflection in
-    alpha_i changes only the entries of the sparse column i of the Cartan
-    matrix, so a worklist of coordinates that may be positive suffices.
-    """
-    if not w.is_dominant:
-        raise PreconditionError("dual_weight requires a dominant weight")
-    cols = _sparse_columns(d.cartan_matrix)
-    mu = list(w.coords)
-    todo = [i for i, c in enumerate(mu) if c > 0]
-    while todo:
-        i = todo.pop()
-        c = mu[i]
-        if c > 0:
-            for k, x in cols[i]:
-                mu[k] -= c * x
-                if mu[k] > 0:
-                    todo.append(k)
-    return Weight(tuple(-x for x in mu))
 
 
 # --- epsilon-coordinate mnemonics -------------------------------------------

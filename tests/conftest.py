@@ -7,8 +7,10 @@ from mtkit import (
     MtVerdict,
     Status,
     TensorLemmaReport,
+    Weight,
     Witness,
 )
+from mtkit.roots import pair_with_coroot
 
 settings.register_profile(
     "suite",
@@ -60,3 +62,57 @@ def tensor_report_from_dict(d: dict) -> TensorLemmaReport:
         char_deviations=d["char_deviations"],
         corollary_violations=d["corollary_violations"],
     )
+
+
+# The root-datum reference for the minuscule table.  The library reads every
+# row off a closed form or a constant; these derive the same facts from a
+# root datum by scanning all positive coroots, so the tests can hold the
+# rows against them.
+def fundamental(rank: int, j: int) -> Weight:
+    return Weight(tuple(int(k == j - 1) for k in range(rank)))
+
+
+def coroot_pairings(d, w) -> list[int]:
+    return [pair_with_coroot(cr, w.coords) for cr in d.coroots]
+
+
+def scan_is_minuscule(d, w) -> bool:
+    return all(p in (0, 1) for p in coroot_pairings(d, w))
+
+
+def simple_reflection(d, w, i) -> Weight:
+    """s_i(w) = w - <w, alpha_i_coroot> alpha_i; alpha_i is column i of the Cartan matrix."""
+    c = w.coords[i]
+    return Weight(tuple(x - c * row[i] for x, row in zip(w.coords, d.cartan_matrix)))
+
+
+def reflect_in_root(d, w, root_index) -> Weight:
+    c = pair_with_coroot(d.coroots[root_index], w.coords)
+    rw = d.root_weight_coords(d.positive_roots[root_index])
+    return Weight(tuple(x - c * y for x, y in zip(w.coords, rw)))
+
+
+def dual_weight(d, w) -> Weight:
+    """The highest weight of the dual of the rep with dominant highest weight w:
+    reflect down the orbit to its antidominant weight and negate that."""
+    while (i := next((k for k, c in enumerate(w.coords) if c > 0), None)) is not None:
+        w = simple_reflection(d, w, i)
+    return Weight(tuple(-x for x in w.coords))
+
+
+def scan_duality_sign(d, w) -> int:
+    """Frobenius-Schur sign of a minuscule w: 0 unless self-dual, else the
+    parity of <w, 2 rho_coroot>, the sum of its coroot pairings."""
+    if dual_weight(d, w) != w:
+        return 0
+    return -1 if sum(coroot_pairings(d, w)) % 2 else 1
+
+
+def weyl_dimension(d, w) -> int:
+    """Weyl's formula: prod <w + rho, beta_coroot> / <rho, beta_coroot>."""
+    num = den = 1
+    for cr in d.coroots:
+        h = sum(cr)
+        num *= pair_with_coroot(cr, w.coords) + h
+        den *= h
+    return num // den

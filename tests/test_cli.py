@@ -195,6 +195,13 @@ def test_oracle_drop_non_orthogonal_exit_2(capsys):
     )
     assert code == 2
     assert "orthogonal" in err
+    # a repeated root is not orthogonal to itself
+    code, out, err = invoke(
+        capsys, "oracle", "drop", "--type", "D", "--rank", "4",
+        "--weight", "spin+", "--roots", "e1-e2,e3-e4,e1-e2",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: root (1, 0, 0, 0) is repeated; the roots must be distinct\n"
 
 
 def test_identical_invocations_byte_identical(capsys):
@@ -333,7 +340,7 @@ def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
     assert "up to rank 38 have 66291 positive roots" in err
 
 
-def test_row_commands_build_a_root_datum_for_e6_e7_only(capsys, monkeypatch):
+def test_row_commands_build_no_root_datum(capsys, monkeypatch):
     built = []
     build = roots.build_root_datum
 
@@ -346,10 +353,10 @@ def test_row_commands_build_a_root_datum_for_e6_e7_only(capsys, monkeypatch):
             monkeypatch.setattr(module, "build_root_datum", recorder)
     for argv in (["table", "--max-rank", "14"], ["minuscule", "--type", "D", "--rank", "9"],
                  ["drops", "--type", "B", "--rank", "8", "--weight", "spin"],
-                 ["classify", "--two-g", "256"]):
+                 ["classify", "--two-g", "256"], ["minuscule", "--type", "E7"]):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0 and out, argv
-    assert built == [CartanType("E6", 6), CartanType("E7", 7)]
+    assert built == []
 
 
 def test_minuscule_a361_middle_rows_are_closed_forms(capsys):

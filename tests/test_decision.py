@@ -187,11 +187,11 @@ def test_family2_congruences_partition_against_signs():
     # each family-2 witness must match a spin rep of the right polarity:
     # Z uses the 2g-dimensional spin of B_{t+1} (symplectic), II the
     # g-dimensional spin of B_t (symplectic), III the same but orthogonal
-    from mtkit import CartanType, Weight, build_root_datum, duality_sign
+    from conftest import fundamental, scan_duality_sign
+    from mtkit import CartanType, build_root_datum
 
     def spin_sign(n):
-        d = build_root_datum(CartanType("B", n))
-        return duality_sign(d, Weight(tuple(0 if k < n - 1 else 1 for k in range(n))))
+        return scan_duality_sign(build_root_datum(CartanType("B", n)), fundamental(n, n))
 
     for endo, bound in ((Z, 2**9), (II, 2**9), (III, 2**9)):
         for inst in enumerate_exceptional(bound, endo):

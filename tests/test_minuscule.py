@@ -1,4 +1,4 @@
-"""Minuscule detection, enumeration, dimensions and signs."""
+"""The minuscule table: enumeration, dimensions and signs, held against the root datum."""
 
 from dataclasses import FrozenInstanceError
 from itertools import product
@@ -6,19 +6,22 @@ from math import comb
 
 import pytest
 
+from conftest import (
+    coroot_pairings,
+    dual_weight,
+    fundamental,
+    scan_duality_sign,
+    scan_is_minuscule,
+    weyl_dimension,
+)
 from mtkit import (
     ORBIT_BUDGET,
     CartanType,
     PreconditionError,
     Weight,
     build_root_datum,
-    dual_weight,
-    duality_sign,
     enumerate_minuscule,
-    is_minuscule,
     minuscule_rep,
-    pairing,
-    weyl_dimension,
     weyl_orbit,
 )
 from mtkit import minuscule
@@ -27,31 +30,27 @@ from mtkit.drops import drop_spectrum
 
 def test_is_minuscule_c3_std():
     d = build_root_datum(CartanType("C", 3))
-    assert is_minuscule(d, Weight((1, 0, 0)))
+    assert scan_is_minuscule(d, Weight((1, 0, 0)))
+    assert [rep.weight_index for rep in enumerate_minuscule(CartanType("C", 3))] == [1]
 
 
 def test_is_minuscule_rejects_doubled_weight():
+    # the reference scan sees <2 w1, theta_coroot> = 2
     d = build_root_datum(CartanType("A", 3))
-    assert not is_minuscule(d, Weight((2, 0, 0)))
-
-
-def test_is_minuscule_zero_weight_rejected():
-    d = build_root_datum(CartanType("A", 3))
-    with pytest.raises(PreconditionError):
-        is_minuscule(d, Weight((0, 0, 0)))
+    assert not scan_is_minuscule(d, Weight((2, 0, 0)))
 
 
 def test_f4_has_no_minuscule_weight():
     d = build_root_datum(CartanType("F4", 4))
-    for i in range(4):
-        w = Weight(tuple(1 if k == i else 0 for k in range(4)))
-        assert not is_minuscule(d, w)
+    assert not any(scan_is_minuscule(d, fundamental(4, j)) for j in range(1, 5))
+    assert enumerate_minuscule(CartanType("F4", 4)) == []
 
 
 def test_g2_has_no_minuscule_weight():
     d = build_root_datum(CartanType("G2", 2))
-    assert not is_minuscule(d, Weight((1, 0)))
-    assert not is_minuscule(d, Weight((0, 1)))
+    assert not scan_is_minuscule(d, Weight((1, 0)))
+    assert not scan_is_minuscule(d, Weight((0, 1)))
+    assert enumerate_minuscule(CartanType("G2", 2)) == []
 
 
 def test_enumerate_b4():
@@ -82,24 +81,24 @@ def test_enumerate_exceptional_types():
 
 def test_sign_c_family_always_symplectic():
     for n in range(2, 9):
-        d = build_root_datum(CartanType("C", n))
-        assert duality_sign(d, Weight((1,) + (0,) * (n - 1))) == -1
+        t = CartanType("C", n)
+        assert minuscule_rep(t, 1).sign == -1
+        assert scan_duality_sign(build_root_datum(t), fundamental(n, 1)) == -1
 
 
 def test_sign_a3_w2_orthogonal():
-    d = build_root_datum(CartanType("A", 3))
-    assert duality_sign(d, Weight((0, 1, 0))) == 1
+    assert minuscule_rep(CartanType("A", 3), 2).sign == 1
+    assert scan_duality_sign(build_root_datum(CartanType("A", 3)), Weight((0, 1, 0))) == 1
 
 
 def test_sign_b5_spin_symplectic():
-    d = build_root_datum(CartanType("B", 5))
-    assert duality_sign(d, Weight((0, 0, 0, 0, 1))) == -1
+    assert minuscule_rep(CartanType("B", 5), 5).sign == -1
+    assert scan_duality_sign(build_root_datum(CartanType("B", 5)), fundamental(5, 5)) == -1
 
 
 def test_sign_rejects_non_minuscule():
-    d = build_root_datum(CartanType("B", 3))
-    with pytest.raises(PreconditionError):
-        duality_sign(d, Weight((1, 0, 0)))
+    with pytest.raises(PreconditionError, match="w1 is not minuscule for B3"):
+        minuscule_rep(CartanType("B", 3), 1)
 
 
 def test_rep_invariants_small_sweep():
@@ -110,8 +109,7 @@ def test_rep_invariants_small_sweep():
             assert (rep.sign == 0) == (dual_weight(d, rep.highest_weight) != rep.highest_weight)
             # minuscule orbits pair into {-1, 0, 1} with every coroot, both classes
             for mu in rep.orbit:
-                for i in range(len(d.coroots)):
-                    assert pairing(d, mu, i) in (-1, 0, 1)
+                assert set(coroot_pairings(d, mu)) <= {-1, 0, 1}
 
 
 CLASSICAL_TYPES_TO_RANK_14 = (
@@ -130,7 +128,7 @@ def test_closed_form_signs_match_the_datum_path_to_rank_14(t):
     for rep in reps:
         d, w = rep.datum, rep.highest_weight
         assert (rep.sign == 0) == (dual_weight(d, w) != w), (t, rep.name)
-        assert rep.sign == duality_sign(d, w) == _scan_duality_sign(d, w), (t, rep.name)
+        assert rep.sign == scan_duality_sign(d, w), (t, rep.name)
 
 
 def _assert_orbit_size(rep, closed_form):
@@ -160,6 +158,24 @@ def test_closed_form_and_weyl_dimensions_to_rank_14():
             _assert_orbit_size(rep, dim)
 
 
+EXCEPTIONAL_TYPES = [CartanType(f, r) for f, r in (("E6", 6), ("E7", 7), ("F4", 4), ("G2", 2))]
+
+
+@pytest.mark.parametrize("t", EXCEPTIONAL_TYPES, ids=str)
+def test_exceptional_constant_rows_match_the_datum(t):
+    # the constant rows against the root datum: the minuscule indices from the
+    # coroot scan of every fundamental weight, the sign from the dual weight
+    # and the coroot-sum parity, the dimension from the orbit and Weyl's formula
+    d = build_root_datum(t)
+    weights = {j: fundamental(t.rank, j) for j in range(1, t.rank + 1)}
+    expected = [(j, weyl_dimension(d, w), scan_duality_sign(d, w))
+                for j, w in weights.items() if scan_is_minuscule(d, w)]
+    reps = enumerate_minuscule(t)
+    assert [(rep.weight_index, rep.dimension, rep.sign) for rep in reps] == expected
+    for rep in reps:
+        assert len(rep.orbit) == rep.dimension
+
+
 def test_quadratic_classes_is_read_only():
     report = drop_spectrum(minuscule_rep(CartanType("C", 3), 1))
     with pytest.raises(TypeError):
@@ -179,7 +195,7 @@ def test_minuscule_rep_is_frozen():
 def test_orbit_budget_rejects_before_expanding(monkeypatch):
     assert ORBIT_BUDGET == 2**20
     # B20 spin has exactly 2^20 weights; B21 spin has twice the budget
-    assert weyl_dimension(build_root_datum(CartanType("B", 20)), Weight((0,) * 19 + (1,))) == ORBIT_BUDGET
+    assert weyl_dimension(build_root_datum(CartanType("B", 20)), fundamental(20, 20)) == ORBIT_BUDGET
 
     def no_expansion(d, w):
         raise AssertionError(f"expanded {w} of {d.cartan_type}")
@@ -244,28 +260,15 @@ def test_orbit_is_expanded_once_on_first_read(monkeypatch):
     assert calls == [rep.highest_weight]
 
 
-# --- highest-coroot test and 2 rho_coroot parity against a scan of all coroots ---
+# --- the table against a scan of all coroots of the root datum ---
 
 
-def _scan_is_minuscule(d, w):
-    return all(pairing(d, w, i) in (0, 1) for i in range(len(d.coroots)))
-
-
-def _scan_duality_sign(d, w):
-    if dual_weight(d, w) != w:
-        return 0
-    p = sum(pairing(d, w, i) for i in range(len(d.coroots)))
-    return -1 if p % 2 else 1
-
-
-def _assert_matches_scan(d, w):
-    if _scan_is_minuscule(d, w):
-        assert is_minuscule(d, w), (d.cartan_type, w)
-        assert duality_sign(d, w) == _scan_duality_sign(d, w), (d.cartan_type, w)
-    else:
-        assert not is_minuscule(d, w), (d.cartan_type, w)
-        with pytest.raises(PreconditionError):
-            duality_sign(d, w)
+def _assert_rows_match_scan(t, weights):
+    # every weight the scan finds minuscule is a row, with the scan's sign;
+    # every row is found (each caller's weights include all fundamental ones)
+    d = build_root_datum(t)
+    found = {w: scan_duality_sign(d, w) for w in weights if scan_is_minuscule(d, w)}
+    assert found == {rep.highest_weight: rep.sign for rep in enumerate_minuscule(t)}, t
 
 
 SMALL_RANK_TYPES = (
@@ -278,30 +281,22 @@ SMALL_RANK_TYPES = (
 
 @pytest.mark.parametrize("t", SMALL_RANK_TYPES, ids=str)
 def test_every_small_dominant_weight_matches_coroot_scan(t):
-    d = build_root_datum(t)
-    for coords in product(range(3), repeat=t.rank):
-        if any(coords):
-            _assert_matches_scan(d, Weight(coords))
+    _assert_rows_match_scan(t, [Weight(c) for c in product(range(3), repeat=t.rank) if any(c)])
 
 
 @pytest.mark.parametrize("t", [CartanType("E6", 6), CartanType("E7", 7)], ids=str)
 def test_every_0_1_weight_of_e6_e7_matches_coroot_scan(t):
-    d = build_root_datum(t)
-    for coords in product(range(2), repeat=t.rank):
-        if any(coords):
-            _assert_matches_scan(d, Weight(coords))
+    _assert_rows_match_scan(t, [Weight(c) for c in product(range(2), repeat=t.rank) if any(c)])
 
 
 FUNDAMENTAL_TYPES = (
     [CartanType("A", n) for n in range(1, 13)]
     + [CartanType(f, n) for f in "BC" for n in range(2, 13)]
     + [CartanType("D", n) for n in range(3, 13)]
-    + [CartanType(f, r) for f, r in (("E6", 6), ("E7", 7), ("F4", 4), ("G2", 2))]
+    + EXCEPTIONAL_TYPES
 )
 
 
 def test_every_fundamental_weight_to_rank_12_matches_coroot_scan():
     for t in FUNDAMENTAL_TYPES:
-        d = build_root_datum(t)
-        for i in range(t.rank):
-            _assert_matches_scan(d, Weight(tuple(int(k == i) for k in range(t.rank))))
+        _assert_rows_match_scan(t, [fundamental(t.rank, j) for j in range(1, t.rank + 1)])

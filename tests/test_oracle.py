@@ -130,6 +130,10 @@ def test_root_element_orthogonality_enforced():
     e23 = find_positive_root(CartanType("D", 6), "e2-e3")
     with pytest.raises(PreconditionError):
         build_root_element(rep, [e12, e23])
+    # a repeated root is not orthogonal to itself
+    e34 = find_positive_root(CartanType("D", 6), "e3-e4")
+    with pytest.raises(PreconditionError, match=r"root \(1, 0, 0, 0, 0, 0\) is repeated"):
+        build_root_element(rep, [e12, e34, e12])
 
 
 def test_halfspin_product_of_orthogonal_roots_builds():
