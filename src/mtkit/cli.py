@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -327,6 +328,7 @@ def _render(payload: dict, rows: list[dict], columns: list[str], fmt: str) -> st
     return "\n".join(lines)
 
 
+@functools.cache  # parse_args leaves the parser as it was, and building it costs ten classify runs
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mtkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -25,8 +25,9 @@ never a claim that the conjecture fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
+from functools import update_wrapper
 from math import comb
 
 from .drops import _exact_log2
@@ -96,6 +97,27 @@ def _require_positive_int(value, name: str) -> None:
         raise QueryInvalid(f"{name} must be a positive integer")
 
 
+def _dict_init(cls):
+    """Give a frozen dataclass an __init__ that writes the instance __dict__ directly.
+
+    The generated __init__ sets each field through object.__setattr__, about half
+    the cost of a decide query; ==, repr, hash and FrozenInstanceError stay the
+    dataclass's.  A record whose __init__ must do more than store its fields is refused.
+    """
+    fs = fields(cls)
+    if hasattr(cls, "__post_init__") or any(
+        f.default_factory is not MISSING or not f.init or f.kw_only is True for f in fs
+    ):
+        raise TypeError(f"{cls.__name__} needs the __init__ that dataclass generates")
+    ns = {f"__default_{f.name}": f.default for f in fs}
+    params = [f.name if f.default is MISSING else f"{f.name}=__default_{f.name}" for f in fs]
+    body = [f"__d[{f.name!r}] = {f.name}" for f in fs]
+    exec("\n ".join([f"def __init__(self, {', '.join(params)}):", "__d = self.__dict__", *body]), ns)
+    cls.__init__ = update_wrapper(ns["__init__"], cls.__init__)
+    return cls
+
+
+@_dict_init
 @dataclass(frozen=True)
 class MtQuery:
     g: int
@@ -122,6 +144,7 @@ class MtQuery:
         return {"g": self.g, "s": self.s, "endo": _endo_type(self.endo).value}
 
 
+@_dict_init
 @dataclass(frozen=True)
 class Witness:
     """Parameters of the exceptional family that matched."""
@@ -135,6 +158,7 @@ class Witness:
         return {"family": self.family, "r_or_t": self.parameter, "g": self.g, "s": self.s}
 
 
+@_dict_init
 @dataclass(frozen=True)
 class MtVerdict:
     status: Status
@@ -155,6 +179,7 @@ class MtVerdict:
         }
 
 
+@_dict_init
 @dataclass(frozen=True)
 class PinkResult:
     proves: bool
@@ -303,6 +328,7 @@ def mt_check(q: MtQuery) -> MtVerdict:
     )
 
 
+@_dict_init
 @dataclass(frozen=True)
 class ExceptionalInstance:
     g: int

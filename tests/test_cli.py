@@ -15,7 +15,7 @@ from conftest import (
     tensor_report_from_dict,
     verdict_from_dict,
 )
-from mtkit import CartanType, EndoType, enumerate_exceptional, minuscule, roots
+from mtkit import CartanType, EndoType, cli, enumerate_exceptional, minuscule, roots
 from mtkit.cli import run
 
 
@@ -282,6 +282,19 @@ def test_stdout_matches_golden_file(capsys, golden):
     code, out, _ = invoke(capsys, *GOLDEN_RUNS[golden])
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process: no call may leave state for the next
+    assert cli._build_parser() is cli._build_parser()
+    code, out, _ = invoke(capsys, "classify", "--two-g", "20", "--format", "csv")
+    assert code == 0 and out.encode("utf-8") == (GOLDEN / "classify_20.csv").read_bytes()
+    code, _, err = invoke(capsys, "classify", "--two-g")
+    assert code == 1 and err.startswith("usage error: argument --two-g")
+    code, out, _ = invoke(capsys, "classify", "--help")
+    assert code == 0 and "--two-g" in out
+    code, out, _ = invoke(capsys, "classify", "--two-g", "252")
+    assert code == 0 and out.encode("utf-8") == (GOLDEN / "classify_252.json").read_bytes()
 
 
 @pytest.mark.parametrize("argv,code,expected", [
