@@ -17,12 +17,14 @@ import json
 import sys
 
 from .decision import EndoType, MtQuery, enumerate_exceptional, mt_check
-from .drops import drop_spectrum
+from .drops import _drops, classify_symplectic_minuscule, drop_spectrum
 from .errors import DomainError, PreconditionError
 from .minuscule import (
     DEFAULT_RANK_BOUND,
     MinusculeRep,
     _fundamental_rep,
+    _minuscule_indices,
+    _rep_name,
     enumerate_minuscule,
     minuscule_rep,
 )
@@ -33,15 +35,10 @@ from .oracle import (
     unipotence,
     verify_tensor_lemma,
 )
-from .roots import ROOT_BUDGET, CartanType, find_positive_root, positive_root_count
+from .roots import FAMILIES, ROOT_BUDGET, CartanType, find_positive_root, positive_root_count
 from .roots import _FIXED_RANK, _MIN_RANK
 
 FORMATS = ("json", "csv", "markdown")
-
-TABLE_COLUMNS = [
-    "family", "rank", "weight", "name", "dimension", "sign",
-    "drops_long", "drops_short", "classical",
-]
 
 
 class UsageError(Exception):
@@ -56,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def _cartan_type(family: str, rank: int | None) -> CartanType:
     family = family.strip()
     up = family.upper()
-    if up not in ("A", "B", "C", "D", "E6", "E7", "F4", "G2"):
+    if up not in FAMILIES:
         raise UsageError(f"unknown type {family!r}")
     if up in _FIXED_RANK:
         if rank is not None and rank != _FIXED_RANK[up]:
@@ -68,116 +65,87 @@ def _cartan_type(family: str, rank: int | None) -> CartanType:
 
 
 def resolve_weight_label(t: CartanType, label: str) -> int:
-    """Map a human label (w3, std, spin, spin+, spin-, wedge3) to a 1-based index."""
+    """Map a label to a 1-based weight index: wJ, wedgeJ (family A), or std, spin, spin+ or spin-.
+
+    The named labels are the one-word rep names of the minuscule w_1, w_{n-1}
+    and w_n, in lower case: Std of A, C and D, Spin of B, Spin+ and Spin- of D.
+    """
     s = label.strip().lower()
-    fam, n = t.family, t.rank
-    if s.startswith("w") and s[1:].isdigit():
-        j = int(s[1:])
-        if not 1 <= j <= n:
-            raise UsageError(f"weight index {label!r} out of range 1..{n} for {t}")
-        return j
-    if s.startswith("wedge") and s[5:].isdigit():
-        if fam != "A":
-            raise UsageError(f"label {label!r} only applies to family A")
-        j = int(s[5:])
-        if not 1 <= j <= n:
-            raise UsageError(f"weight index {label!r} out of range 1..{n} for {t}")
-        return j
-    if s == "std":
-        if fam in ("A", "C", "D"):
-            return 1
-        raise UsageError(f"the standard representation of {t} is not minuscule")
-    if s == "spin":
-        if fam == "B":
-            return n
-        if fam == "D":
-            raise UsageError(f"{t} has two half-spin weights; use spin+ or spin-")
-        raise UsageError(f"label 'spin' does not apply to family {fam}")
-    if s == "spin+":
-        if fam == "D":
-            return n
-        raise UsageError("label 'spin+' only applies to family D")
-    if s == "spin-":
-        if fam == "D":
-            return n - 1
-        raise UsageError("label 'spin-' only applies to family D")
-    raise UsageError(f"unknown weight label {label!r}")
+    n = t.rank
+    prefixes = ("w", "wedge") if t.family == "A" else ("w",)
+    for prefix in prefixes:
+        digits = s[len(prefix):]
+        if s.startswith(prefix) and digits.isdecimal():
+            if not 1 <= int(digits) <= n:
+                raise UsageError(f"weight index {label!r} out of range 1..{n} for {t}")
+            return int(digits)
+    indices = _minuscule_indices(t)  # Λ^j Std is wedgeJ, and the E6 and E7 names are wJ
+    names = {name: j for j in (1, n - 1, n)
+             if j in indices and (name := _rep_name(t, j).lower()).strip("+-").isalpha()}
+    if s in names:
+        return names[s]
+    labels = [*names, *(f"{prefix}1..{prefix}{n}" for prefix in prefixes)]
+    raise UsageError(f"unknown weight label {label!r} for {t}; expected one of {', '.join(labels)}")
+
+
+def _head(rep) -> dict:
+    """The family, rank, weight and name cells of a MinusculeRep or a classify Candidate."""
+    t = rep.cartan_type
+    return {"family": t.family, "rank": t.rank, "weight": f"w{rep.weight_index}", "name": rep.name}
 
 
 def _rep_row(rep: MinusculeRep) -> dict:
     t = rep.cartan_type
-    drops = drop_spectrum(rep).per_length_class if t.is_classical else {}
-    return {
-        "family": t.family,
-        "rank": t.rank,
-        "weight": f"w{rep.weight_index}",
-        "name": rep.name,
-        "dimension": rep.dimension,
-        "sign": rep.sign,
-        "drops_long": drops.get("long"),
-        "drops_short": drops.get("short"),
-        "classical": t.is_classical,
-    }
+    drops = _drops(rep) if t.is_classical else {}
+    return {**_head(rep), "dimension": rep.dimension, "sign": rep.sign,
+            "drops_long": drops.get("long"), "drops_short": drops.get("short"),
+            "classical": t.is_classical}
 
 
-def _cmd_table(args) -> tuple[dict, list[dict], list[str]]:
-    bound = args.max_rank
-    if bound < 1:
+def _cmd_table(args) -> tuple[dict, list[dict]]:
+    n = args.max_rank
+    if n < 1:
         raise UsageError("--max-rank must be >= 1")
-    cartan_types = [CartanType(f, n) for f, lo in _MIN_RANK.items() for n in range(lo, bound + 1)]
-    cartan_types += [CartanType(f, n) for f, n in (("E6", 6), ("E7", 7)) if n <= bound]
-    roots = sum(map(positive_root_count, cartan_types))
+    exceptional = [CartanType(f, rank) for f, rank in (("E6", 6), ("E7", 7)) if rank <= n]
+    # the sums to n of r(r+1)/2 (A), r^2 (B and C from r = 2) and r(r-1) (D from r = 3):
+    # no classical type is built before the count is within budget
+    roots = (n * (n + 1) * (n + 2) // 6 + n * (n + 1) * (2 * n + 1) // 3 - 2
+             + max(0, (n + 1) * n * (n - 1) // 3 - 2) + sum(map(positive_root_count, exceptional)))
     if roots > ROOT_BUDGET:
         raise PreconditionError(
-            f"the types up to rank {bound} have {roots} positive roots in all, "
+            f"the types up to rank {n} have {roots} positive roots in all, "
             f"more than the root budget of {ROOT_BUDGET} roots"
         )
-    rows = [_rep_row(rep) for t in cartan_types for rep in enumerate_minuscule(t)]
-    return {"max_rank": bound, "rows": rows}, rows, TABLE_COLUMNS
+    classical = [CartanType(f, rank) for f, lo in _MIN_RANK.items() for rank in range(lo, n + 1)]
+    rows = [_rep_row(rep) for t in classical + exceptional for rep in enumerate_minuscule(t)]
+    return {"max_rank": n, "rows": rows}, rows
 
 
 def _cmd_minuscule(args) -> tuple[dict, list[dict], list[str]]:
     t = _cartan_type(args.type, args.rank)
     rows = [_rep_row(rep) for rep in enumerate_minuscule(t)]
-    return {"type": str(t), "rows": rows}, rows, TABLE_COLUMNS
+    header = ["family", "rank", "weight", "name", "dimension", "sign",
+              "drops_long", "drops_short", "classical"]  # F4 and G2 have no rows
+    return {"type": str(t), "rows": rows}, rows, header
 
 
-def _cmd_drops(args) -> tuple[dict, list[dict], list[str]]:
+def _cmd_drops(args) -> tuple[dict, list[dict]]:
     t = _cartan_type(args.type, args.rank)
-    j = resolve_weight_label(t, args.weight)
-    rep = _fundamental_rep(t, j)
+    rep = _fundamental_rep(t, resolve_weight_label(t, args.weight))
     report = drop_spectrum(rep)
-    head = {"family": t.family, "rank": t.rank, "weight": f"w{j}", "name": rep.name,
-            "dimension": rep.dimension, "sign": rep.sign}
-    rows = [
-        {**head, "length_class": cls, "drop": report.per_length_class[cls],
-         "quadratic": report.quadratic[cls]}
-        for cls in sorted(report.per_length_class)
-    ]
+    head = {**_head(rep), "dimension": rep.dimension, "sign": rep.sign}
     payload = {**head, "per_length_class": dict(report.per_length_class),
                "quadratic": dict(report.quadratic)}
-    columns = ["family", "rank", "weight", "name", "dimension", "sign",
-               "length_class", "drop", "quadratic"]
-    return payload, rows, columns
+    rows = [{**head, "length_class": cls, "drop": drop, "quadratic": payload["quadratic"][cls]}
+            for cls, drop in sorted(payload["per_length_class"].items())]
+    return payload, rows
 
 
-def _cmd_classify(args) -> tuple[dict, list[dict], list[str]]:
-    from .drops import classify_symplectic_minuscule
-
+def _cmd_classify(args) -> tuple[dict, list[dict]]:
     result = classify_symplectic_minuscule(args.two_g)
-    rows = [
-        {
-            "two_g": result.two_g,
-            "family": c.cartan_type.family,
-            "rank": c.cartan_type.rank,
-            "weight": f"w{c.weight_index}",
-            "name": c.name,
-            "witness_r": c.witness_r,
-        }
-        for c in result.candidates
-    ]
-    payload = {"two_g": result.two_g, "candidates": rows}
-    return payload, rows, ["two_g", "family", "rank", "weight", "name", "witness_r"]
+    rows = [{"two_g": result.two_g, **_head(c), "witness_r": c.witness_r}
+            for c in result.candidates]
+    return {"two_g": result.two_g, "candidates": rows}, rows
 
 
 def _endo(value: str) -> EndoType:
@@ -187,48 +155,22 @@ def _endo(value: str) -> EndoType:
         raise UsageError(f"unknown endomorphism type {value!r}; expected Z, II or III") from None
 
 
-def _cmd_mt_check(args) -> tuple[dict, list[dict], list[str]]:
+def _cmd_mt_check(args) -> tuple[dict, list[dict]]:
     query = MtQuery(g=args.g, s=args.s, endo=_endo(args.endo))
-    verdict = mt_check(query)
-    payload = verdict.to_dict()
-    payload["query"] = query.to_dict()
-    w = verdict.witness
-    rows = [{
-        "status": verdict.status.value,
-        "target_group": verdict.target_group,
-        "family": w.family if w else None,
-        "r_or_t": w.parameter if w else None,
-        "g": query.g,
-        "s": query.s,
-        "endo": query.endo.value,
-        "explanation": verdict.explanation,
-        "citations": "; ".join(verdict.citations),
-        "notes": "; ".join(verdict.notes),
-    }]
-    columns = ["status", "target_group", "family", "r_or_t", "g", "s", "endo",
-               "explanation", "citations", "notes"]
-    return payload, rows, columns
+    payload = {**mt_check(query).to_dict(), "query": query.to_dict()}
+    witness = payload["witness"] or {}
+    rows = [{"status": payload["status"], "target_group": payload["target_group"],
+             "family": witness.get("family"), "r_or_t": witness.get("r_or_t"),
+             **payload["query"], "explanation": payload["explanation"],
+             "citations": "; ".join(payload["citations"]), "notes": "; ".join(payload["notes"])}]
+    return payload, rows
 
 
 def _cmd_mt_exceptional(args) -> tuple[dict, list[dict], list[str]]:
     endo = _endo(args.endo)
-    instances = enumerate_exceptional(args.max_g, endo)
-    rows = [
-        {
-            "g": inst.g,
-            "s": inst.s,
-            "family": inst.family,
-            "r_or_t": inst.parameter,
-            "endo": endo.value,
-            "notes": "; ".join(inst.notes),
-        }
-        for inst in instances
-    ]
-    payload = {
-        "max_g": args.max_g,
-        "endo": endo.value,
-        "instances": [inst.to_dict() for inst in instances],
-    }
+    instances = [inst.to_dict() for inst in enumerate_exceptional(args.max_g, endo)]
+    payload = {"max_g": args.max_g, "endo": endo.value, "instances": instances}
+    rows = [{**inst, "endo": endo.value, "notes": "; ".join(inst["notes"])} for inst in instances]
     return payload, rows, ["g", "s", "family", "r_or_t", "endo", "notes"]
 
 
@@ -254,78 +196,64 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cmd_oracle_tensor(args) -> tuple[dict, list[dict], list[str]]:
-    report = verify_tensor_lemma(
+def _cmd_oracle_tensor(args) -> tuple[dict, list[dict]]:
+    payload = verify_tensor_lemma(
         k1=args.k1, k2=args.k2, dims=_parse_dims(args.dims),
         trials=args.trials, seed=args.seed, prime=args.prime,
-    )
-    payload = report.to_dict()
-    rows = [{
-        "k1": report.k1,
-        "k2": report.k2,
-        "dim1": report.dims[0],
-        "dim2": report.dims[1],
-        "trials": report.trials,
-        "seed": report.seed,
-        "prime": report.prime,
-        "expected_degree": report.expected_degree,
-        "degree_counts": "|".join(f"{k}x{v}" for k, v in sorted(report.degree_counts.items())),
-        "failures": len(report.failures),
-        "char_deviations": len(report.char_deviations),
-        "corollary_violations": len(report.corollary_violations),
-        "passed": report.passed,
-    }]
-    columns = ["k1", "k2", "dim1", "dim2", "trials", "seed", "prime", "expected_degree",
-               "degree_counts", "failures", "char_deviations", "corollary_violations", "passed"]
-    return payload, rows, columns
+    ).to_dict()
+    dim1, dim2 = payload["dims"]
+    rows = [{"k1": payload["k1"], "k2": payload["k2"], "dim1": dim1, "dim2": dim2,
+             "trials": payload["trials"], "seed": payload["seed"], "prime": payload["prime"],
+             "expected_degree": payload["expected_degree"],
+             "degree_counts": "|".join(f"{k}x{v}" for k, v in payload["degree_counts"].items()),
+             "failures": len(payload["failures"]),
+             "char_deviations": len(payload["char_deviations"]),
+             "corollary_violations": len(payload["corollary_violations"]),
+             "passed": payload["passed"]}]
+    return payload, rows
 
 
-def _cmd_oracle_drop(args) -> tuple[dict, list[dict], list[str]]:
+def _cmd_oracle_drop(args) -> tuple[dict, list[dict]]:
     t = _cartan_type(args.type, args.rank)
-    j = resolve_weight_label(t, args.weight)
-    rep = minuscule_rep(t, j)
-    specs = [s for s in args.roots.split(",") if s.strip()]
+    rep = minuscule_rep(t, resolve_weight_label(t, args.weight))
+    specs = [s for s in map(str.strip, args.roots.split(",")) if s]
     if not specs:
         raise UsageError("--roots must name at least one root, e.g. e1-e2")
     try:
         indices = [find_positive_root(t, s) for s in specs]
     except DomainError as exc:  # malformed or unmatched specs are usage errors
         raise UsageError(str(exc)) from None
-    matrix = build_root_element(rep, indices, prime=args.prime)
-    report = unipotence(matrix)
+    report = unipotence(build_root_element(rep, indices, prime=args.prime)).to_dict()
     exploratory = len(indices) > 1
-    head = {"family": t.family, "rank": t.rank, "weight": f"w{j}", "name": rep.name}
-    payload = {**head, "roots": specs, "prime": args.prime, "report": report.to_dict(),
+    payload = {**_head(rep), "roots": specs, "prime": args.prime, "report": report,
                "exploratory": exploratory}
     if exploratory:
         payload["note"] = (
             "product of root elements: the cocycle signs are not certified to "
             "define a group representation; treat degree/drop as exploratory"
         )
-    rows = [{**head, "roots": "|".join(specs), "prime": args.prime, "dim": report.dim,
-             "degree": report.degree, "drop": report.drop, "quadratic": report.quadratic,
-             "exploratory": exploratory}]
-    columns = ["family", "rank", "weight", "name", "roots", "prime", "dim",
-               "degree", "drop", "quadratic", "exploratory"]
-    return payload, rows, columns
+    rows = [{**_head(rep), "roots": "|".join(specs), "prime": args.prime, "dim": report["dim"],
+             "degree": report["degree"], "drop": report["drop"],
+             "quadratic": report["quadratic"], "exploratory": exploratory}]
+    return payload, rows
 
 
-def _render(payload: dict, rows: list[dict], columns: list[str], fmt: str) -> str:
+def _render(fmt: str, payload: dict, rows: list[dict], header: list[str] | None = None) -> str:
+    """JSON of the payload, or a csv or markdown table of the rows.
+
+    The table's header is the key order of the rows; a command whose rows
+    can be empty passes it.
+    """
     if fmt == "json":
         return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+    header = header or list(rows[0])
+    table = [header, *(["" if row[c] is None else row[c] for c in header] for row in rows)]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if row[c] is None else row[c] for c in columns])
+        csv.writer(buf, lineterminator="\n").writerows(table)
         return buf.getvalue().rstrip("\n")
-    header = "| " + " | ".join(columns) + " |"
-    sep = "| " + " | ".join("---" for _ in columns) + " |"
-    lines = [header, sep]
-    for row in rows:
-        lines.append("| " + " | ".join("" if row[c] is None else str(row[c]) for c in columns) + " |")
-    return "\n".join(lines)
+    table.insert(1, ["---"] * len(header))
+    return "\n".join("| " + " | ".join(map(str, line)) + " |" for line in table)
 
 
 @functools.cache  # parse_args leaves the parser as it was, and building it costs ten classify runs
@@ -407,14 +335,14 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     try:
-        payload, rows, columns = args.func(args)
+        output = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(_render(payload, rows, columns, args.format))
+    print(_render(args.format, *output))
     return 0
 
 

@@ -30,8 +30,6 @@ DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degra
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
-SIGN_CONVENTIONS = ("plus", "alternating")
-
 # Largest module build_root_element writes out as a dense matrix: its rows
 # take at least 8 n^2 bytes (134 MB at 4096), so the 8192-dimensional
 # half-spin modules of D14 are refused before their orbit or any row is built.
@@ -325,15 +323,14 @@ def build_root_element(
     rep: MinusculeRep,
     root_indices: list[int],
     prime: int | None = None,
-    signs: str = "plus",
 ) -> ExactMatrix:
     """Matrix of the product of root elements x_alpha(1) in the weight basis.
 
-    Each x_alpha sends v_mu to v_mu + c v_{mu+alpha} when <mu, alpha_coroot>
-    is -1, and fixes v_mu otherwise.  The cocycle sign c is +-1 under a fixed
-    deterministic convention ("plus": always +1; "alternating": parity of the
-    source and target orbit positions); ranks and unipotence degrees over the
-    rationals do not depend on the choice, which the test suite asserts.
+    Each x_alpha sends v_mu to v_mu + v_{mu+alpha} when <mu, alpha_coroot>
+    is -1, and fixes v_mu otherwise: every cocycle sign is +1.  Ranks and
+    unipotence degrees over the rationals do not depend on that choice; the
+    test suite flips the signs by the parity of the orbit positions and
+    asserts it.
 
     Multiple roots must be distinct and pairwise orthogonal; the product is
     taken in the given order.  Single-root elements are certified quadratic;
@@ -344,8 +341,6 @@ def build_root_element(
         _require_prime(prime)
     if not root_indices:
         raise PreconditionError("at least one root is required")
-    if signs not in SIGN_CONVENTIONS:
-        raise PreconditionError(f"unknown sign convention {signs!r}")
     if rep.dimension > MATRIX_BUDGET:
         raise PreconditionError(
             f"{rep.name} of {rep.cartan_type} has dimension {rep.dimension}, "
@@ -385,9 +380,8 @@ def build_root_element(
                 raise AssertionError(
                     f"weight {target} fell outside the orbit; minuscule bookkeeping broken"
                 )
-            c = 1 if signs == "plus" else (-1 if (src + dst) % 2 else 1)
             row = list(rows[dst])
-            row[src] = c % prime if prime else c
+            row[src] = 1
             rows[dst] = tuple(row)
         m = ExactMatrix._derived(tuple(rows), prime)
         product = m if product is None else product @ m

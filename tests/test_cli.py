@@ -226,12 +226,17 @@ GOLDEN_RUNS = {
     "minuscule_B7.json": ["minuscule", "--type", "B", "--rank", "7"],
     "minuscule_D6.md": ["minuscule", "--type", "D", "--rank", "6", "--format", "markdown"],
     "minuscule_E7.json": ["minuscule", "--type", "E7"],
+    # F4 has no minuscule weight: the header alone
+    "minuscule_F4.csv": ["minuscule", "--type", "F4", "--format", "csv"],
     # B5 spin has a short class
     "drops_B5_spin.json": ["drops", "--type", "B", "--rank", "5", "--weight", "spin"],
     "drops_C4_std.csv": ["drops", "--type", "C", "--rank", "4", "--weight", "std",
                          "--format", "csv"],
+    "drops_D6_spinminus.md": ["drops", "--type", "D", "--rank", "6", "--weight", "spin-",
+                              "--format", "markdown"],
     "classify_252.json": ["classify", "--two-g", "252"],
     "classify_20.csv": ["classify", "--two-g", "20", "--format", "csv"],
+    "classify_20.md": ["classify", "--two-g", "20", "--format", "markdown"],
     # g = 1716 is on family 1: A13 w7 beside the C1716 row, which needs no C1716 datum
     "classify_3432.csv": ["classify", "--two-g", "3432", "--format", "csv"],
     # the matrix basis of a root element follows the sort order of the orbit
@@ -242,8 +247,13 @@ GOLDEN_RUNS = {
                                             "--weight", "spin+", "--roots", "e1-e2,e1+e2"],
     "oracle_drop_A5_w3_p3.json": ["oracle", "drop", "--type", "A", "--rank", "5",
                                   "--weight", "w3", "--roots", "e1-e6", "--prime", "3"],
+    "oracle_drop_D5_spinplus.csv": ["oracle", "drop", "--type", "D", "--rank", "5",
+                                    "--weight", "spin+", "--roots", "e1-e2,e3-e4",
+                                    "--format", "csv"],
     "oracle_drop_C3_std.csv": ["oracle", "drop", "--type", "C", "--rank", "3",
                                "--weight", "std", "--roots", "2e1", "--format", "csv"],
+    "oracle_drop_A3_std.md": ["oracle", "drop", "--type", "A", "--rank", "3",
+                              "--weight", "std", "--roots", "e1-e2", "--format", "markdown"],
     # default dims 6,6; the prime-2 run records 20 characteristic deviations
     "oracle_tensor_3_4_seed7.json": ["oracle", "tensor-lemma", "--k1", "3", "--k2", "4",
                                      "--trials", "40", "--seed", "7"],
@@ -262,6 +272,9 @@ GOLDEN_RUNS = {
                                      "--format", "csv"],
     "mt_exceptional_Z_1000000.md": ["mt-exceptional", "--max-g", "1000000", "--endo", "Z",
                                     "--format", "markdown"],
+    # no exceptional pair has g <= 5: the header alone
+    "mt_exceptional_Z_5.md": ["mt-exceptional", "--max-g", "5", "--endo", "Z",
+                              "--format", "markdown"],
     # one mt-check run per status path
     "mt_check_5_0_Z.json": ["mt-check", "--g", "5", "--s", "0", "--endo", "Z"],
     "mt_check_4_0_Z.json": ["mt-check", "--g", "4", "--s", "0", "--endo", "Z"],
@@ -400,3 +413,115 @@ def test_oracle_non_prime_is_usage_error(capsys):
             assert code == 1
             assert out == ""
             assert err == f"usage error: argument --prime: prime must be a prime >= 2, got {p}\n"
+
+
+LABELS = ("std", "spin", "spin+", "spin-", "wedge1", "wedge3", "w1", "w3")
+
+# the index each label resolved to when the labels were an if-chain per family; None: exit 1
+LABEL_INDICES = {
+    ("A", 1): (1, None, None, None, 1, None, 1, None),
+    ("A", 2): (1, None, None, None, 1, None, 1, None),
+    ("A", 5): (1, None, None, None, 1, 3, 1, 3),
+    ("B", 2): (None, 2, None, None, None, None, 1, None),
+    ("B", 4): (None, 4, None, None, None, None, 1, 3),
+    ("C", 2): (1, None, None, None, None, None, 1, None),
+    ("C", 5): (1, None, None, None, None, None, 1, 3),
+    ("D", 3): (1, None, 3, 2, None, None, 1, 3),
+    ("D", 4): (1, None, 4, 3, None, None, 1, 3),
+    ("D", 6): (1, None, 6, 5, None, None, 1, 3),
+    ("E6", 6): (None, None, None, None, None, None, 1, 3),
+    ("E7", 7): (None, None, None, None, None, None, 1, 3),
+    ("F4", 4): (None, None, None, None, None, None, 1, 3),
+    ("G2", 2): (None, None, None, None, None, None, 1, None),
+}
+
+
+@pytest.mark.parametrize("family,rank", sorted(LABEL_INDICES))
+def test_weight_labels_resolve_as_before(capsys, family, rank):
+    t = CartanType(family, rank)
+    for label, want in zip(LABELS, LABEL_INDICES[family, rank]):
+        for spelling in (label, f" {label.upper()} "):
+            if want is not None:
+                assert cli.resolve_weight_label(t, spelling) == want, (t, spelling)
+                continue
+            code, out, err = invoke(capsys, "drops", "--type", family, "--rank", str(rank),
+                                    "--weight", spelling)
+            assert (code, out) == (1, ""), (t, spelling)
+            assert err.startswith("usage error: "), err
+
+
+@pytest.mark.parametrize("family,rank,label,expected", [
+    ("D", 6, "spin", "unknown weight label 'spin' for D6; expected one of std, spin-, spin+, w1..w6"),
+    ("B", 3, "foo", "unknown weight label 'foo' for B3; expected one of spin, w1..w3"),
+    ("E6", 6, "std", "unknown weight label 'std' for E6; expected one of w1..w6"),
+    ("A", 2, "wedge", "expected one of std, w1..w2, wedge1..wedge2"),
+    # the rep names of the exterior powers are not labels; wedgeJ names them
+    ("A", 2, "Λ^2 Std", "unknown weight label 'Λ^2 Std' for A2"),
+    # a superscript is a digit but not a decimal digit
+    ("A", 5, "w²", "unknown weight label 'w²' for A5"),
+    ("A", 5, "wedge9", "weight index 'wedge9' out of range 1..5 for A5"),
+    ("C", 4, "w0", "weight index 'w0' out of range 1..4 for C4"),
+])
+def test_refused_weight_label_lists_the_valid_ones(capsys, family, rank, label, expected):
+    code, out, err = invoke(capsys, "drops", "--type", family, "--rank", str(rank),
+                            "--weight", label)
+    assert (code, out) == (1, "")
+    assert expected in err
+
+
+def test_label_lookup_does_not_walk_the_ranks(capsys, monkeypatch):
+    names = []
+    rep_name = cli._rep_name
+    monkeypatch.setattr(cli, "_rep_name", lambda t, j: names.append(j) or rep_name(t, j))
+    code, out, err = invoke(capsys, "drops", "--type", "A", "--rank", "1000000000",
+                            "--weight", "std")
+    assert (code, out) == (2, "")
+    assert "A1000000000 has 500000000500000000 positive roots, more than the root budget" in err
+    assert len(names) <= 3
+
+
+def test_table_over_budget_builds_no_type_per_rank(capsys, monkeypatch):
+    built = []
+    post_init = CartanType.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CartanType, "__post_init__", counting)
+    code, out, err = invoke(capsys, "table", "--max-rank", "1000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the types up to rank 1000000000 have ")
+    assert err.endswith(" positive roots in all, more than the root budget of 65536 roots\n")
+    assert [str(t) for t in built] == ["E6", "E7"]
+
+
+def test_table_root_count_is_the_sum_over_its_types(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ROOT_BUDGET", -1)  # every bound is over budget and names its count
+    for bound in range(1, 41):
+        types = [CartanType(f, n) for f, lo in roots._MIN_RANK.items() for n in range(lo, bound + 1)]
+        types += [CartanType(f, n) for f, n in (("E6", 6), ("E7", 7)) if n <= bound]
+        want = sum(map(roots.positive_root_count, types))
+        code, _, err = invoke(capsys, "table", "--max-rank", str(bound))
+        assert code == 2 and f"up to rank {bound} have {want} positive roots" in err
+
+
+def test_oracle_drop_strips_root_specs(capsys):
+    argv = ["oracle", "drop", "--type", "D", "--rank", "5", "--weight", "spin+", "--roots"]
+    _, spaced, _ = invoke(capsys, *argv, " e1-e2 , e3-e4 ")
+    _, plain, _ = invoke(capsys, *argv, "e1-e2,e3-e4")
+    assert spaced == plain and json.loads(spaced)["roots"] == ["e1-e2", "e3-e4"]
+    _, out, _ = invoke(capsys, *argv, "e1-e2, e3-e4", "--format", "csv")
+    assert out.encode("utf-8") == (GOLDEN / "oracle_drop_D5_spinplus.csv").read_bytes()
+
+
+@pytest.mark.parametrize("empty,full", [
+    (["minuscule", "--type", "G2", "--format", "csv"], ["minuscule", "--type", "E7", "--format", "csv"]),
+    (["mt-exceptional", "--max-g", "5", "--endo", "II", "--format", "csv"],
+     ["mt-exceptional", "--max-g", "300", "--endo", "II", "--format", "csv"]),
+])
+def test_empty_table_header_is_the_row_schema(capsys, empty, full):
+    _, header, _ = invoke(capsys, *empty)
+    _, out, _ = invoke(capsys, *full)
+    assert len(header.splitlines()) == 1 < len(out.splitlines())
+    assert header.splitlines() == out.splitlines()[:1]
