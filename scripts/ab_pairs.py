@@ -2,15 +2,18 @@
 """Alternating parent/change pairs of one benchmark workload.
 
 Exports a git revision (the parent, by default HEAD) into a temporary
-directory with `git archive REV | tar -x`, then runs
-`perfbench/run.py --workload W --seed S --seconds N` there and in this
-checkout, one after the other, K times. The side that runs first alternates
-from pair to pair. Each side runs its own copy of `perfbench/`. The script
-prints every pair's end-to-end metrics, the wins of the change per metric
-(ties count for neither side), and each side's median and quartiles.
+directory with `git archive REV | tar -x`, and the working tree of this
+checkout, uncommitted edits and untracked files that git does not ignore
+included, into a second temporary directory made the same way, so that the
+two sides differ in their code only. It then runs
+`perfbench/run.py --workload W --seed S --seconds N` in each, one after the
+other, K times. The side that runs first alternates from pair to pair. Each
+side runs its own copy of `perfbench/`. The script prints every pair's
+end-to-end metrics, the wins of the change per metric (ties count for
+neither side), and each side's median and quartiles.
 
-It writes nothing into `.git` and nothing under `perfbench/`; the export is
-deleted when the script ends.
+It writes nothing into `.git` and nothing under `perfbench/`; the exports
+are deleted when the script ends.
 
 Run:  python3 scripts/ab_pairs.py --workload decide --seed 13 --pairs 10 [--rev HEAD~1]
 """
@@ -18,6 +21,7 @@ Run:  python3 scripts/ab_pairs.py --workload decide --seed 13 --pairs 10 [--rev 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +37,17 @@ def export(rev: str, dest: str) -> None:
     archive.stdout.close()
     if archive.wait() or untar.returncode:
         raise SystemExit(f"error: could not export {rev!r} with git archive")
+
+
+def export_worktree(dest: str) -> None:
+    """Copy the checkout's files that git tracks or would track into dest, as they are on disk."""
+    names = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+                            "--exclude-standard"], stdout=subprocess.PIPE, check=True).stdout
+    for name in os.fsdecode(names).split("\0"):
+        src = os.path.join(ROOT, name)
+        if name and os.path.isfile(src):  # a tracked file deleted on disk is left out
+            os.makedirs(os.path.dirname(os.path.join(dest, name)), exist_ok=True)
+            shutil.copy2(src, os.path.join(dest, name))
 
 
 def bench(tree: str, workload: str, seed: int, seconds: int) -> dict:
@@ -67,9 +82,11 @@ def main() -> int:
         better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
 
     runs = {"parent": [], "change": []}
-    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as parent_tree:
+    with tempfile.TemporaryDirectory(prefix="ab_pairs-") as parent_tree, \
+            tempfile.TemporaryDirectory(prefix="ab_pairs-") as change_tree:
         export(args.rev, parent_tree)
-        trees = {"parent": parent_tree, "change": ROOT}
+        export_worktree(change_tree)
+        trees = {"parent": parent_tree, "change": change_tree}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:

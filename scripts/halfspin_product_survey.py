@@ -36,7 +36,7 @@ def survey(rank: int) -> None:
     header = f"  {'roots':<34} " + " ".join(f"{('Q' if p is None else 'F' + str(p)):>10}" for p in PRIMES)
     print(header)
     for specs in combos:
-        idxs = [find_positive_root(t, s) for s in specs]
+        idxs = [find_positive_root(rep.datum, s) for s in specs]
         cells = []
         for p in PRIMES:
             u = unipotence(build_root_element(rep, idxs, prime=p))

@@ -53,8 +53,7 @@ from .minuscule import (
 from .oracle import (
     DEFAULT_PRIME,
     MATRIX_BUDGET,
-    TENSOR_BUDGET,
-    TRIAL_BUDGET,
+    RUN_BUDGET,
     ExactMatrix,
     TensorLemmaReport,
     UnipotenceReport,
@@ -85,8 +84,7 @@ __all__ = [
     "drop_spectrum", "classify_symplectic_minuscule",
     "ExactMatrix", "UnipotenceReport", "TensorLemmaReport", "build_root_element",
     "unipotence", "nilpotency_degree", "verify_tensor_lemma",
-    "random_unipotent", "DEFAULT_PRIME", "MATRIX_BUDGET", "TENSOR_BUDGET",
-    "TRIAL_BUDGET",
+    "random_unipotent", "DEFAULT_PRIME", "MATRIX_BUDGET", "RUN_BUDGET",
     "EndoType", "Status", "MtQuery", "MtVerdict", "Witness", "PinkResult",
     "ExceptionalInstance", "pink_gate", "mt_check", "enumerate_exceptional",
     "DomainError", "InvalidCartanType", "PreconditionError", "NoSuchLengthClass",

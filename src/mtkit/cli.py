@@ -220,7 +220,7 @@ def _cmd_oracle_drop(args) -> tuple[dict, list[dict]]:
     if not specs:
         raise UsageError("--roots must name at least one root, e.g. e1-e2")
     try:
-        indices = [find_positive_root(t, s) for s in specs]
+        indices = [find_positive_root(rep.datum, s) for s in specs]
     except DomainError as exc:  # malformed or unmatched specs are usage errors
         raise UsageError(str(exc)) from None
     report = unipotence(build_root_element(rep, indices, prime=args.prime)).to_dict()

@@ -35,13 +35,11 @@ _MR_BOUND = 3317044064679887385961981
 # half-spin modules of D14 are refused before their orbit or any row is built.
 MATRIX_BUDGET = 4096
 
-# Largest d1 * d2 verify_tensor_lemma builds; its slowest case, one trial with
-# k1 = d1 = 128 and k2 = d2 = 1, takes 127 products of 128 x 128 matrices.
-TENSOR_BUDGET = 128
-
-# Most trials verify_tensor_lemma runs; 10,000 trials at the default 6 x 6
-# take 25 to 55 s, depending on the degrees.
-TRIAL_BUDGET = 10_000
+# Largest estimated cost of a verify_tensor_lemma run: trials times
+# n^2 (k1 + k2 - 1) (n (d1 + d2) + 1000) + 500,000 for n = d1 * d2, a fit to
+# 47 timed trial shapes (n <= 128, over Q and F_p) in which a unit took at
+# most 0.98 ns on a 2-vCPU host, so no accepted run takes much above 50 s.
+RUN_BUDGET = 5 * 10**10
 
 
 def _is_prime(p: int) -> bool:
@@ -515,14 +513,16 @@ def verify_tensor_lemma(
         raise PreconditionError("unipotence degrees must be >= 1")
     if trials <= 0:
         raise PreconditionError("trials must be positive")
-    if trials > TRIAL_BUDGET:
-        raise PreconditionError(f"{trials} trials are more than the trial budget of {TRIAL_BUDGET}")
     d1, d2 = dims
     if d1 < k1 or d2 < k2:
         raise PreconditionError(f"dims {dims} too small for degrees ({k1}, {k2})")
-    if d1 * d2 > TENSOR_BUDGET:
-        raise PreconditionError(f"dims {dims} give a tensor product of dimension {d1 * d2}, "
-                                f"more than the tensor budget of {TENSOR_BUDGET}")
+    n = d1 * d2
+    per_trial = n * n * (k1 + k2 - 1) * (n * (d1 + d2) + 1000) + 500_000
+    if trials * per_trial > RUN_BUDGET:
+        raise PreconditionError(
+            f"{trials} trials at degrees ({k1}, {k2}) on dims {dims} are over the run budget, "
+            f"which allows {RUN_BUDGET // per_trial} such trials"
+        )
 
     expected = k1 + k2 - 1
     counts: dict[int, int] = {}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from .errors import InvalidCartanType, PreconditionError
@@ -296,87 +296,53 @@ def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
 # --- epsilon-coordinate mnemonics -------------------------------------------
 #
 # Root specs like "e1-e2", "e3", "2e4" are offered to humans by the CLI.
-# Internally each classical simple root has a fixed epsilon expansion; a
-# parsed mnemonic is matched against the epsilon vectors of the positive
-# roots.  Only A/B/C/D support this (the drop machinery does not cover
-# exceptional types).
+# The classical simple roots are e_i - e_(i+1) for i < n, and last
+# e_n - e_(n+1) (A), e_n (B), 2e_n (C) or e_(n-1) + e_n (D), so a vector's
+# simple-root coordinates are its partial sums, corrected at the last node.
+# Only A/B/C/D support this (the drop machinery does not cover exceptional
+# types).
 
-_TERM_RE = re.compile(r"^(\d*)e(\d+)$")
-
-
-def _epsilon_dim(t: CartanType) -> int:
-    return t.rank + 1 if t.family == "A" else t.rank
-
-
-def _simple_root_epsilons(t: CartanType) -> list[tuple[int, ...]]:
-    if not t.is_classical:
-        raise PreconditionError(f"epsilon mnemonics cover classical types only, not {t}")
-    n, m = t.rank, _epsilon_dim(t)
-
-    def vec(items: dict[int, int]) -> tuple[int, ...]:
-        return tuple(items.get(k, 0) for k in range(m))
-
-    rows = [vec({i: 1, i + 1: -1}) for i in range(n - 1)]
-    if t.family == "A":
-        rows.append(vec({n - 1: 1, n: -1}))
-    elif t.family == "B":
-        rows.append(vec({n - 1: 1}))
-    elif t.family == "C":
-        rows.append(vec({n - 1: 2}))
-    else:
-        rows.append(vec({n - 2: 1, n - 1: 1}))
-    return rows
+_SPEC_RE = re.compile(r"[+-]?\d*e\d+(?:[+-]\d*e\d+)*")
+_TERM_RE = re.compile(r"([+-]?)(\d*)e(\d+)")
 
 
 def parse_epsilon_spec(t: CartanType, spec: str) -> tuple[int, ...]:
     """Parse a mnemonic like "e1-e2" or "2e3" into an epsilon vector."""
-    m = _epsilon_dim(t)
+    m = t.rank + 1 if t.family == "A" else t.rank
     s = spec.replace(" ", "")
-    if not s:
-        raise PreconditionError("empty root spec")
+    if not _SPEC_RE.fullmatch(s):
+        raise PreconditionError(f"malformed root spec {spec!r}")
     out = [0] * m
-    sign = 1
-    for chunk in re.split(r"([+-])", s):
-        if chunk == "":
-            continue
-        if chunk == "+":
-            sign = 1
-            continue
-        if chunk == "-":
-            sign = -1
-            continue
-        match = _TERM_RE.match(chunk)
-        if not match:
-            raise PreconditionError(f"malformed root spec term {chunk!r} in {spec!r}")
-        coeff = int(match.group(1) or "1")
-        idx = int(match.group(2))
-        if not 1 <= idx <= m:
-            raise PreconditionError(f"epsilon index e{idx} out of range 1..{m} for {t}")
-        out[idx - 1] += sign * coeff
-        sign = 1
+    for sign, coeff, idx in _TERM_RE.findall(s):
+        k = int(idx)
+        if not 1 <= k <= m:
+            raise PreconditionError(f"epsilon index e{k} out of range 1..{m} for {t}")
+        out[k - 1] += int(sign + (coeff or "1"))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _positive_root_epsilon_index(t: CartanType) -> dict[tuple[int, ...], int]:
-    d = build_root_datum(t)
-    rows = _simple_root_epsilons(t)
-    m = _epsilon_dim(t)
-    table: dict[tuple[int, ...], int] = {}
-    for idx, root in enumerate(d.positive_roots):
-        eps = [0] * m
-        for k, ck in enumerate(root):
-            if ck:
-                for j in range(m):
-                    eps[j] += ck * rows[k][j]
-        table[tuple(eps)] = idx
-    return table
+def _simple_root_coords(t: CartanType, v: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Simple-root coordinates of the epsilon vector v; None off the root lattice."""
+    if not t.is_classical:
+        raise PreconditionError(f"epsilon mnemonics cover classical types only, not {t}")
+    sums = list(accumulate(v))
+    if t.family == "A":
+        return tuple(sums[:-1]) if sums[-1] == 0 else None
+    if t.family == "B":
+        return tuple(sums)
+    if sums[-1] % 2:
+        return None
+    if t.family == "D":
+        sums[-2] = (sums[-2] - v[-1]) // 2
+    sums[-1] //= 2
+    return tuple(sums)
 
 
-def find_positive_root(t: CartanType, spec: str) -> int:
-    """Index of the positive root named by an epsilon mnemonic; raises if absent."""
-    eps = parse_epsilon_spec(t, spec)
-    table = _positive_root_epsilon_index(t)
-    if eps not in table:
-        raise PreconditionError(f"{spec!r} is not a positive root of {t}")
-    return table[eps]
+def find_positive_root(d: RootDatum, spec: str) -> int:
+    """Index in d.positive_roots of the root named by an epsilon mnemonic; raises if absent."""
+    t = d.cartan_type
+    coords = _simple_root_coords(t, parse_epsilon_spec(t, spec))
+    try:
+        return d.positive_roots.index(coords)
+    except ValueError:
+        raise PreconditionError(f"{spec!r} is not a positive root of {t}") from None

@@ -186,6 +186,18 @@ def test_oracle_drop_malformed_roots_exit_1(capsys):
         "--weight", "std", "--roots", "e9-e1",
     )
     assert code == 1
+    # a dangling or doubled sign names no root; it is not read as some other root
+    for spec in ("e1-+e2", "e1--e2", "e1+-e2", "e1-", "-", "e1-e2,e3+"):
+        code, out, err = invoke(capsys, "oracle", "drop", "--type", "C", "--rank", "3",
+                                "--weight", "std", "--roots", spec)
+        assert (code, out) == (1, ""), spec
+        assert "malformed root spec" in err, spec
+    # exceptional types have no mnemonics; a spec is parsed before that refusal
+    for spec, message in (("e1-e2", "epsilon mnemonics cover classical types only, not E6"),
+                          ("e1-", "malformed root spec 'e1-'")):
+        code, out, err = invoke(capsys, "oracle", "drop", "--type", "E6", "--weight", "w1",
+                                "--roots", spec)
+        assert (code, out, err) == (1, "", f"usage error: {message}\n")
 
 
 def test_oracle_drop_non_orthogonal_exit_2(capsys):
@@ -346,14 +358,14 @@ def test_tensor_lemma_over_budget_exit_2(capsys):
     code, out, err = invoke(capsys, "oracle", "tensor-lemma", "--k1", "2", "--k2", "2",
                             "--trials", "1", "--seed", "1", "--dims", "1000000,2")
     assert (code, out) == (2, "")
-    assert "dimension 2000000, more than the tensor budget of 128" in err
+    assert "1 trials at degrees (2, 2) on dims (1000000, 2) are over the run budget" in err
 
 
 def test_tensor_lemma_over_trial_budget_exit_2(capsys):
     code, out, err = invoke(capsys, "oracle", "tensor-lemma", "--k1", "2", "--k2", "2",
                             "--trials", "1000000000", "--seed", "1")
     assert (code, out) == (2, "")
-    assert "1000000000 trials are more than the trial budget of 10000" in err
+    assert "1000000000 trials at degrees (2, 2) on dims (6, 6) are over the run budget" in err
 
 
 def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
@@ -366,7 +378,9 @@ def test_table_over_root_budget_builds_no_root_datum(capsys, monkeypatch):
     assert "up to rank 38 have 66291 positive roots" in err
 
 
-def test_row_commands_build_no_root_datum(capsys, monkeypatch):
+@pytest.fixture
+def datum_builds(monkeypatch):
+    """The types build_root_datum is called for, through every mtkit module that holds it."""
     built = []
     build = roots.build_root_datum
 
@@ -377,12 +391,24 @@ def test_row_commands_build_no_root_datum(capsys, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "mtkit" and getattr(module, "build_root_datum", None) is build:
             monkeypatch.setattr(module, "build_root_datum", recorder)
+    return built
+
+
+def test_row_commands_build_no_root_datum(capsys, datum_builds):
     for argv in (["table", "--max-rank", "14"], ["minuscule", "--type", "D", "--rank", "9"],
                  ["drops", "--type", "B", "--rank", "8", "--weight", "spin"],
                  ["classify", "--two-g", "256"], ["minuscule", "--type", "E7"]):
         code, out, _ = invoke(capsys, *argv)
         assert code == 0 and out, argv
-    assert built == []
+    assert datum_builds == []
+
+
+def test_oracle_drop_builds_one_root_datum(capsys, datum_builds):
+    # no other test resolves a C17 root, so no cache an earlier test filled can hide a build
+    code, out, _ = invoke(capsys, "oracle", "drop", "--type", "C", "--rank", "17",
+                          "--weight", "std", "--roots", "e1-e2,2e17")
+    assert code == 0 and json.loads(out)["report"]["dim"] == 34
+    assert datum_builds == [CartanType("C", 17)]
 
 
 def test_minuscule_a361_middle_rows_are_closed_forms(capsys):

@@ -18,8 +18,6 @@ from mtkit import (
     ExactMatrix,
     FieldMismatch,
     NotUnipotent,
-    TENSOR_BUDGET,
-    TRIAL_BUDGET,
     PreconditionError,
     build_root_element,
     find_positive_root,
@@ -126,12 +124,12 @@ def test_b4_spin_short_root_degree_and_drop():
 
 def test_root_element_orthogonality_enforced():
     rep = minuscule_rep(CartanType("D", 6), 6)
-    e12 = find_positive_root(CartanType("D", 6), "e1-e2")
-    e23 = find_positive_root(CartanType("D", 6), "e2-e3")
+    e12 = find_positive_root(rep.datum, "e1-e2")
+    e23 = find_positive_root(rep.datum, "e2-e3")
     with pytest.raises(PreconditionError):
         build_root_element(rep, [e12, e23])
     # a repeated root is not orthogonal to itself
-    e34 = find_positive_root(CartanType("D", 6), "e3-e4")
+    e34 = find_positive_root(rep.datum, "e3-e4")
     with pytest.raises(PreconditionError, match=r"root \(1, 0, 0, 0, 0, 0\) is repeated"):
         build_root_element(rep, [e12, e34, e12])
 
@@ -139,7 +137,7 @@ def test_root_element_orthogonality_enforced():
 def test_halfspin_product_of_orthogonal_roots_builds():
     t = CartanType("D", 6)
     rep = minuscule_rep(t, 6)
-    idxs = [find_positive_root(t, "e1-e2"), find_positive_root(t, "e3-e4")]
+    idxs = [find_positive_root(rep.datum, "e1-e2"), find_positive_root(rep.datum, "e3-e4")]
     m = build_root_element(rep, idxs)
     report = unipotence(m)
     assert m.dim == 32
@@ -208,12 +206,25 @@ def test_verify_tensor_lemma_refuses_dims_over_budget_before_any_matrix(monkeypa
         raise AssertionError("built a matrix")
 
     monkeypatch.setattr(oracle, "random_unipotent", no_matrix)
-    with pytest.raises(PreconditionError, match="dimension 2000000, more than the tensor budget of 128"):
+    with pytest.raises(PreconditionError, match=r"1 trials at degrees \(2, 2\) on dims \(1000000, 2\) "
+                                                 r"are over the run budget, which allows 0 such trials"):
         verify_tensor_lemma(2, 2, (1000000, 2), 1, 1)
-    with pytest.raises(PreconditionError, match="tensor budget"):
-        verify_tensor_lemma(1, 1, (TENSOR_BUDGET // 2 + 1, 2), 1, 1)
+    # one trial at the slowest 128-dimensional shape fits, two do not; reaching a draw means accepted
+    with pytest.raises(AssertionError, match="built a matrix"):
+        verify_tensor_lemma(128, 1, (128, 1), 1, 1)
+    with pytest.raises(PreconditionError, match="which allows 1 such trials"):
+        verify_tensor_lemma(128, 1, (128, 1), 2, 1)
+    with pytest.raises(PreconditionError, match="run budget"):
+        verify_tensor_lemma(64, 2, (64, 2), 10_000, 1)
+    with pytest.raises(AssertionError, match="built a matrix"):
+        verify_tensor_lemma(4, 4, (6, 6), 200, 1)  # the largest run of acceptance criterion 4
     monkeypatch.undo()
-    assert verify_tensor_lemma(1, 1, (TENSOR_BUDGET // 2, 2), 1, 1).passed
+    # one trial of degrees (1, 1) on n = d1 * d2 = 2 costs 2^2 * 1 * (2 * 3 + 1000) + 500,000
+    monkeypatch.setattr(oracle, "RUN_BUDGET", 504_024)
+    assert verify_tensor_lemma(1, 1, (2, 1), 1, 1).passed
+    assert verify_tensor_lemma(1, 1, (1, 2), 1, 1).passed
+    with pytest.raises(PreconditionError, match="which allows 0 such trials"):
+        verify_tensor_lemma(1, 1, (3, 1), 1, 1)
 
 
 def test_verify_tensor_lemma_refuses_trials_over_budget_before_any_draw(monkeypatch):
@@ -221,12 +232,13 @@ def test_verify_tensor_lemma_refuses_trials_over_budget_before_any_draw(monkeypa
         raise AssertionError("drew a seed")
 
     monkeypatch.setattr(oracle.random, "Random", no_draw)
-    with pytest.raises(PreconditionError, match=f"more than the trial budget of {TRIAL_BUDGET}"):
+    with pytest.raises(PreconditionError, match=r"1000000000 trials at degrees \(2, 2\) on dims \(6, 6\) "
+                                                 r"are over the run budget"):
         verify_tensor_lemma(2, 2, (6, 6), 10**9, 1)
     monkeypatch.undo()
-    monkeypatch.setattr(oracle, "TRIAL_BUDGET", 3)
+    monkeypatch.setattr(oracle, "RUN_BUDGET", 3 * 501_002)  # three trials of degrees (1, 1) on 1 x 1
     assert verify_tensor_lemma(1, 1, (1, 1), 3, 1).passed
-    with pytest.raises(PreconditionError, match="4 trials are more than the trial budget of 3"):
+    with pytest.raises(PreconditionError, match="4 trials at degrees .* which allows 3 such trials"):
         verify_tensor_lemma(1, 1, (1, 1), 4, 1)
 
 

@@ -16,6 +16,7 @@ from mtkit import (
     PreconditionError,
     Weight,
     build_root_datum,
+    find_positive_root,
     weyl_orbit,
 )
 from mtkit.roots import pair_with_coroot, positive_root_count
@@ -429,3 +430,45 @@ def test_weyl_dimension_small_cases():
     assert weyl_dimension(build_root_datum(CartanType("F4", 4)), Weight((0, 0, 0, 1))) == 26
     assert weyl_dimension(build_root_datum(CartanType("E6", 6)), Weight((1,) + (0,) * 5)) == 27
     assert weyl_dimension(build_root_datum(CartanType("B", 3)), Weight((0, 0, 0))) == 1
+
+
+def _bourbaki_simple_roots(t: CartanType) -> list[tuple[int, ...]]:
+    """Epsilon vectors of the simple roots (Bourbaki, ch. VI, Plates I-IV)."""
+    n = t.rank
+    m = n + 1 if t.family == "A" else n
+
+    def vec(*terms):
+        return tuple(sum(c for k, c in terms if k == j) for j in range(m))
+
+    last = {"A": vec((n - 1, 1), (n, -1)), "B": vec((n - 1, 1)),
+            "C": vec((n - 1, 2)), "D": vec((n - 2, 1), (n - 1, 1))}[t.family]
+    return [vec((i, 1), (i + 1, -1)) for i in range(n - 1)] + [last]
+
+
+def _spec(v: tuple[int, ...]) -> str:
+    """Mnemonic of an epsilon vector: "e1-e2", "2e3", "-e1+2e4"; "0e1" for zero."""
+    terms = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}e{k + 1}"
+                    for k, c in enumerate(v) if c)
+    return terms.removeprefix("+") or "0e1"
+
+
+CLASSICAL_TO_RANK_8 = [CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                       for n in range(lo, 9)]
+
+
+@pytest.mark.parametrize("t", CLASSICAL_TO_RANK_8, ids=str)
+def test_every_positive_root_mnemonic_resolves_and_nothing_else(t):
+    d = build_root_datum(t)
+    simple = _bourbaki_simple_roots(t)
+    m = len(simple[0])
+    roots = {}
+    for idx, root in enumerate(d.positive_roots):
+        eps = tuple(sum(c * s[j] for c, s in zip(root, simple)) for j in range(m))
+        roots[eps] = idx
+        assert find_positive_root(d, _spec(eps)) == idx
+    assert len(roots) == len(d.positive_roots)
+    if m <= 5:
+        for v in product(range(-2, 3), repeat=m):
+            if v not in roots:
+                with pytest.raises(PreconditionError, match="is not a positive root"):
+                    find_positive_root(d, _spec(v))
