@@ -10,7 +10,10 @@ two sides differ in their code only. It then runs
 other, K times. The side that runs first alternates from pair to pair. Each
 side runs its own copy of `perfbench/`. The script prints every pair's
 end-to-end metrics, the wins of the change per metric (ties count for
-neither side), and each side's median and quartiles.
+neither side), each side's median and quartiles, and a verdict per metric:
+`gain` when the change wins at least 9/10 of the pairs and its median is
+better than the parent's by more than the parent's interquartile range,
+`worse` when the parent does so, and `unresolved` otherwise.
 
 It writes nothing into `.git` and nothing under `perfbench/`; the exports
 are deleted when the script ends.
@@ -68,6 +71,18 @@ def quartiles(values: list[float]) -> str:
     return f"median {statistics.median(values):.6g} (quartiles {q1:.6g}/{q3:.6g})"
 
 
+def verdict(old: list[float], new: list[float], sign: int) -> str:
+    """The claim rule: one side wins at least 9/10 of the pairs (ties count
+    for neither), and the medians differ its way by more than the parent's IQR."""
+    q1, _, q3 = statistics.quantiles(old, n=4) if len(old) > 1 else (old[0],) * 3
+    shift = sign * (statistics.median(new) - statistics.median(old))
+    for name, s in (("gain", 1), ("worse", -1)):
+        wins = sum(s * sign * (b - a) > 0 for a, b in zip(old, new))
+        if 10 * wins >= 9 * len(old) and s * shift > q3 - q1:
+            return name
+    return "unresolved"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
@@ -108,6 +123,7 @@ def main() -> int:
         print(f"  {name}: change wins {wins}/{args.pairs} ({direction} is better)")
         print(f"    pairs parent/change: {pairs}")
         print(f"    parent {quartiles(old)}; change {quartiles(new)}")
+        print(f"    verdict: {verdict(old, new, sign)}")
     bad = [r for side in runs.values() for r in side if not r["correct"] or r["failed"]]
     return 1 if bad else 0
 

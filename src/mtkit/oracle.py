@@ -10,6 +10,7 @@ rationals, machine ints mod p over a prime field.  No floats anywhere.
 from __future__ import annotations
 
 import random
+import struct
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -88,6 +89,7 @@ def _require_prime(p: int) -> int:
 # (n max|A| max|B| for a product row), so |x_c| < 2^(w-1) and a packed row is
 # 0 exactly when the row is.  Row i of A @ B packs to sum_k A_ik packed(B_k)
 # over the nonzero A_ik: one big-int multiply-add per coefficient.
+_FMT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 
 
 def _slot_size(bound: int) -> int:
@@ -108,14 +110,26 @@ def _pack(terms, n: int, size: int) -> list[int]:
     return _times(terms, range(0, 8 * size * n, 8 * size), lshift)
 
 
+def _bias(n: int, size: int) -> int:
+    # 2^(w-1) in each of n slots: adding it keeps the slots from borrowing
+    # from each other, and xor-ing it away leaves each slot's two's complement
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _pack_rows(rows, size: int) -> list[int]:
+    """The packed rows of dense integer rows, read from their slot bytes."""
+    n = len(rows)
+    bias, fmt = _bias(n, size), _FMT.get(size)
+    raw = [struct.pack(f"<{n}{fmt}", *row) if fmt else b"".join(
+        [x.to_bytes(size, "little", signed=True) for x in row]) for row in rows]
+    return [(int.from_bytes(b, "little") ^ bias) - bias for b in raw]
+
+
 def _unpack(packed: list[int], size: int, p: int | None = None, d: int = 1) -> list[tuple]:
     """The rows of these packed rows, reduced mod p or divided by d."""
-    # a bias of 2^(w-1) per slot keeps the slots from borrowing from each
-    # other; xor-ing it away leaves each slot's two's complement bytes
     n = len(packed)
-    bias = int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+    bias, fmt = _bias(n, size), _FMT.get(size)
     raw = [((v + bias) ^ bias).to_bytes(n * size, "little") for v in packed]
-    fmt = {1: "b", 2: "h", 4: "i", 8: "q"}.get(size) if sys.byteorder == "little" else None
     slots = range(0, n * size, size)
     rows = [tuple(memoryview(b).cast(fmt)) if fmt else tuple(
         [int.from_bytes(b[i:i + size], "little", signed=True) for i in slots]) for b in raw]
@@ -126,13 +140,14 @@ def _unpack(packed: list[int], size: int, p: int | None = None, d: int = 1) -> l
 
 def _nonzero(rows) -> tuple[list[tuple[int, list, list[int]]], int, int]:
     """Each nonzero row i as (i, its nonzero entries, their columns), with the
-    entries made integers by their common denominator D; D; and max |entry|."""
+    entries made integers by their common denominator D; D; and max |entry|
+    (1 for a zero matrix, so a product's slots hold the other factor)."""
     cols = range(len(rows))
     terms = [(i, list(compress(rows[i], rows[i])), list(compress(cols, rows[i])))
              for i in compress(cols, map(any, rows))]
     entries = list(chain.from_iterable([c for _, c, _ in terms]))
     if set(map(type, entries)) <= {int}:
-        return terms, 1, max(map(abs, entries), default=0)
+        return terms, 1, max(map(abs, entries), default=1)
     d = lcm(*[x.denominator for x in entries])
     scaled = _nonzero([[int(x * d) for x in row] for row in rows])
     return scaled[0], d, scaled[2]
@@ -300,9 +315,10 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
         packed = _times(terms, packed)
         bound *= step
         if p or (any(packed) and _slot_size(step * bound) > size):
-            power, _, bound = _nonzero(_unpack(packed, size, p))
+            power = _unpack(packed, size, p)
+            bound = max(max(map(max, power)), -min(map(min, power)))
             size = _slot_size(step * bound)
-            packed = _pack(power, n, size)
+            packed = _pack_rows(power, size)
         if not any(packed):
             return k
     raise NotUnipotent(f"(M - 1)^{n} != 0, so M is not unipotent")
@@ -362,7 +378,7 @@ def build_root_element(
                     f"roots {d.positive_roots[a]} and {d.positive_roots[b]} are not orthogonal"
                 )
 
-    order = {mu.coords: i for i, mu in enumerate(rep.orbit)}
+    order = rep.orbit_index
     identity = ExactMatrix.identity(rep.dimension, prime).rows
     product: ExactMatrix | None = None
     for idx in root_indices:
@@ -452,10 +468,6 @@ def _unit_lower_inverse(l_rows: list[list[int]]) -> list[list[int]]:
     return inv
 
 
-def _transpose(rows: list[list[int]]) -> list[list[int]]:
-    return [list(col) for col in zip(*rows)]
-
-
 def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = None) -> ExactMatrix:
     """Random k-unipotent dim x dim matrix: a conjugated Jordan-shaped seed.
 
@@ -474,21 +486,17 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
         parts.append(p)
         rem -= p
 
-    jordan = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
-    pos = 0
-    for part in parts:
-        for i in range(part - 1):
-            jordan[pos + i][pos + i + 1] = 1
-        pos += part
+    def wrap(rows) -> ExactMatrix:
+        return ExactMatrix._derived(tuple([tuple(row) for row in rows]), None)
 
     lo, lo2 = ([[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)]
                 for i in range(dim)] for _ in range(2))
-    conj = ExactMatrix(lo) @ ExactMatrix(_transpose(lo2))
-    conj_inv = ExactMatrix(_transpose(_unit_lower_inverse(lo2))) @ ExactMatrix(_unit_lower_inverse(lo))
-    m = conj @ ExactMatrix(jordan, None) @ conj_inv
-    if prime is not None:
-        return ExactMatrix(m.rows, prime)
-    return m
+    conj = wrap(lo) @ wrap(zip(*lo2))
+    conj_inv = wrap(zip(*_unit_lower_inverse(lo2))) @ wrap(_unit_lower_inverse(lo))
+    # column j of the Jordan seed J is e_j, plus e_(j-1) when j is inside a block
+    link = [i > 0 for part in parts for i in range(part)]
+    m = wrap([[row[j] + link[j] * row[j - 1] for j in range(dim)] for row in conj.rows]) @ conj_inv
+    return ExactMatrix(m.rows, prime) if prime is not None else m
 
 
 def verify_tensor_lemma(

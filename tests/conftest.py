@@ -116,3 +116,33 @@ def weyl_dimension(d, w) -> int:
         num *= pair_with_coroot(cr, w.coords) + h
         den *= h
     return num // den
+
+
+# The four-product construction of random_unipotent, as it stood before the
+# library formed conj J by a column shift-add and wrapped its own integer
+# rows without re-checking them: the draws and the matrix must not change.
+def reference_random_unipotent(dim, k, rng, prime=None):
+    from mtkit import ExactMatrix
+    from mtkit.oracle import _unit_lower_inverse
+
+    def transpose(rows):
+        return [list(col) for col in zip(*rows)]
+
+    parts = [k]
+    rem = dim - k
+    while rem:
+        p = rng.randint(1, min(k, rem))
+        parts.append(p)
+        rem -= p
+    jordan = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+    pos = 0
+    for part in parts:
+        for i in range(part - 1):
+            jordan[pos + i][pos + i + 1] = 1
+        pos += part
+    lo, lo2 = ([[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)]
+                for i in range(dim)] for _ in range(2))
+    conj = ExactMatrix(lo) @ ExactMatrix(transpose(lo2))
+    conj_inv = ExactMatrix(transpose(_unit_lower_inverse(lo2))) @ ExactMatrix(_unit_lower_inverse(lo))
+    m = conj @ ExactMatrix(jordan, None) @ conj_inv
+    return ExactMatrix(m.rows, prime) if prime is not None else m

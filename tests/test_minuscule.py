@@ -192,6 +192,16 @@ def test_minuscule_rep_is_frozen():
     assert (rep.dimension, rep.sign) == (6, -1)
 
 
+def test_orbit_index_is_built_once_and_leaves_equality_alone():
+    rep = minuscule_rep(CartanType("D", 5), 5)
+    fresh = minuscule_rep(CartanType("D", 5), 5)
+    index = rep.orbit_index
+    assert rep.orbit_index is index
+    assert index == {mu.coords: i for i, mu in enumerate(rep.orbit)}
+    assert "orbit_index" not in vars(fresh)
+    assert rep == fresh and hash(rep) == hash(fresh)
+
+
 def test_orbit_budget_rejects_before_expanding(monkeypatch):
     assert ORBIT_BUDGET == 2**20
     # B20 spin has exactly 2^20 weights; B21 spin has twice the budget

@@ -10,6 +10,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from conftest import reference_random_unipotent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,6 +175,20 @@ def test_random_unipotent_has_requested_degree():
     for k in (1, 2, 3, 4):
         m = random_unipotent(6, k, rng)
         assert nilpotency_degree(m.sub_identity()) == k
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+def test_random_unipotent_matches_four_product_reference(prime):
+    import random
+
+    for dim in range(1, 9):
+        for k in range(1, dim + 1):
+            for seed in range(5):
+                rng, ref = random.Random(seed), random.Random(seed)
+                m = random_unipotent(dim, k, rng, prime)
+                want = reference_random_unipotent(dim, k, ref, prime)
+                assert (m.rows, m.prime) == (want.rows, want.prime)
+                assert rng.getstate() == ref.getstate()  # the same draws
 
 
 def test_verify_tensor_lemma_identity_factor():
@@ -626,6 +641,33 @@ def test_slots_hold_their_bound_with_a_sign_bit(size):
     packed = oracle._pack(terms, 4, size)
     assert packed[1] == 0 and all(packed[i] for i in (0, 2, 3))
     assert oracle._unpack(packed, size) == rows
+    # dense rows pack again from their slot bytes: struct up to 8 bytes,
+    # to_bytes above
+    assert oracle._pack_rows(rows, size) == packed
+    assert oracle._unpack(oracle._pack_rows(rows, size), size) == rows
+
+
+@pytest.mark.parametrize("prime", [None, 2**61 - 1])
+@pytest.mark.parametrize("big", [2**7, 2**15, 2**40, 2**61])
+def test_a_zero_factor_leaves_room_in_the_slots_for_the_other(prime, big, monkeypatch):
+    import random
+
+    rng = random.Random(big)
+    pack, packs = oracle._pack, []
+    monkeypatch.setattr(oracle, "_pack", lambda *args: packs.append(args) or pack(*args))
+    for n1, n2 in [(1, 1), (3, 3), (2, 5), (5, 2)]:
+        zero = ExactMatrix([[0] * n1 for _ in range(n1)], prime)
+        b = ExactMatrix([[rng.choice((big, -big, 0, 1)) for _ in range(n2)] for _ in range(n2)], prime)
+        if n1 == n2:
+            assert (zero @ b).is_zero() and (b @ zero).is_zero()
+        assert zero.kron(b).is_zero() and b.kron(zero).is_zero()
+    # every factor packed on the way round-trips through its slots
+    for terms, n, size in packs:
+        rows = [[0] * n for _ in range(n)]
+        for i, coeffs, cols in terms:
+            for x, c in zip(coeffs, cols):
+                rows[i][c] = x
+        assert oracle._unpack(pack(terms, n, size), size) == [tuple(r) for r in rows]
 
 
 @pytest.mark.parametrize("prime", PRIMES)
