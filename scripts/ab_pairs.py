@@ -2,10 +2,12 @@
 """Alternating parent/change pairs of one benchmark workload.
 
 Exports a git revision (the parent, by default HEAD) into a temporary
-directory with `git archive REV | tar -x`, and the working tree of this
-checkout, uncommitted edits and untracked files that git does not ignore
-included, into a second temporary directory made the same way, so that the
-two sides differ in their code only. It then runs
+directory with `git archive REV | tar -x`, and the change into a second
+temporary directory made the same way, so that the two sides differ in their
+code only. The change is the working tree of this checkout, uncommitted edits
+and untracked files that git does not ignore included, or with `--change REV`
+a second revision; `--rev HEAD --change HEAD` is an A/A run that shows the
+noise floor of each metric. It then runs
 `perfbench/run.py --workload W --seed S --seconds N` in each, one after the
 other, K times. The side that runs first alternates from pair to pair. Each
 side runs its own copy of `perfbench/`. The script prints every pair's
@@ -18,7 +20,7 @@ better than the parent's by more than the parent's interquartile range,
 It writes nothing into `.git` and nothing under `perfbench/`; the exports
 are deleted when the script ends.
 
-Run:  python3 scripts/ab_pairs.py --workload decide --seed 13 --pairs 10 [--rev HEAD~1]
+Run:  python3 scripts/ab_pairs.py --workload decide --seed 13 --pairs 10 [--rev HEAD~1] [--change REV]
 """
 
 import argparse
@@ -86,6 +88,8 @@ def verdict(old: list[float], new: list[float], sign: int) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
+    parser.add_argument("--change", metavar="REV",
+                        help="a revision to run as the change (default: the working tree)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=20)
@@ -100,7 +104,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as parent_tree, \
             tempfile.TemporaryDirectory(prefix="ab_pairs-") as change_tree:
         export(args.rev, parent_tree)
-        export_worktree(change_tree)
+        if args.change:
+            export(args.change, change_tree)
+        else:
+            export_worktree(change_tree)
         trees = {"parent": parent_tree, "change": change_tree}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -113,7 +120,9 @@ def main() -> int:
                           f"{name}={result['metrics'][name]['value']:.6g}" for name in better),
                       flush=True)
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, parent {args.rev} / change")
+    change = args.change or "working tree"
+    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
+          f"parent {args.rev} / change {change}")
     for name, direction in better.items():
         old = [r["metrics"][name]["value"] for r in runs["parent"]]
         new = [r["metrics"][name]["value"] for r in runs["change"]]

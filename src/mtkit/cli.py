@@ -156,6 +156,13 @@ def _endo(value: str) -> EndoType:
 
 
 def _cmd_mt_check(args) -> tuple[dict, list[dict]]:
+    # a verdict may print 2g (GSp_2g, Pink's reason): checked here, off mt_check's hot path
+    limit = sys.get_int_max_str_digits()
+    if limit and 2 * args.g >= 10**limit:
+        raise PreconditionError(
+            f"g must be below 5*10^{limit - 1}, so that 2g has at most {limit} digits, the "
+            "most that Python converts to text (sys.get_int_max_str_digits())"
+        )
     query = MtQuery(g=args.g, s=args.s, endo=_endo(args.endo))
     payload = {**mt_check(query).to_dict(), "query": query.to_dict()}
     witness = payload["witness"] or {}

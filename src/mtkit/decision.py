@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from functools import update_wrapper
+from functools import lru_cache, update_wrapper
 from math import comb
 
 from .drops import _exact_log2
@@ -258,18 +258,49 @@ _NO_PLACE_QUATERNION = (
 _DISCREPANCY_NOTES = (DISCREPANCY_NOTE,)
 
 
-def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
+def _family1_walk(g: int, k: int, first: int) -> tuple[int, int, int]:
     """The family-1 point with the least g' >= g: (r, g', s').
 
     C(2r, r) < 4**r, so every r with 4**r <= 2g/k gives g' < g: the walk
     starts at the least r of the family above those.
     """
-    k, first, _, _ = _FAMILIES[endo]
     r = ((2 * g // k).bit_length() + 1) // 2
     r = first if r <= first else r + (r - first) % 2
     while (fg := k * comb(2 * r, r) // 2) < g:
         r += 2
     return r, fg, k * comb(2 * r - 2, r - 1)
+
+
+def _family1_next(r: int, fg: int, k: int) -> tuple[int, int, int]:
+    """The family-1 point after the one at r with g = fg, without a binomial:
+    C(2r + 2, r + 1) = C(2r, r) 2(2r + 1)/(r + 1), and C(2r, r) = 2fg/k."""
+    c = 4 * fg // k * (2 * r + 1) // (r + 1)  # C(2r + 2, r + 1)
+    return r + 2, k * c * (2 * r + 3) // (r + 2), k * c
+
+
+# Family-1 points per bit length of g, one cache per endomorphism type: g
+# lies in [2**(b-1), 2**b), and the point after the least one at or above
+# 2**(b-1) lies above 2**b, since C(2r + 4, r + 2)/C(2r, r) =
+# 4(2r + 1)(2r + 3)/((r + 1)(r + 2)) > 11 for r >= 2.  So the least point at
+# or above g is one of those two.
+_FAMILY1_CACHE_SIZE = 128
+
+
+def _family1_points(k: int, first: int):
+    @lru_cache(maxsize=_FAMILY1_CACHE_SIZE)
+    def points(b: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+        r, fg, _ = low = _family1_walk(1 << (b - 1), k, first)
+        return low, _family1_next(r, fg, k)
+    return points
+
+
+_FAMILY1_POINTS = {endo: _family1_points(k, first) for endo, (k, first, _, _) in _FAMILIES.items()}
+
+
+def _family1_from(g: int, endo: EndoType) -> tuple[int, int, int]:
+    """The family-1 point with the least g' >= g: (r, g', s')."""
+    low, high = _FAMILY1_POINTS[endo](g.bit_length())
+    return low if g <= low[1] else high
 
 
 def _in_family2(t: int | None, endo: EndoType) -> bool:
@@ -291,7 +322,7 @@ def mt_check(q: MtQuery) -> MtVerdict:
     """
     endo = q.validate()
     g, s = q.g, q.s
-    notes = _notes_for(g, endo)
+    notes = _DISCREPANCY_NOTES if endo is _Z and (g == 84 or g == 126) else ()  # _notes_for, inlined
     r, fg, fs = _family1_from(g, endo)
     if endo is _Z:
         reason = _pink_reason(g, r, fg)
@@ -352,11 +383,12 @@ def enumerate_exceptional(g_max: int, endo: EndoType) -> tuple[ExceptionalInstan
     _require_positive_int(g_max, "g_max")
     endo = _endo_type(endo)
     out = []
+    k = _FAMILIES[endo][0]
     r, fg, fs = _family1_from(1, endo)
     while fg <= g_max:
         out.append(ExceptionalInstance(g=fg, s=fs, family=1, parameter=r,
                                        notes=_notes_for(fg, endo)))
-        r, fg, fs = _family1_from(fg + 1, endo)
+        r, fg, fs = _family1_next(r, fg, k)
     for t in range(g_max.bit_length()):
         if _in_family2(t, endo):
             fg = 2**t

@@ -316,7 +316,8 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
         bound *= step
         if p or (any(packed) and _slot_size(step * bound) > size):
             power = _unpack(packed, size, p)
-            bound = max(max(map(max, power)), -min(map(min, power)))
+            # reduced mod p, every entry lies in [0, p - 1]: only a power over Q is scanned
+            bound = p - 1 if p else max(max(map(max, power)), -min(map(min, power)))
             size = _slot_size(step * bound)
             packed = _pack_rows(power, size)
         if not any(packed):

@@ -146,3 +146,29 @@ def reference_random_unipotent(dim, k, rng, prime=None):
     conj_inv = ExactMatrix(transpose(_unit_lower_inverse(lo2))) @ ExactMatrix(_unit_lower_inverse(lo))
     m = conj @ ExactMatrix(jordan, None) @ conj_inv
     return ExactMatrix(m.rows, prime) if prime is not None else m
+
+
+# nilpotency_degree as it stood before it took p - 1 for the bound on a power
+# over F_p: every repacked power is scanned for its largest |entry|.
+def scan_nilpotency_degree(nil):
+    from mtkit.errors import NotUnipotent
+    from mtkit.oracle import _nonzero, _pack, _pack_rows, _slot_size, _times, _unpack
+
+    n, p = nil.dim, nil.prime
+    terms, _, bound = _nonzero(nil.rows)
+    if not terms:
+        return 1
+    step = n * bound
+    size = _slot_size(step * bound)
+    packed = _pack(terms, n, size)
+    for k in range(2, n + 1):
+        packed = _times(terms, packed)
+        bound *= step
+        if p or (any(packed) and _slot_size(step * bound) > size):
+            power = _unpack(packed, size, p)
+            bound = max(max(map(max, power)), -min(map(min, power)))
+            size = _slot_size(step * bound)
+            packed = _pack_rows(power, size)
+        if not any(packed):
+            return k
+    raise NotUnipotent(f"(M - 1)^{n} != 0, so M is not unipotent")

@@ -424,6 +424,37 @@ def test_minuscule_a361_middle_rows_are_closed_forms(capsys):
     assert row["sign"] == "0"
 
 
+@pytest.fixture
+def default_int_digits():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+@pytest.mark.parametrize("s", ["2", "0"])
+def test_mt_check_refuses_g_whose_double_has_too_many_digits(capsys, default_int_digits, fmt, s):
+    # 2g is printed in GSp_2g and in Pink's reason: the largest g answered has
+    # 2g = 99...98 with 4300 digits, and the next one exits 2 naming the limit
+    top = 5 * 10**4299 - 1
+    code, out, err = invoke(capsys, "mt-check", "--g", str(top), "--s", s, "--endo", "Z",
+                            "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "markdown":
+        assert f"\n| ProvedByPink | GSp_{2 * top} |" in out
+    else:
+        row = json.loads(out) if fmt == "json" else next(csv.DictReader(io.StringIO(out)))
+        assert (row["status"], row["target_group"]) == ("ProvedByPink", f"GSp_{2 * top}")
+    code, out, err = invoke(capsys, "mt-check", "--g", str(top + 1), "--s", s, "--endo", "Z",
+                            "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: g must be below 5*10^4299, so that 2g has at most 4300 digits, the most "
+        "that Python converts to text (sys.get_int_max_str_digits())\n"
+    )
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "--help")
     assert code == 0

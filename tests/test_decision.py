@@ -2,6 +2,7 @@
 
 import runpy
 import sys
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 from math import comb
 from pathlib import Path
@@ -23,7 +24,7 @@ from mtkit import (
     pink_gate,
     root_element_drop,
 )
-from mtkit.decision import _family1_from, _int_nth_root
+from mtkit.decision import _FAMILY1_CACHE_SIZE, _FAMILY1_POINTS, _family1_from, _int_nth_root
 
 Z, II, III = EndoType.TRIVIAL_Z, EndoType.QUATERNION_TYPE_II, EndoType.QUATERNION_TYPE_III
 
@@ -323,15 +324,61 @@ def test_pink_gate_and_family1_match_the_reference_walks():
             assert _family1_from(g, endo) == _reference_family1_from(g, endo), (g, endo)
 
 
+def _clear_family1_cache():
+    for points in _FAMILY1_POINTS.values():
+        points.cache_clear()
+
+
+def test_family1_cache_matches_the_closed_forms_at_every_bit_length():
+    # every g must get the least point of the closed forms at or above it, over
+    # more bit lengths than the cache holds, so that entries are evicted and
+    # built again on the way down; near the points with r <= 80 the reference
+    # walk gives the answer
+    import random
+
+    rng = random.Random(1100)
+    gs = [g for b in range(1, 1101)
+          for g in {1 << (b - 1), (1 << b) - 1, rng.randrange(1 << (b - 1), 1 << b)}]
+    for endo in (Z, II, III):
+        first, _ = FAMILY1_R[endo]
+        points = [(first, *_family1_point(first, endo))]
+        while points[-1][1] < 1 << 1100:
+            r = points[-1][0] + 2
+            points.append((r, *_family1_point(r, endo)))
+        tops = [fg for _, fg, _ in points]
+        _clear_family1_cache()
+        for g in gs + gs[::-1]:
+            assert _family1_from(g, endo) == points[bisect_left(tops, g)], (g, endo)
+        for r, fg, _ in points:
+            if r > 80:
+                break
+            for g in (fg - 1, fg, fg + 1):
+                assert _family1_from(g, endo) == _reference_family1_from(g, endo), (g, endo)
+
+
+def test_family1_cache_stays_within_its_size():
+    _clear_family1_cache()
+    for b in range(1, 2 * _FAMILY1_CACHE_SIZE + 2):
+        for endo in (Z, II, III):
+            _family1_from((1 << b) - 1, endo)
+    for points in _FAMILY1_POINTS.values():
+        info = points.cache_info()
+        assert info.maxsize == _FAMILY1_CACHE_SIZE
+        assert info.currsize == _FAMILY1_CACHE_SIZE
+
+
 @pytest.mark.parametrize("endo", [Z, II, III], ids=["Z", "II", "III"])
 @pytest.mark.parametrize("g", [2 * 10**3000, 2**4000 + 1], ids=["2e3000", "2^4000+1"])
 def test_family1_walk_starts_near_huge_g(monkeypatch, endo, g):
     # a walk from the first r would take thousands of big binomials here;
     # from the bit length of 2g it takes a few, since
-    # C(2r, r) >= 4**r / (2 sqrt(r)).  The point returned must be the least
-    # one at or above g, checked against r - 2 directly.
+    # C(2r, r) >= 4**r / (2 sqrt(r)).  The cache is cleared first, so the
+    # count is that of a cold call, walk and successor included.  The point
+    # returned must be the least one at or above g, checked against r - 2
+    # directly.
     import mtkit.decision
 
+    _clear_family1_cache()
     binomials = []
     monkeypatch.setattr(mtkit.decision, "comb", lambda n, k: binomials.append(n) or comb(n, k))
     r, fg, fs = _family1_from(g, endo)

@@ -10,7 +10,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from conftest import reference_random_unipotent
+from conftest import reference_random_unipotent, scan_nilpotency_degree
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -684,6 +684,37 @@ def test_zero_one_by_one_and_non_nilpotent_against_reference(prime):
     assert nilpotency_degree(ExactMatrix([[0] * 3 for _ in range(3)], prime)) == 1
     with pytest.raises(NotUnipotent, match=r"^\(M - 1\)\^2 != 0, so M is not unipotent$"):
         nilpotency_degree(ExactMatrix([[1, 1], [0, 0]], prime))
+
+
+@pytest.mark.parametrize("prime", [2, 7, 10007])
+def test_prime_field_bound_matches_the_scanning_reference(prime, monkeypatch):
+    # over F_p a repacked power takes p - 1 for its bound instead of a scan of
+    # its entries: the degrees agree with the scanning version on seeded
+    # tensor-shaped, Jordan-shaped, sparse and non-nilpotent inputs, and every
+    # power packed on the way round-trips through its slots
+    import random
+
+    rng = random.Random(prime)
+    pack_rows, repacked = oracle._pack_rows, []
+    monkeypatch.setattr(oracle, "_pack_rows",
+                        lambda rows, size: repacked.append((rows, size)) or pack_rows(rows, size))
+    nils = []
+    for _ in range(8):
+        k1, k2 = rng.randint(1, 4), rng.randint(1, 4)
+        m1 = random_unipotent(rng.randint(k1, 6), k1, rng, prime)
+        m2 = random_unipotent(rng.randint(k2, 6), k2, rng, prime)
+        nils.append(m1.kron(m2).sub_identity())
+    for n in range(1, 13):
+        nils.append(random_unipotent(n, rng.randint(1, n), rng, prime).sub_identity())
+        nils.append(ExactMatrix(_nilpotent_rows(rng, n, lambda: rng.randrange(1, prime)), prime))
+        nils.append(ExactMatrix([[x % prime for x in row] for row in _random_rows(rng, n, False)],
+                                prime))
+    for nil in nils:
+        assert _degree_or_message(nilpotency_degree, nil) == _degree_or_message(
+            scan_nilpotency_degree, nil)
+    assert len(repacked) > 100
+    for rows, size in repacked:
+        assert oracle._unpack(pack_rows(rows, size), size) == rows
 
 
 def test_halfspin_product_survey_matches_golden(capsys, monkeypatch):
