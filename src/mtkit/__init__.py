@@ -10,8 +10,8 @@ The library has five layers:
 
 All values are immutable after construction and every operation is a pure
 function, so everything is safe to call concurrently.  All arithmetic is
-exact (integers, fractions, or a prime field); there is no floating point
-anywhere.
+exact (integers, read over Q or reduced mod a prime); there is no floating
+point anywhere.
 """
 
 from .decision import (

@@ -25,6 +25,7 @@ never a claim that the conjecture fails.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 from functools import lru_cache, update_wrapper
@@ -205,8 +206,17 @@ def pink_gate(g: int) -> PinkResult:
     """
     _require_positive_int(g, "g")
     m, fg, _ = _family1_from(g, _Z)
-    reason = _pink_reason(g, m, fg)
+    try:
+        reason = _pink_reason(g, m, fg)
+    except ValueError:  # int -> str past sys.get_int_max_str_digits()
+        raise _unprintable(g) from None
     return PinkResult(reason is None, reason)
+
+
+def _unprintable(g: int) -> QueryInvalid:
+    return QueryInvalid(f"g of {g.bit_length()} bits is too large: its verdict would print a "
+                        f"number of more than {sys.get_int_max_str_digits()} digits, the most "
+                        "that Python converts to text (sys.get_int_max_str_digits())")
 
 
 def _pink_reason(g: int, m: int, fg: int) -> str | None:
@@ -309,54 +319,53 @@ def _in_family2(t: int | None, endo: EndoType) -> bool:
     return t is not None and t >= first_t and t % 4 in classes
 
 
-def _notes_for(g: int, endo: EndoType) -> tuple[str, ...]:
-    return _DISCREPANCY_NOTES if endo is _Z and (g == 84 or g == 126) else ()
-
-
 def mt_check(q: MtQuery) -> MtVerdict:
     """Decide a single (g, s, endo) query.
 
     Order: Pink's gate (End = Z only), then the no-bad-place fallback, then
     the endo-specific exceptional-family tests, then the generic proved
-    verdict with the matching target group.
+    verdict with the matching target group.  A g too large to print is refused.
     """
     endo = q.validate()
     g, s = q.g, q.s
-    notes = _DISCREPANCY_NOTES if endo is _Z and (g == 84 or g == 126) else ()  # _notes_for, inlined
+    notes = _DISCREPANCY_NOTES if endo is _Z and (g == 84 or g == 126) else ()
     r, fg, fs = _family1_from(g, endo)
-    if endo is _Z:
-        reason = _pink_reason(g, r, fg)
-        if reason is None:
-            return MtVerdict(_PINK, f"GSp_{2 * g}", None, _PINK_EXPLANATION, _PINK_CITATIONS, notes)
+    try:  # free in 3.11: only an int too long to print as text raises here
+        if endo is _Z:
+            reason = _pink_reason(g, r, fg)
+            if reason is None:
+                return MtVerdict(_PINK, f"GSp_{2 * g}", None, _PINK_EXPLANATION, _PINK_CITATIONS, notes)
 
-    if s == 0:
-        why = (
-            f"Pink's criterion is inconclusive ({reason}) and no bad semistable "
-            "place is known (s = 0); the reduction-based criteria need one"
-            if endo is _Z
-            else _NO_PLACE_QUATERNION
-        )
-        return MtVerdict(_NOT_COVERED, None, None, why, (), notes)
+        if s == 0:
+            why = (
+                f"Pink's criterion is inconclusive ({reason}) and no bad semistable "
+                "place is known (s = 0); the reduction-based criteria need one"
+                if endo is _Z
+                else _NO_PLACE_QUATERNION
+            )
+            return MtVerdict(_NOT_COVERED, None, None, why, (), notes)
 
-    status, prefix, multiplier, citations = _PROVED[endo]
-    if fg == g and fs == s:
-        family, pname, parameter = 1, "r", r
-    elif (s == g or s == g // 2) and _in_family2(t := _exact_log2(g), endo):
-        family, pname, parameter = 2, "t", t
-    else:
-        target = f"{prefix}{multiplier * g}"
+        status, prefix, multiplier, citations = _PROVED[endo]
+        if fg == g and fs == s:
+            family, pname, parameter = 1, "r", r
+        elif (s == g or s == g // 2) and _in_family2(t := _exact_log2(g), endo):
+            family, pname, parameter = 2, "t", t
+        else:
+            target = f"{prefix}{multiplier * g}"
+            return MtVerdict(
+                status, target, None,
+                f"Mumford-Tate conjecture holds with monodromy {target}: "
+                f"s = {s} matches no exceptional family",
+                citations, notes,
+            )
         return MtVerdict(
-            status, target, None,
-            f"Mumford-Tate conjecture holds with monodromy {target}: "
-            f"s = {s} matches no exceptional family",
+            _EXCEPTIONAL, None, Witness(family, parameter, g, s),
+            f"not proved by these theorems: (g, s) = ({g}, {s}) lies in "
+            f"exceptional family {family} with witness {pname} = {parameter}",
             citations, notes,
         )
-    return MtVerdict(
-        _EXCEPTIONAL, None, Witness(family, parameter, g, s),
-        f"not proved by these theorems: (g, s) = ({g}, {s}) lies in "
-        f"exceptional family {family} with witness {pname} = {parameter}",
-        citations, notes,
-    )
+    except ValueError:  # int -> str past sys.get_int_max_str_digits()
+        raise _unprintable(g) from None
 
 
 @_dict_init
@@ -386,8 +395,8 @@ def enumerate_exceptional(g_max: int, endo: EndoType) -> tuple[ExceptionalInstan
     k = _FAMILIES[endo][0]
     r, fg, fs = _family1_from(1, endo)
     while fg <= g_max:
-        out.append(ExceptionalInstance(g=fg, s=fs, family=1, parameter=r,
-                                       notes=_notes_for(fg, endo)))
+        notes = _DISCREPANCY_NOTES if endo is _Z and (fg == 84 or fg == 126) else ()
+        out.append(ExceptionalInstance(g=fg, s=fs, family=1, parameter=r, notes=notes))
         r, fg, fs = _family1_next(r, fg, k)
     for t in range(g_max.bit_length()):
         if _in_family2(t, endo):

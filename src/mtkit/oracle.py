@@ -3,8 +3,8 @@
 Everything here is deliberately independent of the weight-counting route
 in mtkit.drops: matrices are built entry by entry, ranks come from
 Gaussian elimination, unipotence degrees from repeated multiplication.
-Arithmetic is exact throughout -- Python ints / fractions over the
-rationals, machine ints mod p over a prime field.  No floats anywhere.
+Arithmetic is exact throughout -- every matrix has integer entries, read
+over the rationals or reduced mod p over a prime field.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ import struct
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, count
-from math import lcm
+from math import gcd
 from operator import lshift, mul
 from types import MappingProxyType
 
@@ -125,43 +124,34 @@ def _pack_rows(rows, size: int) -> list[int]:
     return [(int.from_bytes(b, "little") ^ bias) - bias for b in raw]
 
 
-def _unpack(packed: list[int], size: int, p: int | None = None, d: int = 1) -> list[tuple]:
-    """The rows of these packed rows, reduced mod p or divided by d."""
+def _unpack(packed: list[int], size: int, p: int | None = None) -> list[tuple]:
+    """The rows of these packed rows, reduced mod p."""
     n = len(packed)
     bias, fmt = _bias(n, size), _FMT.get(size)
     raw = [((v + bias) ^ bias).to_bytes(n * size, "little") for v in packed]
     slots = range(0, n * size, size)
     rows = [tuple(memoryview(b).cast(fmt)) if fmt else tuple(
         [int.from_bytes(b[i:i + size], "little", signed=True) for i in slots]) for b in raw]
-    if p:
-        return [tuple([x % p for x in row]) for row in rows]
-    return [tuple([Fraction(x, d) for x in row]) for row in rows] if d > 1 else rows
+    return [tuple([x % p for x in row]) for row in rows] if p else rows
 
 
-def _nonzero(rows) -> tuple[list[tuple[int, list, list[int]]], int, int]:
-    """Each nonzero row i as (i, its nonzero entries, their columns), with the
-    entries made integers by their common denominator D; D; and max |entry|
-    (1 for a zero matrix, so a product's slots hold the other factor)."""
+def _nonzero(rows) -> tuple[list[tuple[int, list, list[int]]], int]:
+    """Each nonzero row i as (i, its nonzero entries, their columns), and max
+    |entry| (1 for a zero matrix, so a product's slots hold the other factor)."""
     cols = range(len(rows))
     terms = [(i, list(compress(rows[i], rows[i])), list(compress(cols, rows[i])))
              for i in compress(cols, map(any, rows))]
-    entries = list(chain.from_iterable([c for _, c, _ in terms]))
-    if set(map(type, entries)) <= {int}:
-        return terms, 1, max(map(abs, entries), default=1)
-    d = lcm(*[x.denominator for x in entries])
-    scaled = _nonzero([[int(x * d) for x in row] for row in rows])
-    return scaled[0], d, scaled[2]
+    return terms, max(map(abs, chain.from_iterable([c for _, c, _ in terms])), default=1)
 
 
 @dataclass(frozen=True, slots=True)
 class ExactMatrix:
-    """Immutable dense square matrix over the rationals (prime=None) or over F_p.
+    """Immutable dense square integer matrix, over Q (prime=None) or over F_p.
 
     rows is a tuple of row tuples.  Caller-supplied rows are checked once,
-    here: square shape, int entries (or Fraction entries over Q), a
-    certified prime, entries reduced mod p.  Matrices the class derives
-    from checked ones (products, Kronecker products, M - 1, identities,
-    root elements) skip the re-scan.
+    here: square shape, int entries, a certified prime, entries reduced mod p.
+    Matrices the class derives from checked ones (products, Kronecker
+    products, M - 1, identities, root elements) skip the re-scan.
 
     Hot paths build tuples from lists, not generators: CPython allocates a
     tuple built from a generator at a guessed size and resizes it, so once
@@ -176,15 +166,14 @@ class ExactMatrix:
         rows = tuple([tuple(row) for row in self.rows])
         n = len(rows)
         p = self.prime
-        exact = int if p is not None else (int, Fraction)
         for row in rows:
             if len(row) != n:
                 raise PreconditionError("ExactMatrix must be square")
             for x in row:
-                if not isinstance(x, exact):
+                if not isinstance(x, int):
                     raise PreconditionError(
                         "floating point entries are not allowed" if isinstance(x, float)
-                        else f"entries must be int{'' if p else ' or Fraction'}, got {x!r}"
+                        else f"entries must be int, got {x!r}"
                     )
         if p is not None:
             _require_prime(p)
@@ -223,10 +212,10 @@ class ExactMatrix:
             raise FieldMismatch("cannot multiply matrices over different fields")
         if self.dim != other.dim:
             raise PreconditionError("dimension mismatch in matrix product")
-        a, da, ma = _nonzero(self.rows)
-        b, db, mb = _nonzero(other.rows)
+        a, ma = _nonzero(self.rows)
+        b, mb = _nonzero(other.rows)
         size = _slot_size(self.dim * ma * mb)
-        rows = _unpack(_times(a, _pack(b, self.dim, size)), size, self.prime, da * db)
+        rows = _unpack(_times(a, _pack(b, self.dim, size)), size, self.prime)
         return ExactMatrix._derived(tuple(rows), self.prime)
 
     def sub_identity(self) -> "ExactMatrix":
@@ -243,20 +232,21 @@ class ExactMatrix:
         of self packed into slots dim(other) times as wide."""
         if self.prime != other.prime:
             raise FieldMismatch("cannot tensor matrices over different fields")
-        a, da, ma = _nonzero(self.rows)
-        b, db, mb = _nonzero(other.rows)
+        a, ma = _nonzero(self.rows)
+        b, mb = _nonzero(other.rows)
         size = _slot_size(ma * mb)
         spread = _pack(a, self.dim, size * other.dim)
         packed = _pack(b, other.dim, size)
-        rows = _unpack([x * y for x in spread for y in packed], size, self.prime, da * db)
+        rows = _unpack([x * y for x in spread for y in packed], size, self.prime)
         return ExactMatrix._derived(tuple(rows), self.prime)
 
     def rank(self) -> int:
         """Exact rank by elimination: each row is reduced by the kept row that
         leads in its leading column until it vanishes or leads in a new one.
 
-        Over Q a row stays integral while the pivot divides the entry it
-        clears; only otherwise does the multiplier become a Fraction.
+        Over Q it is fraction-free: a row that leads with v, against the pivot
+        and g = gcd(v, pivot), becomes (pivot/g) row - (v/g) kept row divided
+        by the gcd of its entries.
         """
         p = self.prime
         kept: dict[int, tuple | list] = {}  # leading column -> row
@@ -271,10 +261,11 @@ class ExactMatrix:
                     f = v * pow(pivot, -1, p) % p
                     row = [(x - f * y) % p for x, y in zip(row, prow)]
                 else:
-                    f, rest = divmod(v, pivot)
-                    if rest:
-                        f = Fraction(v) / Fraction(pivot)
-                    row = [x - f * y for x, y in zip(row, prow)]
+                    g = gcd(v, pivot)
+                    a, b = pivot // g, v // g
+                    row = [a * x - b * y for x, y in zip(row, prow)]
+                    if (g := gcd(*row)) > 1:
+                        row = [x // g for x in row]
         return len(kept)
 
 
@@ -301,11 +292,10 @@ class UnipotenceReport:
 def nilpotency_degree(nil: ExactMatrix) -> int:
     """Smallest k >= 1 with nil^k = 0; raises NotUnipotent when none exists.
 
-    nil^(k+1) = nil nil^k stays packed (over Q, as powers of D nil for the
-    common denominator D); a power is unpacked only to reduce it mod p, or to
-    widen the slots when the bound on the next one outgrows them."""
+    nil^(k+1) = nil nil^k stays packed; a power is unpacked only to reduce it
+    mod p, or to widen the slots when the bound on the next one outgrows them."""
     n, p = nil.dim, nil.prime
-    terms, _, bound = _nonzero(nil.rows)  # bound: on the entries of the current power
+    terms, bound = _nonzero(nil.rows)  # bound: on the entries of the current power
     if not terms:
         return 1
     step = n * bound  # the next power's entries are at most step * bound

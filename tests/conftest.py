@@ -155,7 +155,7 @@ def scan_nilpotency_degree(nil):
     from mtkit.oracle import _nonzero, _pack, _pack_rows, _slot_size, _times, _unpack
 
     n, p = nil.dim, nil.prime
-    terms, _, bound = _nonzero(nil.rows)
+    terms, bound = _nonzero(nil.rows)
     if not terms:
         return 1
     step = n * bound

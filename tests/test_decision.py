@@ -84,6 +84,32 @@ def test_pink_gate_and_enumerate_exceptional_refuse_what_a_query_refuses(g):
         mt_check(MtQuery(g, 0, Z))
 
 
+@pytest.mark.parametrize("query", [
+    MtQuery(10**4400, 0, Z),  # Pink proves GSp_2g
+    MtQuery(2**14999, 0, Z),  # Pink's reason prints 2g = (2^5000)^3
+    MtQuery(2**15000, 2**15000, Z),  # family 2, t = 15000
+    MtQuery(10**4400, 2, II),
+    MtQuery(10**4400, 2, III),
+])
+def test_a_verdict_too_long_to_print_is_refused_by_name(query):
+    # a verdict prints g or 2g; past sys.get_int_max_str_digits() digits
+    # int -> str raises a bare ValueError, which the library names instead
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(QueryInvalid, match=rf"more than {limit} digits.*get_int_max_str_digits"):
+        mt_check(query)
+    # the longest 2g Python still writes out answers
+    g = 5 * 10**(limit - 1) - 1
+    assert len(str(2 * g)) == limit
+    mt_check(MtQuery(g, 2, query.endo))
+
+
+def test_pink_gate_refuses_a_reason_too_long_to_print():
+    # 2g = (2^5000)^3 is Pink-inconclusive, and its reason would print 2g
+    with pytest.raises(QueryInvalid, match=r"get_int_max_str_digits\(\)\)$"):
+        pink_gate(2**14999)
+    assert pink_gate(2**14999 - 1).proves  # an odd g prints nothing
+
+
 def test_exceptional_10_6():
     v = mt_check(MtQuery(10, 6, Z))
     assert v.status == Status.EXCEPTIONAL_CASE

@@ -1,11 +1,13 @@
 """Exact matrices, unipotence, root-element construction, tensor trials."""
 
 import json
+import re
 import runpy
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import compress
+from math import lcm
 from operator import mul
 from pathlib import Path
 
@@ -65,8 +67,13 @@ def test_floats_rejected():
 
 
 def test_rank_with_fractions():
-    m = ExactMatrix([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]])
-    assert m.rank() == 1
+    # [[1/2, 1], [1/4, 1/2]] scaled by its common denominator 4: the rank over
+    # Q is unchanged, and the pivot 2 does not divide the entry 1 it clears
+    assert ExactMatrix([[2, 4], [1, 2]]).rank() == 1
+    assert ExactMatrix([[2, 4], [1, 3]]).rank() == 2
+    for prime in (None, 7):
+        with pytest.raises(PreconditionError, match=r"^entries must be int, got Fraction\(1, 2\)$"):
+            ExactMatrix([[Fraction(1, 2), 1], [Fraction(1, 4), Fraction(1, 2)]], prime)
 
 
 def test_rank_mod_p():
@@ -357,13 +364,11 @@ def test_floats_rejected_at_every_entry_point():
     with pytest.raises(PreconditionError, match="integer"):
         random_unipotent(4, 2, random.Random(1), prime=7.0)
     assert ExactMatrix(m.rows, 7).rows == ((1, 2), (3, 4))
-    # only int entries, and Fraction entries over Q
-    for bad in (1j, "a", None):
-        with pytest.raises(PreconditionError, match="entries must be int or Fraction"):
-            ExactMatrix([[bad]])
-    with pytest.raises(PreconditionError, match="entries must be int, got Fraction"):
-        ExactMatrix([[Fraction(1, 2)]], 7)
-    assert ExactMatrix([[Fraction(1, 2)]]).rows == ((Fraction(1, 2),),)
+    # only int entries, over Q as over F_p
+    for prime in (None, 7):
+        for bad in (1j, "a", None, Fraction(1, 2), Fraction(2, 1)):
+            with pytest.raises(PreconditionError, match=re.escape(f"entries must be int, got {bad!r}")):
+                ExactMatrix([[bad]], prime)
 
 
 def test_reports_are_frozen():
@@ -403,9 +408,17 @@ def _textbook_product(a, b, p):
     return tuple(tuple(x % p for x in row) if p else tuple(row) for row in out)
 
 
+def _scaled(rows):
+    """Rows with Fraction entries, scaled by their common denominator to ints."""
+    d = lcm(*[Fraction(x).denominator for row in rows for x in row])
+    return [[int(x * d) for x in row] for row in rows]
+
+
 def _random_rows(rng, n, fractions):
-    """Rows of mixed kinds: zero, sparse (< n/4 nonzeros) and dense, with 0/1,
-    negative and (optionally) Fraction entries."""
+    """Rows of mixed kinds: zero, sparse (< n/4 nonzeros) and dense, with 0/1
+    and negative entries; optionally some are drawn as Fractions and the rows
+    are scaled by their common denominator, which gives entries with common
+    factors and pivots that do not divide."""
     def entry():
         if fractions and rng.random() < 0.3:
             return Fraction(rng.randint(-9, 9) or 1, rng.randint(2, 7))
@@ -424,7 +437,7 @@ def _random_rows(rng, n, fractions):
         for j in rng.sample(range(n), count):
             row[j] = entry()
         rows.append(row)
-    return rows
+    return _scaled(rows) if fractions else rows
 
 
 @pytest.mark.parametrize("prime", [None, 2, 10007])
@@ -433,7 +446,7 @@ def test_product_matches_textbook_triple_loop(prime):
 
     rng = random.Random(prime or 1)
     for n in range(1, 41):
-        fractions = prime is None and n % 6 == 1 and n < 20  # Fraction products are slow
+        fractions = prime is None and n % 6 == 1
         a = ExactMatrix(_random_rows(rng, n, fractions), prime)
         b = ExactMatrix(_random_rows(rng, n, fractions), prime)
         assert (a @ b).rows == _textbook_product(a.rows, b.rows, prime)
@@ -479,13 +492,32 @@ def test_rank_matches_fraction_elimination_on_deficient_products():
 
         a = [[entry() for _ in range(k)] for _ in range(n)]
         b = [[entry() for _ in range(n)] for _ in range(k)]
-        rows = [[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
-                for i in range(n)]
+        rows = _scaled([[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
+                        for i in range(n)])
         m = ExactMatrix(rows)
         assert m.rank() == _reference_rank(rows, None) <= k
-        if not fractions:
-            for p in (2, 3, 10007):
-                assert ExactMatrix(rows, p).rank() == _reference_rank(rows, p)
+        for p in (2, 3, 10007):
+            assert ExactMatrix(rows, p).rank() == _reference_rank(rows, p)
+
+
+def test_rank_over_q_matches_fraction_elimination_on_dense_integer_matrices():
+    # entries up to 50 in size: the pivots rarely divide the entries they
+    # clear, so rows grow by cross-multiplying and shrink by their gcd
+    import random
+
+    rng = random.Random(18)
+    for n in (1, 2, 3, 5, 8, 13, 21, 30, 40):
+        full = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        k = rng.randint(0, n - 1)  # rank(A B) <= k < n
+        a = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(n)]
+        b = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        deficient = [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(n)]
+                     for i in range(n)]
+        if n > 2:
+            assert any(row[0] % full[0][0] for row in full[1:])
+        for rows in (full, deficient):
+            assert ExactMatrix(rows).rank() == _reference_rank(rows, None)
+        assert ExactMatrix(deficient).rank() <= k
 
 
 def test_is_zero_on_zero_and_single_entry_matrices():
@@ -494,7 +526,7 @@ def test_is_zero_on_zero_and_single_entry_matrices():
             assert ExactMatrix([[0] * n for _ in range(n)], prime).is_zero()
             for i in range(n):
                 for j in range(n):
-                    for x in (1, -1, Fraction(1, 3)) if prime is None else (1, 3):
+                    for x in (1, -1, 3):
                         rows = [[0] * n for _ in range(n)]
                         rows[i][j] = x
                         assert not ExactMatrix(rows, prime).is_zero()
@@ -607,7 +639,7 @@ def test_nilpotency_degree_matches_repeated_products(prime):
         entries.append(lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7)))
     for n in range(1, 13):
         for entry in entries:
-            nil = ExactMatrix(_nilpotent_rows(rng, n, entry), prime)
+            nil = ExactMatrix(_scaled(_nilpotent_rows(rng, n, entry)), prime)
             assert nilpotency_degree(nil) == _reference_degree(nil)
         # dense, with negative entries, and the same scaled past 2^40
         k = rng.randint(1, n)
