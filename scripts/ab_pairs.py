@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Alternating parent/change pairs of one benchmark workload.
+"""Alternating parent/change pairs of one or more benchmark workloads.
 
 Exports a git revision (the parent, by default HEAD) into a temporary
 directory with `git archive REV | tar -x`, and the change into a second
@@ -10,9 +10,11 @@ a second revision; `--rev HEAD --change HEAD` is an A/A run that shows the
 noise floor of each metric. It then runs
 `perfbench/run.py --workload W --seed S --seconds N` in each, one after the
 other, K times. The side that runs first alternates from pair to pair. Each
-side runs its own copy of `perfbench/`. The script prints every pair's
-end-to-end metrics, the wins of the change per metric (ties count for
-neither side), each side's median and quartiles, and a verdict per metric:
+side runs its own copy of `perfbench/`. `--workload` takes one workload or a
+comma-separated list, run one after the other on the same two exports. The
+script prints every pair's end-to-end metrics and then, per workload, the
+wins of the change per metric (ties count for neither side), each side's
+median and quartiles, and a verdict per metric:
 `gain` when the change wins at least 9/10 of the pairs and its median is
 better than the parent's by more than the parent's interquartile range,
 `worse` when the parent does so, and `unresolved` otherwise.
@@ -21,6 +23,7 @@ It writes nothing into `.git` and nothing under `perfbench/`; the exports
 are deleted when the script ends.
 
 Run:  python3 scripts/ab_pairs.py --workload decide --seed 13 --pairs 10 [--rev HEAD~1] [--change REV]
+      python3 scripts/ab_pairs.py --workload table,classify,oracle,decide --seed 1 --pairs 10
 """
 
 import argparse
@@ -90,7 +93,8 @@ def main() -> int:
     parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
     parser.add_argument("--change", metavar="REV",
                         help="a revision to run as the change (default: the working tree)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload, or a comma-separated list of workloads")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=20)
     parser.add_argument("--pairs", type=int, default=10)
@@ -98,9 +102,15 @@ def main() -> int:
     if args.pairs < 1 or args.seconds < 1:
         parser.error("--pairs and --seconds must be >= 1")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+        spec = json.load(f)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload.split(",")
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json names {', '.join(known)}")
 
-    runs = {"parent": [], "change": []}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as parent_tree, \
             tempfile.TemporaryDirectory(prefix="ab_pairs-") as change_tree:
         export(args.rev, parent_tree)
@@ -109,31 +119,34 @@ def main() -> int:
         else:
             export_worktree(change_tree)
         trees = {"parent": parent_tree, "change": change_tree}
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                result = bench(trees[side], args.workload, args.seed, args.seconds)
-                ok = result["correct"] and not result["failed"]
-                runs[side].append(result)
-                print(f"pair {i + 1} {side:<6} correct={ok} failed={result['failed']}/"
-                      f"{result['attempted']} " + " ".join(
-                          f"{name}={result['metrics'][name]['value']:.6g}" for name in better),
-                      flush=True)
+        for workload in workloads:
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = bench(trees[side], workload, args.seed, args.seconds)
+                    ok = result["correct"] and not result["failed"]
+                    runs[workload][side].append(result)
+                    print(f"{workload} pair {i + 1} {side:<6} correct={ok} failed={result['failed']}/"
+                          f"{result['attempted']} " + " ".join(
+                              f"{name}={result['metrics'][name]['value']:.6g}" for name in better),
+                          flush=True)
 
     change = args.change or "working tree"
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
-          f"parent {args.rev} / change {change}")
-    for name, direction in better.items():
-        old = [r["metrics"][name]["value"] for r in runs["parent"]]
-        new = [r["metrics"][name]["value"] for r in runs["change"]]
-        sign = -1 if direction == "lower" else 1
-        wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
-        pairs = ", ".join(f"{a:.6g}/{b:.6g}" for a, b in zip(old, new))
-        print(f"  {name}: change wins {wins}/{args.pairs} ({direction} is better)")
-        print(f"    pairs parent/change: {pairs}")
-        print(f"    parent {quartiles(old)}; change {quartiles(new)}")
-        print(f"    verdict: {verdict(old, new, sign)}")
-    bad = [r for side in runs.values() for r in side if not r["correct"] or r["failed"]]
+    for workload in workloads:
+        print(f"{workload} seed {args.seed}, {args.pairs} pairs, "
+              f"parent {args.rev} / change {change}")
+        for name, direction in better.items():
+            old = [r["metrics"][name]["value"] for r in runs[workload]["parent"]]
+            new = [r["metrics"][name]["value"] for r in runs[workload]["change"]]
+            sign = -1 if direction == "lower" else 1
+            wins = sum(sign * (b - a) > 0 for a, b in zip(old, new))
+            pairs = ", ".join(f"{a:.6g}/{b:.6g}" for a, b in zip(old, new))
+            print(f"  {name}: change wins {wins}/{args.pairs} ({direction} is better)")
+            print(f"    pairs parent/change: {pairs}")
+            print(f"    parent {quartiles(old)}; change {quartiles(new)}")
+            print(f"    verdict: {verdict(old, new, sign)}")
+    bad = [r for sides in runs.values() for side in sides.values() for r in side
+           if not r["correct"] or r["failed"]]
     return 1 if bad else 0
 
 

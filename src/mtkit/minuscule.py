@@ -69,11 +69,6 @@ class MinusculeRep:
             )
         return weyl_orbit(self.datum, self.highest_weight)
 
-    @cached_property
-    def orbit_index(self) -> dict[tuple[int, ...], int]:
-        """The position in orbit of each weight, keyed by its coordinates."""
-        return {mu.coords: i for i, mu in enumerate(self.orbit)}
-
 
 def _fundamental(t: CartanType, j: int) -> Weight:
     return Weight(tuple(int(k == j - 1) for k in range(t.rank)))

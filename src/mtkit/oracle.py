@@ -15,9 +15,9 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, compress, count
+from itertools import chain, compress, count, permutations
 from math import gcd
-from operator import lshift, mul
+from operator import attrgetter, itemgetter, lshift, mul
 from types import MappingProxyType
 
 from .errors import FieldMismatch, NotUnipotent, PreconditionError
@@ -135,12 +135,13 @@ def _unpack(packed: list[int], size: int, p: int | None = None) -> list[tuple]:
     return [tuple([x % p for x in row]) for row in rows] if p else rows
 
 
-def _nonzero(rows) -> tuple[list[tuple[int, list, list[int]]], int]:
-    """Each nonzero row i as (i, its nonzero entries, their columns), and max
-    |entry| (1 for a zero matrix, so a product's slots hold the other factor)."""
+def _nonzero(rows, among=None) -> tuple[list[tuple[int, list, list[int]]], int]:
+    """Each nonzero row i (of among, default all) as (i, its nonzero entries, their
+    columns), and max |entry| (1 for a zero matrix: a product's slots hold the other)."""
     cols = range(len(rows))
+    among = cols if among is None else among
     terms = [(i, list(compress(rows[i], rows[i])), list(compress(cols, rows[i])))
-             for i in compress(cols, map(any, rows))]
+             for i in compress(among, map(any, map(rows.__getitem__, among)))]
     return terms, max(map(abs, chain.from_iterable([c for _, c, _ in terms])), default=1)
 
 
@@ -153,6 +154,10 @@ class ExactMatrix:
     Matrices the class derives from checked ones (products, Kronecker
     products, M - 1, identities, root elements) skip the re-scan.
 
+    _form memoizes _nonzero(rows) outside ==, hash and repr, for products,
+    rank and nilpotency_degree; identity, build_root_element and sub_identity
+    (of M with a known form and no zero row) seed it.
+
     Hot paths build tuples from lists, not generators: CPython allocates a
     tuple built from a generator at a guessed size and resizes it, so once
     freed such tuples pile up on its per-size free lists instead of being
@@ -161,6 +166,7 @@ class ExactMatrix:
 
     rows: tuple[tuple, ...]
     prime: int | None = None
+    _form: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple([tuple(row) for row in self.rows])
@@ -181,12 +187,18 @@ class ExactMatrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def _derived(cls, rows: tuple[tuple, ...], prime: int | None) -> "ExactMatrix":
+    def _derived(cls, rows: tuple[tuple, ...], prime: int | None, form=None) -> "ExactMatrix":
         """Wrap rows built from checked entries, without checking them again."""
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "prime", prime)
+        object.__setattr__(m, "_form", form)
         return m
+
+    def _sparse(self) -> tuple[list[tuple[int, list, list[int]]], int]:
+        if self._form is None:
+            object.__setattr__(self, "_form", _nonzero(self.rows))
+        return self._form
 
     @property
     def dim(self) -> int:
@@ -197,8 +209,9 @@ class ExactMatrix:
         if prime is not None:
             _require_prime(prime)
         # row i is a window of one tuple that holds a single 1 in its middle
-        e = (0,) * (n - 1) + (1,) + (0,) * (n - 1)
-        return cls._derived(tuple([e[n - 1 - i:2 * n - 1 - i] for i in range(n)]), prime)
+        e, one = (0,) * (n - 1) + (1,) + (0,) * (n - 1), [1]
+        return cls._derived(tuple([e[n - 1 - i:2 * n - 1 - i] for i in range(n)]), prime,
+                            ([(i, one, [i]) for i in range(n)], 1))
 
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
@@ -212,28 +225,34 @@ class ExactMatrix:
             raise FieldMismatch("cannot multiply matrices over different fields")
         if self.dim != other.dim:
             raise PreconditionError("dimension mismatch in matrix product")
-        a, ma = _nonzero(self.rows)
-        b, mb = _nonzero(other.rows)
+        a, ma = self._sparse()
+        b, mb = other._sparse()
         size = _slot_size(self.dim * ma * mb)
         rows = _unpack(_times(a, _pack(b, self.dim, size)), size, self.prime)
         return ExactMatrix._derived(tuple(rows), self.prime)
 
     def sub_identity(self) -> "ExactMatrix":
-        """M - 1, the nilpotent part candidate."""
-        p = self.prime
-        rows = tuple([
-            row[:i] + (((row[i] - 1) % p if p else row[i] - 1),) + row[i + 1:]
-            for i, row in enumerate(self.rows)
-        ])
-        return ExactMatrix._derived(rows, p)
+        """M - 1, the nilpotent part candidate.  If M has a known form and no
+        zero row, its rows equal to those of 1, each the one term (i, [1], [i]),
+        become one shared zero row."""
+        p, rows, form, n = self.prime, self.rows, self._form, self.dim
+        sparse = form is not None and len(form[0]) == n
+        changed = [i for i, c, k in form[0] if k[0] != i or len(k) > 1 or c[0] != 1
+                   ] if sparse else range(n)
+        out = [(0,) * n] * n
+        for i in changed:
+            row = list(rows[i])
+            row[i] = (row[i] - 1) % p if p else row[i] - 1
+            out[i] = tuple(row)
+        return ExactMatrix._derived(tuple(out), p, _nonzero(out, changed) if sparse else None)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product: row (i, j) packs to packed(other_j) times row i
         of self packed into slots dim(other) times as wide."""
         if self.prime != other.prime:
             raise FieldMismatch("cannot tensor matrices over different fields")
-        a, ma = _nonzero(self.rows)
-        b, mb = _nonzero(other.rows)
+        a, ma = self._sparse()
+        b, mb = other._sparse()
         size = _slot_size(ma * mb)
         spread = _pack(a, self.dim, size * other.dim)
         packed = _pack(b, other.dim, size)
@@ -241,21 +260,18 @@ class ExactMatrix:
         return ExactMatrix._derived(tuple(rows), self.prime)
 
     def rank(self) -> int:
-        """Exact rank by elimination: each row is reduced by the kept row that
-        leads in its leading column until it vanishes or leads in a new one.
+        """Exact rank by elimination: each nonzero row is reduced by the kept row
+        that leads in its leading column until it vanishes or leads in a new one.
 
         Over Q it is fraction-free: a row that leads with v, against the pivot
         and g = gcd(v, pivot), becomes (pivot/g) row - (v/g) kept row divided
         by the gcd of its entries.
         """
-        p = self.prime
+        p, rows = self.prime, self.rows
         kept: dict[int, tuple | list] = {}  # leading column -> row
-        for row in self.rows:
-            while (lead := next(compress(count(), row), None)) is not None:
-                prow = kept.get(lead)
-                if prow is None:
-                    kept[lead] = row
-                    break
+        for i, _, cols in self._sparse()[0]:
+            row, lead = rows[i], cols[0]
+            while (prow := kept.get(lead)) is not None:
                 v, pivot = row[lead], prow[lead]
                 if p:
                     f = v * pow(pivot, -1, p) % p
@@ -266,6 +282,10 @@ class ExactMatrix:
                     row = [a * x - b * y for x, y in zip(row, prow)]
                     if (g := gcd(*row)) > 1:
                         row = [x // g for x in row]
+                if (lead := next(compress(count(), row), None)) is None:
+                    break
+            else:
+                kept[lead] = row
         return len(kept)
 
 
@@ -280,13 +300,8 @@ class UnipotenceReport:
     prime: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "drop": self.drop,
-            "dim": self.dim,
-            "quadratic": self.quadratic,
-            "prime": self.prime,
-        }
+        return {"degree": self.degree, "drop": self.drop, "dim": self.dim,
+                "quadratic": self.quadratic, "prime": self.prime}
 
 
 def nilpotency_degree(nil: ExactMatrix) -> int:
@@ -295,7 +310,7 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
     nil^(k+1) = nil nil^k stays packed; a power is unpacked only to reduce it
     mod p, or to widen the slots when the bound on the next one outgrows them."""
     n, p = nil.dim, nil.prime
-    terms, bound = _nonzero(nil.rows)  # bound: on the entries of the current power
+    terms, bound = nil._sparse()  # bound: on the entries of the current power
     if not terms:
         return 1
     step = n * bound  # the next power's entries are at most step * bound
@@ -318,10 +333,7 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
 def unipotence(m: ExactMatrix) -> UnipotenceReport:
     nil = m.sub_identity()
     degree = nilpotency_degree(nil)
-    drop = nil.rank()
-    return UnipotenceReport(
-        degree=degree, drop=drop, dim=m.dim, quadratic=degree <= 2, prime=m.prime
-    )
+    return UnipotenceReport(degree, nil.rank(), m.dim, degree <= 2, m.prime)
 
 
 def build_root_element(
@@ -353,42 +365,36 @@ def build_root_element(
         )
     d = rep.datum
     for k, idx in enumerate(root_indices):
-        if not 0 <= idx < len(d.positive_roots):
-            raise PreconditionError(f"root index {idx} out of range")
+        if type(idx) is not int or not 0 <= idx < len(d.positive_roots):
+            raise PreconditionError(
+                f"root index must be an int in [0, {len(d.positive_roots)}), got {idx!r}")
         if idx in root_indices[:k]:
             raise PreconditionError(
                 f"root {d.positive_roots[idx]} is repeated; the roots must be distinct"
             )
-    for a in root_indices:
-        for b in root_indices:
-            if a == b:
-                continue
-            wa = d.root_weight_coords(d.positive_roots[a])
-            if pair_with_coroot(d.coroots[b], wa):
-                raise PreconditionError(
-                    f"roots {d.positive_roots[a]} and {d.positive_roots[b]} are not orthogonal"
-                )
+    for a, b in permutations(root_indices, 2):
+        if pair_with_coroot(d.coroots[b], d.root_weight_coords(d.positive_roots[a])):
+            raise PreconditionError(
+                f"roots {d.positive_roots[a]} and {d.positive_roots[b]} are not orthogonal"
+            )
 
-    order = rep.orbit_index
-    identity = ExactMatrix.identity(rep.dimension, prime).rows
+    # <mu, alpha coroot> sums mu's coordinates over the coroot's simple coroots with
+    # multiplicity.  x_alpha moves each mu pairing to -1 to mu + alpha, which pairs to
+    # +1; the orbit is sorted and + alpha keeps the order, so the k-th goes to the k-th.
+    identity = ExactMatrix.identity(rep.dimension, prime)
     product: ExactMatrix | None = None
     for idx in root_indices:
-        cr = d.coroots[idx]
-        alpha_w = d.root_weight_coords(d.positive_roots[idx])
-        rows = list(identity)
-        for src, mu in enumerate(rep.orbit):
-            if pair_with_coroot(cr, mu.coords) != -1:
-                continue
-            target = tuple([x + y for x, y in zip(mu.coords, alpha_w)])
-            dst = order.get(target)
-            if dst is None:
-                raise AssertionError(
-                    f"weight {target} fell outside the orbit; minuscule bookkeeping broken"
-                )
+        ks = [k for k, c in enumerate(d.coroots[idx]) for _ in range(c)]
+        coords = map(itemgetter(*ks), map(attrgetter("coords"), rep.orbit))
+        pairings = list(coords if len(ks) == 1 else map(sum, coords))
+        rows, terms = list(identity.rows), list(identity._form[0])
+        for src, dst in zip(compress(count(), map((-1).__eq__, pairings)),
+                            compress(count(), map((1).__eq__, pairings)), strict=True):
             row = list(rows[dst])
             row[src] = 1
             rows[dst] = tuple(row)
-        m = ExactMatrix._derived(tuple(rows), prime)
+            terms[dst] = (dst, [1, 1], [src, dst] if src < dst else [dst, src])
+        m = ExactMatrix._derived(tuple(rows), prime, (terms, 1))
         product = m if product is None else product @ m
     return product
 
@@ -535,10 +541,7 @@ def verify_tensor_lemma(
         counts[deg] = counts.get(deg, 0) + 1
         if deg != expected:
             record = {"trial": t, "degree": deg, "expected": expected}
-            if prime is None:
-                failures.append(record)
-            else:
-                deviations.append(record)
+            (failures if prime is None else deviations).append(record)
         if deg <= 2 and not m1.is_identity() and not m2.is_identity():
             violations.append({"trial": t, "degree": deg})
     return TensorLemmaReport(

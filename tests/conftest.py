@@ -172,3 +172,65 @@ def scan_nilpotency_degree(nil):
         if not any(packed):
             return k
     raise NotUnipotent(f"(M - 1)^{n} != 0, so M is not unipotent")
+
+
+# build_root_element, sub_identity and rank as they stood before a matrix
+# carried its nonzero form: every orbit weight is paired with the coroot one
+# call at a time, its image is looked up by coordinates, and M - 1 and the
+# elimination walk every dense row.
+def reference_build_root_element(rep, root_indices, prime=None):
+    from mtkit import ExactMatrix
+
+    d = rep.datum
+    order = {mu.coords: i for i, mu in enumerate(rep.orbit)}
+    identity = ExactMatrix.identity(rep.dimension, prime).rows
+    product = None
+    for idx in root_indices:
+        cr = d.coroots[idx]
+        alpha_w = d.root_weight_coords(d.positive_roots[idx])
+        rows = list(identity)
+        for src, mu in enumerate(rep.orbit):
+            if pair_with_coroot(cr, mu.coords) != -1:
+                continue
+            dst = order[tuple([x + y for x, y in zip(mu.coords, alpha_w)])]
+            row = list(rows[dst])
+            row[src] = 1
+            rows[dst] = tuple(row)
+        m = ExactMatrix(rows, prime)
+        product = m if product is None else product @ m
+    return product
+
+
+def reference_sub_identity(m):
+    from mtkit import ExactMatrix
+
+    p = m.prime
+    return ExactMatrix([
+        row[:i] + (((row[i] - 1) % p if p else row[i] - 1),) + row[i + 1:]
+        for i, row in enumerate(m.rows)
+    ], p)
+
+
+def reference_rank(m):
+    from itertools import compress, count
+    from math import gcd
+
+    p = m.prime
+    kept = {}
+    for row in m.rows:
+        while (lead := next(compress(count(), row), None)) is not None:
+            prow = kept.get(lead)
+            if prow is None:
+                kept[lead] = row
+                break
+            v, pivot = row[lead], prow[lead]
+            if p:
+                f = v * pow(pivot, -1, p) % p
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+            else:
+                g = gcd(v, pivot)
+                a, b = pivot // g, v // g
+                row = [a * x - b * y for x, y in zip(row, prow)]
+                if (g := gcd(*row)) > 1:
+                    row = [x // g for x in row]
+    return len(kept)

@@ -192,13 +192,14 @@ def test_minuscule_rep_is_frozen():
     assert (rep.dimension, rep.sign) == (6, -1)
 
 
-def test_orbit_index_is_built_once_and_leaves_equality_alone():
+def test_orbit_is_built_once_sorted_and_leaves_equality_alone():
     rep = minuscule_rep(CartanType("D", 5), 5)
     fresh = minuscule_rep(CartanType("D", 5), 5)
-    index = rep.orbit_index
-    assert rep.orbit_index is index
-    assert index == {mu.coords: i for i, mu in enumerate(rep.orbit)}
-    assert "orbit_index" not in vars(fresh)
+    orbit = rep.orbit
+    assert rep.orbit is orbit
+    # sorted on coordinates: build_root_element pairs the weights it moves by position
+    assert [mu.coords for mu in orbit] == sorted(mu.coords for mu in orbit)
+    assert "orbit" not in vars(fresh)
     assert rep == fresh and hash(rep) == hash(fresh)
 
 

@@ -12,7 +12,13 @@ from operator import mul
 from pathlib import Path
 
 import pytest
-from conftest import reference_random_unipotent, scan_nilpotency_degree
+from conftest import (
+    reference_build_root_element,
+    reference_random_unipotent,
+    reference_rank,
+    reference_sub_identity,
+    scan_nilpotency_degree,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +29,7 @@ from mtkit import (
     NotUnipotent,
     PreconditionError,
     build_root_element,
+    enumerate_minuscule,
     find_positive_root,
     minuscule_rep,
     nilpotency_degree,
@@ -140,6 +147,92 @@ def test_root_element_orthogonality_enforced():
     e34 = find_positive_root(rep.datum, "e3-e4")
     with pytest.raises(PreconditionError, match=r"root \(1, 0, 0, 0, 0, 0\) is repeated"):
         build_root_element(rep, [e12, e34, e12])
+
+
+def test_root_index_must_be_a_plain_int():
+    rep = minuscule_rep(CartanType("C", 3), 1)
+    for bad in (1.0, "1", True, None, -1, 9):
+        with pytest.raises(PreconditionError, match=re.escape(f"got {bad!r}")):
+            build_root_element(rep, [bad])
+        with pytest.raises(PreconditionError, match=re.escape(f"got {bad!r}")):
+            build_root_element(rep, [0, bad])
+    assert build_root_element(rep, [8]) == reference_build_root_element(rep, [8])
+
+
+# every (rep, positive root) of the classical minuscule reps to rank 7 with
+# dimension <= 128, the E6 and E7 reps, and the products of the survey script
+CLASSICAL_TO_RANK_7 = [(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                       for n in range(lo, 8)]
+SURVEY_PRODUCTS = {4: [["e1-e2", "e3-e4"], ["e1-e2", "e1+e2"]],  # from this D rank on
+                   6: [["e1-e2", "e3-e4", "e5-e6"], ["e1-e2", "e1+e2", "e3-e4", "e3+e4"]]}
+
+
+def _root_element_cases():
+    reps = [minuscule_rep(r.cartan_type, r.weight_index) for f, n in CLASSICAL_TO_RANK_7
+            for r in enumerate_minuscule(CartanType(f, n)) if r.dimension <= 128]
+    reps += [minuscule_rep(CartanType("E6", 6), 1), minuscule_rep(CartanType("E7", 7), 7)]
+    for rep in reps:
+        yield from ((rep, [i]) for i in range(len(rep.datum.positive_roots)))
+    for n in range(4, 9):
+        rep = minuscule_rep(CartanType("D", n), n)
+        for specs in [c for lo, combos in SURVEY_PRODUCTS.items() if n >= lo for c in combos]:
+            yield rep, [find_positive_root(rep.datum, s) for s in specs]
+
+
+@pytest.mark.parametrize("prime", [None, 2])
+def test_root_elements_match_the_dense_reference(prime):
+    cases = 0
+    for rep, idxs in _root_element_cases():
+        m = build_root_element(rep, idxs, prime)
+        ref = reference_build_root_element(rep, idxs, prime)
+        single = len(idxs) == 1  # a product of root elements is not seeded
+        assert m.rows == ref.rows
+        assert m._form == (oracle._nonzero(m.rows) if single else None)
+        nil, ref_nil = m.sub_identity(), reference_sub_identity(ref)
+        assert nil.rows == ref_nil.rows
+        assert nil._form == (oracle._nonzero(nil.rows) if single else None)
+        assert nilpotency_degree(nil) == scan_nilpotency_degree(ref_nil)
+        assert nil.rank() == reference_rank(ref_nil)
+        cases += 1
+    assert cases == 1070 + 36 + 63 + 16
+
+
+def test_seeded_forms_equal_a_fresh_scan():
+    import random
+
+    rng = random.Random(3)
+    rep = minuscule_rep(CartanType("D", 5), 5)
+    e12, e34 = (find_positive_root(rep.datum, s) for s in ("e1-e2", "e3-e4"))
+    made = []
+    for prime in (None, 7):
+        base = [ExactMatrix([[2, 0, 1], [0, 1, 0], [1, 1, 1]], prime),  # no zero row
+                ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 1, 1]], prime),  # a zero row
+                ExactMatrix([[3, 0, 0], [0, 1, 0], [0, 0, -1]], prime),  # diagonal
+                ExactMatrix.identity(3, prime), ExactMatrix.identity(0, prime),
+                random_unipotent(5, 3, rng, prime),
+                build_root_element(rep, [e12], prime), build_root_element(rep, [e12, e34], prime)]
+        a, b, _, one, _, u, root, _ = base
+        assert all(m._form is not None for m in (one, root, root.sub_identity(), one.sub_identity()))
+        base += [a @ one, one @ b, a.kron(b), u.kron(one), root @ root]
+        assert all(m._form is None for m in base[-5:])  # products are not seeded
+        for m in base:
+            made += [m, m.sub_identity()]  # M - 1 of M as it was built
+            m._sparse()
+            nil = m.sub_identity()  # with M's form known: seeded unless M has a zero row
+            assert (nil._form is not None) == (len(m._form[0]) == m.dim)
+            assert nil.rows == reference_sub_identity(m).rows
+            made += [nil, nil.sub_identity()]
+    for m in made:
+        fresh = oracle._nonzero(m.rows)
+        if m._form is not None:
+            assert m._form == fresh
+        assert m._sparse() == fresh
+        plain = ExactMatrix(m.rows, m.prime)
+        assert plain._form is None
+        assert m == plain and hash(m) == hash(plain)
+        assert repr(m) == repr(plain) == f"ExactMatrix(rows={m.rows!r}, prime={m.prime!r})"
+        with pytest.raises(FrozenInstanceError):
+            m._form = None
 
 
 def test_halfspin_product_of_orthogonal_roots_builds():
