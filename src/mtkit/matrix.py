@@ -1,0 +1,374 @@
+"""Exact square integer matrices over Q or F_p, and the kernel their products run on."""
+
+from __future__ import annotations
+
+import struct
+import sys
+from bisect import bisect_left
+from dataclasses import FrozenInstanceError
+from functools import lru_cache
+from itertools import chain, compress, count
+from math import gcd
+from operator import lshift, mul
+
+from .errors import FieldMismatch, PreconditionError
+
+# Miller-Rabin with the first thirteen prime bases is exact below this bound.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+# --- the product kernel: Kronecker substitution --------------------------------
+# A row x of n integers packs into the one int sum_c x_c 2^(w c), with signed
+# slots of w = 8 * size bits.  size comes from an a-priori bound on |x_c|
+# (n max|A| max|B| for a product row), so |x_c| < 2^(w-1) and a packed row is
+# 0 exactly when the row is.  Row i of A @ B packs to sum_k A_ik packed(B_k)
+# over the nonzero A_ik: one big-int multiply-add per coefficient.  A matrix's
+# nonzero form is its terms (i, the nonzero entries of row i, their columns)
+# over its nonzero rows, with max |entry|.
+_FMT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
+_SIGN = bytes(128) + b"\xff" * 128  # a slot's top byte -> the byte that sign-extends it
+
+
+def _slot_size(bound: int) -> int:
+    """Bytes per signed slot, a power of two, holding every |x| <= bound."""
+    return 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()
+
+
+def _times(terms, packed, op=mul) -> list[int]:
+    """Packed rows of A @ B, from the nonzero entries of A and the packed rows of B."""
+    out = [0] * len(packed)
+    for i, coeffs, cols in terms:
+        out[i] = sum(map(op, coeffs, map(packed.__getitem__, cols)))
+    return out
+
+
+def _pack(terms, n: int, size: int) -> list[int]:
+    # A @ 1, with row k of 1 packed to 2^(w k)
+    return _times(terms, range(0, 8 * size * n, 8 * size), lshift)
+
+
+def _bias(n: int, size: int) -> int:
+    # 2^(w-1) in each of n slots: adding it keeps the slots from borrowing
+    # from each other, and xor-ing it away leaves each slot's two's complement
+    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
+
+
+def _pack_rows(rows, size: int) -> list[int]:
+    """The packed rows of dense integer rows, read from their slot bytes."""
+    # struct writes each entry into the narrowest slot of 1-8 bytes that holds
+    # them all, and a wider slot is filled out with copies of its sign byte
+    n = len(rows)
+    narrow = size if size in _FMT else _slot_size(max(1, max(map(max, rows), default=0),
+                                                      -min(map(min, rows), default=0)))
+    if narrow in _FMT:
+        fmt = f"<{n}{_FMT[narrow]}"
+        raw = [struct.pack(fmt, *row) for row in rows]
+        if narrow < size:  # all rows at once
+            whole, wide, w = b"".join(raw), bytearray(n * n * size), n * size
+            for k in range(narrow):
+                wide[k::size] = whole[k::narrow]
+            sign = whole[narrow - 1::narrow].translate(_SIGN)
+            for k in range(narrow, size):
+                wide[k::size] = sign
+            raw = [wide[i * w:i * w + w] for i in range(n)]
+    else:  # entries of more than 8 bytes
+        raw = [b"".join([x.to_bytes(size, "little", signed=True) for x in row]) for row in rows]
+    bias = _bias(n, size)
+    return [(int.from_bytes(b, "little") ^ bias) - bias for b in raw]
+
+
+def _unpack(packed: list[int], size: int, p: int | None = None) -> list[tuple]:
+    """The rows of these packed rows, reduced mod p."""
+    n = len(packed)
+    bias, fmt = _bias(n, size), _FMT.get(size)
+    raw = [((v + bias) ^ bias).to_bytes(n * size, "little") for v in packed]
+    slots = range(0, n * size, size)
+    rows = [tuple(memoryview(b).cast(fmt)) if fmt else tuple(
+        [int.from_bytes(b[i:i + size], "little", signed=True) for i in slots]) for b in raw]
+    return [tuple([x % p for x in row]) for row in rows] if p else rows
+
+
+def _largest(terms) -> int:
+    # max |entry| of these terms, 1 for none: a product's slots hold the other factor
+    return max(map(abs, chain.from_iterable([c for _, c, _ in terms])), default=1)
+
+
+def _nonzero(rows) -> tuple[list[tuple[int, list, list[int]]], int]:
+    """Each nonzero row i as (i, its nonzero entries, their columns), and max |entry|."""
+    cols = range(len(rows))
+    terms = [(i, list(compress(row, row)), list(compress(cols, row)))
+             for i, row in compress(enumerate(rows), map(any, rows))]
+    return terms, _largest(terms)
+
+
+def _dense(n: int, coeffs: list, cols: list[int]) -> list:
+    # a row of n entries with these nonzero entries in these columns
+    row = [0] * n
+    for c, x in zip(cols, coeffs):
+        row[c] = x
+    return row
+
+
+def _minus_one(terms, n: int, p: int | None) -> tuple[list, int]:
+    # the nonzero form of M - 1 (over F_p if p) from the terms of M: each row
+    # changes in its diagonal column only
+    minus, out, i = (p or 0) - 1, [], 0
+    for k, coeffs, cols in terms:
+        if k > i:  # zero rows of M
+            out += [(j, [minus], [j]) for j in range(i, k)]
+        i = k + 1
+        if cols[0] == k and coeffs[0] == 1 and len(cols) == 1:  # a row of 1
+            continue
+        at = bisect_left(cols, k)
+        coeffs, cols = coeffs.copy(), cols.copy()
+        if at < len(cols) and cols[at] == k:
+            coeffs[at] = (coeffs[at] - 1) % p if p else coeffs[at] - 1
+            if not coeffs[at]:
+                del coeffs[at], cols[at]
+        else:
+            coeffs.insert(at, minus)
+            cols.insert(at, k)
+        if cols:
+            out.append((k, coeffs, cols))
+    out += [(j, [minus], [j]) for j in range(i, n)]
+    return out, _largest(out)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < _MR_BOUND."""
+    if p < 2:
+        return False
+    if p in _MR_BASES:
+        return True
+    if any(p % b == 0 for b in _MR_BASES):
+        return False
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=128, typed=True)
+def _require_prime(p: int) -> int:
+    """Return p if it is a prime the primality test can certify; raise otherwise."""
+    if not isinstance(p, int):  # typed cache: 7.0 must not hit the entry for 7
+        raise PreconditionError(f"prime must be an integer, got {p!r}")
+    if p >= _MR_BOUND:
+        raise PreconditionError(
+            f"prime must be below {_MR_BOUND}, the range of the deterministic "
+            f"primality test, got {p}"
+        )
+    if not _is_prime(p):
+        raise PreconditionError(f"prime must be a prime >= 2, got {p}")
+    return p
+
+
+class ExactMatrix:
+    """Immutable square integer matrix, over Q (prime=None) or over F_p.
+
+    A matrix holds its dense rows (a tuple of row tuples), its nonzero form
+    (_nonzero(rows)), or both, and builds the other when first read: the
+    checked constructor, @ and kron hold rows; identity, build_root_element
+    and a product of two matrices that hold only their forms hold the form;
+    M - 1 holds what M holds.  ==, hash, repr, pickling and copying see only
+    rows and prime.  Products and powers pack an operand that holds rows from
+    its bytes and one that holds only its form by shifts.
+
+    Caller-supplied rows are checked once, in the constructor: square shape,
+    int entries, a certified prime, entries reduced mod p.  Matrices the class
+    derives from checked ones skip the re-scan.
+
+    Hot paths build tuples from lists, not generators: CPython allocates a
+    tuple built from a generator at a guessed size and resizes it, so once
+    freed such tuples pile up on its per-size free lists instead of being
+    reused, which shows as resident memory.
+    """
+
+    __slots__ = ("_rows", "prime", "dim", "_form")
+
+    def __init__(self, rows, prime: int | None = None) -> None:
+        rows = tuple([tuple(row) for row in rows])
+        n = len(rows)
+        for row in rows:
+            if len(row) != n:
+                raise PreconditionError("ExactMatrix must be square")
+            for x in row:
+                if not isinstance(x, int):
+                    raise PreconditionError(
+                        "floating point entries are not allowed" if isinstance(x, float)
+                        else f"entries must be int, got {x!r}"
+                    )
+        if prime is not None:
+            _require_prime(prime)
+            rows = tuple([tuple([x % prime for x in row]) for row in rows])
+        self._hold(rows, prime, n, None)
+
+    def _hold(self, rows, prime, n, form) -> None:
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "dim", n)
+        object.__setattr__(self, "_form", form)
+
+    @classmethod
+    def _derived(cls, rows: tuple[tuple, ...] | None, prime: int | None, form=None,
+                 n: int | None = None) -> "ExactMatrix":
+        """Wrap rows or a form (then n is the dimension) built from checked entries."""
+        m = object.__new__(cls)
+        m._hold(rows, prime, len(rows) if n is None else n, form)
+        return m
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        """The dense rows, built from the form when first read."""
+        if self._rows is None:
+            n = self.dim
+            rows = [(0,) * n] * n
+            for i, coeffs, cols in self._form[0]:
+                rows[i] = tuple(_dense(n, coeffs, cols))
+            object.__setattr__(self, "_rows", tuple(rows))
+        return self._rows
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.prime) == (other.rows, other.prime)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.prime))
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(rows={self.rows!r}, prime={self.prime!r})"
+
+    def __reduce__(self):
+        return ExactMatrix, (self.rows, self.prime)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _sparse(self) -> tuple[list[tuple[int, list, list[int]]], int]:
+        if self._form is None:
+            object.__setattr__(self, "_form", _nonzero(self._rows))
+        return self._form
+
+    def _bound(self) -> int:  # max |entry|, 1 for a zero matrix
+        if self._form is not None:
+            return self._form[1]
+        rows = self._rows
+        return max(1, max(map(max, rows), default=0), -min(map(min, rows), default=0))
+
+    def _packed(self, size: int) -> list[int]:
+        # from the row bytes when the matrix holds rows, by shifts from its form otherwise
+        if self._rows is None:
+            return _pack(self._form[0], self.dim, size)
+        return _pack_rows(self._rows, size)
+
+    @classmethod
+    def identity(cls, n: int, prime: int | None = None) -> "ExactMatrix":
+        if type(n) is not int or n < 0:
+            raise PreconditionError(f"identity dimension must be a non-negative int, got {n!r}")
+        if prime is not None:
+            _require_prime(prime)
+        one = [1]
+        return cls._derived(None, prime, ([(i, one, [i]) for i in range(n)], 1), n)
+
+    def is_zero(self) -> bool:
+        if self._form is not None:
+            return not self._form[0]
+        return not any(map(any, self._rows))
+
+    def is_identity(self) -> bool:
+        n = self.dim
+        if self._form is not None:
+            terms = self._form[0]
+            return len(terms) == n and all(k == [i] and c == [1] for i, c, k in terms)
+        return all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._rows))
+
+    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Product by Kronecker substitution: each row of other packs into one int."""
+        if self.prime != other.prime:
+            raise FieldMismatch("cannot multiply matrices over different fields")
+        if self.dim != other.dim:
+            raise PreconditionError("dimension mismatch in matrix product")
+        a, ma = self._sparse()
+        size = _slot_size(self.dim * ma * other._bound())
+        rows = _unpack(_times(a, other._packed(size)), size, self.prime)
+        if self._rows is None and other._rows is None:  # a product of forms holds its form
+            return ExactMatrix._derived(None, self.prime, _nonzero(rows), self.dim)
+        return ExactMatrix._derived(tuple(rows), self.prime)
+
+    def sub_identity(self) -> "ExactMatrix":
+        """M - 1, the nilpotent part candidate, holding what M holds."""
+        p, n, rows = self.prime, self.dim, self._rows
+        if rows is not None:
+            out = []
+            for i, row in enumerate(rows):
+                row = list(row)
+                row[i] = (row[i] - 1) % p if p else row[i] - 1
+                out.append(tuple(row))
+            return ExactMatrix._derived(tuple(out), p)
+        return ExactMatrix._derived(None, p, _minus_one(self._form[0], n, p), n)
+
+    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        """Kronecker product: row (i, j) packs to packed(other_j) times row i
+        of self packed into slots dim(other) times as wide."""
+        if self.prime != other.prime:
+            raise FieldMismatch("cannot tensor matrices over different fields")
+        if not other.dim:  # no slots to spread self's rows into
+            return ExactMatrix._derived((), self.prime)
+        size = _slot_size(self._bound() * other._bound())
+        spread, packed = self._packed(size * other.dim), other._packed(size)
+        rows = _unpack([x * y for x in spread for y in packed], size, self.prime)
+        return ExactMatrix._derived(tuple(rows), self.prime)
+
+    def rank(self) -> int:
+        """Exact rank by elimination: each nonzero row is reduced by the kept row
+        that leads in its leading column until it vanishes or leads in a new one.
+        A row is written out densely only once it is reduced or reduces another.
+
+        Over Q it is fraction-free: a row that leads with v, against the pivot
+        and g = gcd(v, pivot), becomes (pivot/g) row - (v/g) kept row divided
+        by the gcd of its entries.
+        """
+        p, n, rows = self.prime, self.dim, self._rows
+
+        def dense(term):
+            return rows[term[0]] if rows is not None else _dense(n, *term[1:])
+
+        kept: dict[int, tuple | list] = {}  # leading column -> a term, or a reduced row (a list)
+        for term in self._sparse()[0]:
+            lead = term[2][0]
+            if lead not in kept:
+                kept[lead] = term
+                continue
+            row = dense(term)
+            while (prow := kept.get(lead)) is not None:
+                if type(prow) is tuple:
+                    prow = dense(prow)
+                v, pivot = row[lead], prow[lead]
+                if p:
+                    f = v * pow(pivot, -1, p) % p
+                    row = [(x - f * y) % p for x, y in zip(row, prow)]
+                else:
+                    g = gcd(v, pivot)
+                    a, b = pivot // g, v // g
+                    row = [a * x - b * y for x, y in zip(row, prow)]
+                    if (g := gcd(*row)) > 1:
+                        row = [x // g for x in row]
+                if (lead := next(compress(count(), row), None)) is None:
+                    break
+            else:
+                kept[lead] = row
+        return len(kept)

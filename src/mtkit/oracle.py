@@ -5,34 +5,32 @@ in mtkit.drops: matrices are built entry by entry, ranks come from
 Gaussian elimination, unipotence degrees from repeated multiplication.
 Arithmetic is exact throughout -- every matrix has integer entries, read
 over the rationals or reduced mod p over a prime field.  No floats anywhere.
+The matrix type, ExactMatrix, and its product kernel are in mtkit.matrix.
 """
 
 from __future__ import annotations
 
 import random
-import struct
-import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain, compress, count, permutations
-from math import gcd
-from operator import attrgetter, itemgetter, lshift, mul
+from itertools import compress, count, permutations
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 
-from .errors import FieldMismatch, NotUnipotent, PreconditionError
+from .errors import NotUnipotent, PreconditionError
+from .matrix import ExactMatrix, _pack_rows, _require_prime, _slot_size, _times, _unpack
 from .minuscule import MinusculeRep
 from .roots import pair_with_coroot
 
 DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degrade
 
-# Miller-Rabin with the first thirteen prime bases is exact below this bound.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
-
-# Largest module build_root_element writes out as a dense matrix: its rows
-# take at least 8 n^2 bytes (134 MB at 4096), so the 8192-dimensional
-# half-spin modules of D14 are refused before their orbit or any row is built.
+# Largest module build_root_element accepts.  A root element holds only its
+# nonzero form, n + drop entries; at least 8 n^2 bytes (134 MB at 4096) are
+# written only for its rows once read, or for the product of several while it
+# is unpacked, so the 8192-dimensional half-spin modules of D14 are refused
+# before their orbit or any row is built.  `oracle drop` on D12 w12 (n = 2048)
+# peaks at 17.6 MB RSS for one root and 63 MB for two, where dense x_alpha(1)
+# and M - 1 took 57 and 122 MB (2 vCPUs, Python 3.11.7).
 MATRIX_BUDGET = 4096
 
 # Largest estimated cost of a verify_tensor_lemma run: trials times
@@ -42,251 +40,10 @@ MATRIX_BUDGET = 4096
 RUN_BUDGET = 5 * 10**10
 
 
-def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for p < _MR_BOUND."""
-    if p < 2:
-        return False
-    if p in _MR_BASES:
-        return True
-    if any(p % b == 0 for b in _MR_BASES):
-        return False
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=128, typed=True)
-def _require_prime(p: int) -> int:
-    """Return p if it is a prime the primality test can certify; raise otherwise."""
-    if not isinstance(p, int):  # typed cache: 7.0 must not hit the entry for 7
-        raise PreconditionError(f"prime must be an integer, got {p!r}")
-    if p >= _MR_BOUND:
-        raise PreconditionError(
-            f"prime must be below {_MR_BOUND}, the range of the deterministic "
-            f"primality test, got {p}"
-        )
-    if not _is_prime(p):
-        raise PreconditionError(f"prime must be a prime >= 2, got {p}")
-    return p
-
-
-# --- the product kernel: Kronecker substitution --------------------------------
-# A row x of n integers packs into the one int sum_c x_c 2^(w c), with signed
-# slots of w = 8 * size bits.  size comes from an a-priori bound on |x_c|
-# (n max|A| max|B| for a product row), so |x_c| < 2^(w-1) and a packed row is
-# 0 exactly when the row is.  Row i of A @ B packs to sum_k A_ik packed(B_k)
-# over the nonzero A_ik: one big-int multiply-add per coefficient.
-_FMT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-
-
-def _slot_size(bound: int) -> int:
-    """Bytes per signed slot, a power of two, holding every |x| <= bound."""
-    return 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()
-
-
-def _times(terms, packed, op=mul) -> list[int]:
-    """Packed rows of A @ B, from the nonzero entries of A and the packed rows of B."""
-    out = [0] * len(packed)
-    for i, coeffs, cols in terms:
-        out[i] = sum(map(op, coeffs, map(packed.__getitem__, cols)))
-    return out
-
-
-def _pack(terms, n: int, size: int) -> list[int]:
-    # A @ 1, with row k of 1 packed to 2^(w k)
-    return _times(terms, range(0, 8 * size * n, 8 * size), lshift)
-
-
-def _bias(n: int, size: int) -> int:
-    # 2^(w-1) in each of n slots: adding it keeps the slots from borrowing
-    # from each other, and xor-ing it away leaves each slot's two's complement
-    return int.from_bytes((bytes(size - 1) + b"\x80") * n, "little")
-
-
-def _pack_rows(rows, size: int) -> list[int]:
-    """The packed rows of dense integer rows, read from their slot bytes."""
-    n = len(rows)
-    bias, fmt = _bias(n, size), _FMT.get(size)
-    raw = [struct.pack(f"<{n}{fmt}", *row) if fmt else b"".join(
-        [x.to_bytes(size, "little", signed=True) for x in row]) for row in rows]
-    return [(int.from_bytes(b, "little") ^ bias) - bias for b in raw]
-
-
-def _unpack(packed: list[int], size: int, p: int | None = None) -> list[tuple]:
-    """The rows of these packed rows, reduced mod p."""
-    n = len(packed)
-    bias, fmt = _bias(n, size), _FMT.get(size)
-    raw = [((v + bias) ^ bias).to_bytes(n * size, "little") for v in packed]
-    slots = range(0, n * size, size)
-    rows = [tuple(memoryview(b).cast(fmt)) if fmt else tuple(
-        [int.from_bytes(b[i:i + size], "little", signed=True) for i in slots]) for b in raw]
-    return [tuple([x % p for x in row]) for row in rows] if p else rows
-
-
-def _nonzero(rows, among=None) -> tuple[list[tuple[int, list, list[int]]], int]:
-    """Each nonzero row i (of among, default all) as (i, its nonzero entries, their
-    columns), and max |entry| (1 for a zero matrix: a product's slots hold the other)."""
-    cols = range(len(rows))
-    among = cols if among is None else among
-    terms = [(i, list(compress(rows[i], rows[i])), list(compress(cols, rows[i])))
-             for i in compress(among, map(any, map(rows.__getitem__, among)))]
-    return terms, max(map(abs, chain.from_iterable([c for _, c, _ in terms])), default=1)
-
-
-@dataclass(frozen=True, slots=True)
-class ExactMatrix:
-    """Immutable dense square integer matrix, over Q (prime=None) or over F_p.
-
-    rows is a tuple of row tuples.  Caller-supplied rows are checked once,
-    here: square shape, int entries, a certified prime, entries reduced mod p.
-    Matrices the class derives from checked ones (products, Kronecker
-    products, M - 1, identities, root elements) skip the re-scan.
-
-    _form memoizes _nonzero(rows) outside ==, hash and repr, for products,
-    rank and nilpotency_degree; identity, build_root_element and sub_identity
-    (of M with a known form and no zero row) seed it.
-
-    Hot paths build tuples from lists, not generators: CPython allocates a
-    tuple built from a generator at a guessed size and resizes it, so once
-    freed such tuples pile up on its per-size free lists instead of being
-    reused, which shows as resident memory.
-    """
-
-    rows: tuple[tuple, ...]
-    prime: int | None = None
-    _form: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        rows = tuple([tuple(row) for row in self.rows])
-        n = len(rows)
-        p = self.prime
-        for row in rows:
-            if len(row) != n:
-                raise PreconditionError("ExactMatrix must be square")
-            for x in row:
-                if not isinstance(x, int):
-                    raise PreconditionError(
-                        "floating point entries are not allowed" if isinstance(x, float)
-                        else f"entries must be int, got {x!r}"
-                    )
-        if p is not None:
-            _require_prime(p)
-            rows = tuple([tuple([x % p for x in row]) for row in rows])
-        object.__setattr__(self, "rows", rows)
-
-    @classmethod
-    def _derived(cls, rows: tuple[tuple, ...], prime: int | None, form=None) -> "ExactMatrix":
-        """Wrap rows built from checked entries, without checking them again."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "prime", prime)
-        object.__setattr__(m, "_form", form)
-        return m
-
-    def _sparse(self) -> tuple[list[tuple[int, list, list[int]]], int]:
-        if self._form is None:
-            object.__setattr__(self, "_form", _nonzero(self.rows))
-        return self._form
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int, prime: int | None = None) -> "ExactMatrix":
-        if prime is not None:
-            _require_prime(prime)
-        # row i is a window of one tuple that holds a single 1 in its middle
-        e, one = (0,) * (n - 1) + (1,) + (0,) * (n - 1), [1]
-        return cls._derived(tuple([e[n - 1 - i:2 * n - 1 - i] for i in range(n)]), prime,
-                            ([(i, one, [i]) for i in range(n)], 1))
-
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
-
-    def is_identity(self) -> bool:
-        return self.rows == ExactMatrix.identity(self.dim).rows
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Product by Kronecker substitution: each row of other packs into one int."""
-        if self.prime != other.prime:
-            raise FieldMismatch("cannot multiply matrices over different fields")
-        if self.dim != other.dim:
-            raise PreconditionError("dimension mismatch in matrix product")
-        a, ma = self._sparse()
-        b, mb = other._sparse()
-        size = _slot_size(self.dim * ma * mb)
-        rows = _unpack(_times(a, _pack(b, self.dim, size)), size, self.prime)
-        return ExactMatrix._derived(tuple(rows), self.prime)
-
-    def sub_identity(self) -> "ExactMatrix":
-        """M - 1, the nilpotent part candidate.  If M has a known form and no
-        zero row, its rows equal to those of 1, each the one term (i, [1], [i]),
-        become one shared zero row."""
-        p, rows, form, n = self.prime, self.rows, self._form, self.dim
-        sparse = form is not None and len(form[0]) == n
-        changed = [i for i, c, k in form[0] if k[0] != i or len(k) > 1 or c[0] != 1
-                   ] if sparse else range(n)
-        out = [(0,) * n] * n
-        for i in changed:
-            row = list(rows[i])
-            row[i] = (row[i] - 1) % p if p else row[i] - 1
-            out[i] = tuple(row)
-        return ExactMatrix._derived(tuple(out), p, _nonzero(out, changed) if sparse else None)
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Kronecker product: row (i, j) packs to packed(other_j) times row i
-        of self packed into slots dim(other) times as wide."""
-        if self.prime != other.prime:
-            raise FieldMismatch("cannot tensor matrices over different fields")
-        a, ma = self._sparse()
-        b, mb = other._sparse()
-        size = _slot_size(ma * mb)
-        spread = _pack(a, self.dim, size * other.dim)
-        packed = _pack(b, other.dim, size)
-        rows = _unpack([x * y for x in spread for y in packed], size, self.prime)
-        return ExactMatrix._derived(tuple(rows), self.prime)
-
-    def rank(self) -> int:
-        """Exact rank by elimination: each nonzero row is reduced by the kept row
-        that leads in its leading column until it vanishes or leads in a new one.
-
-        Over Q it is fraction-free: a row that leads with v, against the pivot
-        and g = gcd(v, pivot), becomes (pivot/g) row - (v/g) kept row divided
-        by the gcd of its entries.
-        """
-        p, rows = self.prime, self.rows
-        kept: dict[int, tuple | list] = {}  # leading column -> row
-        for i, _, cols in self._sparse()[0]:
-            row, lead = rows[i], cols[0]
-            while (prow := kept.get(lead)) is not None:
-                v, pivot = row[lead], prow[lead]
-                if p:
-                    f = v * pow(pivot, -1, p) % p
-                    row = [(x - f * y) % p for x, y in zip(row, prow)]
-                else:
-                    g = gcd(v, pivot)
-                    a, b = pivot // g, v // g
-                    row = [a * x - b * y for x, y in zip(row, prow)]
-                    if (g := gcd(*row)) > 1:
-                        row = [x // g for x in row]
-                if (lead := next(compress(count(), row), None)) is None:
-                    break
-            else:
-                kept[lead] = row
-        return len(kept)
+def _require_int(name: str, value) -> int:
+    if type(value) is not int:
+        raise PreconditionError(f"{name} must be an int, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -315,7 +72,7 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
         return 1
     step = n * bound  # the next power's entries are at most step * bound
     size = _slot_size(step * bound)
-    packed = _pack(terms, n, size)
+    packed = nil._packed(size)
     for k in range(2, n + 1):
         packed = _times(terms, packed)
         bound *= step
@@ -381,20 +138,17 @@ def build_root_element(
     # <mu, alpha coroot> sums mu's coordinates over the coroot's simple coroots with
     # multiplicity.  x_alpha moves each mu pairing to -1 to mu + alpha, which pairs to
     # +1; the orbit is sorted and + alpha keeps the order, so the k-th goes to the k-th.
-    identity = ExactMatrix.identity(rep.dimension, prime)
+    n, one = rep.dimension, [1]
     product: ExactMatrix | None = None
     for idx in root_indices:
         ks = [k for k, c in enumerate(d.coroots[idx]) for _ in range(c)]
         coords = map(itemgetter(*ks), map(attrgetter("coords"), rep.orbit))
         pairings = list(coords if len(ks) == 1 else map(sum, coords))
-        rows, terms = list(identity.rows), list(identity._form[0])
+        terms = [(i, one, [i]) for i in range(n)]
         for src, dst in zip(compress(count(), map((-1).__eq__, pairings)),
                             compress(count(), map((1).__eq__, pairings)), strict=True):
-            row = list(rows[dst])
-            row[src] = 1
-            rows[dst] = tuple(row)
             terms[dst] = (dst, [1, 1], [src, dst] if src < dst else [dst, src])
-        m = ExactMatrix._derived(tuple(rows), prime, (terms, 1))
+        m = ExactMatrix._derived(None, prime, (terms, 1), n)
         product = m if product is None else product @ m
     return product
 
@@ -472,9 +226,9 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
     the conjugator is a product of random unit-triangular integer matrices,
     so the result is integral and stays invertible mod every prime.
     """
-    if k < 1:
+    if _require_int("unipotence degree", k) < 1:
         raise PreconditionError("unipotence degree must be >= 1")
-    if dim < k:
+    if _require_int("dimension", dim) < k:
         raise PreconditionError(f"dimension {dim} cannot host a {k}-unipotent element")
     parts = [k]
     rem = dim - k
@@ -514,11 +268,13 @@ def verify_tensor_lemma(
     """
     if prime is not None:
         _require_prime(prime)
-    if k1 < 1 or k2 < 1:
+    if not isinstance(dims, (tuple, list)) or len(dims) != 2:
+        raise PreconditionError(f"dims must be a pair of ints, got {dims!r}")
+    d1, d2 = (_require_int("dims entry", d) for d in dims)
+    if _require_int("k1", k1) < 1 or _require_int("k2", k2) < 1:
         raise PreconditionError("unipotence degrees must be >= 1")
-    if trials <= 0:
+    if _require_int("trials", trials) <= 0:
         raise PreconditionError("trials must be positive")
-    d1, d2 = dims
     if d1 < k1 or d2 < k2:
         raise PreconditionError(f"dims {dims} too small for degrees ({k1}, {k2})")
     n = d1 * d2

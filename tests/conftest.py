@@ -152,7 +152,7 @@ def reference_random_unipotent(dim, k, rng, prime=None):
 # over F_p: every repacked power is scanned for its largest |entry|.
 def scan_nilpotency_degree(nil):
     from mtkit.errors import NotUnipotent
-    from mtkit.oracle import _nonzero, _pack, _pack_rows, _slot_size, _times, _unpack
+    from mtkit.matrix import _nonzero, _pack, _pack_rows, _slot_size, _times, _unpack
 
     n, p = nil.dim, nil.prime
     terms, bound = _nonzero(nil.rows)

@@ -38,8 +38,8 @@ from mtkit import (
     unipotence,
     verify_tensor_lemma,
 )
-from mtkit import oracle
-from mtkit.oracle import _is_prime
+from mtkit import matrix, oracle
+from mtkit.matrix import _is_prime
 
 
 def jordan(sizes, prime=None):
@@ -179,60 +179,99 @@ def _root_element_cases():
             yield rep, [find_positive_root(rep.datum, s) for s in specs]
 
 
+def _form_only(m):
+    """A twin of m that holds only its nonzero form, as identity and root elements do."""
+    return ExactMatrix._derived(None, m.prime, matrix._nonzero(m.rows), m.dim)
+
+
 @pytest.mark.parametrize("prime", [None, 2])
-def test_root_elements_match_the_dense_reference(prime):
+def test_root_elements_match_the_dense_reference(prime, monkeypatch):
+    degree, nils = oracle.nilpotency_degree, []
+    monkeypatch.setattr(oracle, "nilpotency_degree", lambda nil: nils.append(nil) or degree(nil))
     cases = 0
     for rep, idxs in _root_element_cases():
         m = build_root_element(rep, idxs, prime)
+        report = unipotence(m)
+        # x_alpha(1), a product of several, and the M - 1 unipotence builds
+        # hold only their forms through the degree and the drop
+        assert m._rows is None and nils[-1]._rows is None
         ref = reference_build_root_element(rep, idxs, prime)
-        single = len(idxs) == 1  # a product of root elements is not seeded
-        assert m.rows == ref.rows
-        assert m._form == (oracle._nonzero(m.rows) if single else None)
         nil, ref_nil = m.sub_identity(), reference_sub_identity(ref)
-        assert nil.rows == ref_nil.rows
-        assert nil._form == (oracle._nonzero(nil.rows) if single else None)
-        assert nilpotency_degree(nil) == scan_nilpotency_degree(ref_nil)
-        assert nil.rank() == reference_rank(ref_nil)
+        assert m.rows == ref.rows and nil.rows == ref_nil.rows
+        assert m._sparse() == matrix._nonzero(m.rows) and nil._sparse() == matrix._nonzero(nil.rows)
+        assert report.degree == degree(nil) == scan_nilpotency_degree(ref_nil)
+        assert report.drop == nil.rank() == reference_rank(ref_nil)
         cases += 1
     assert cases == 1070 + 36 + 63 + 16
 
 
-def test_seeded_forms_equal_a_fresh_scan():
+def _constructions(prime):
+    """(name, build, holds only its form) for every way a matrix is made."""
     import random
 
-    rng = random.Random(3)
     rep = minuscule_rep(CartanType("D", 5), 5)
     e12, e34 = (find_positive_root(rep.datum, s) for s in ("e1-e2", "e3-e4"))
-    made = []
-    for prime in (None, 7):
-        base = [ExactMatrix([[2, 0, 1], [0, 1, 0], [1, 1, 1]], prime),  # no zero row
-                ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 1, 1]], prime),  # a zero row
-                ExactMatrix([[3, 0, 0], [0, 1, 0], [0, 0, -1]], prime),  # diagonal
-                ExactMatrix.identity(3, prime), ExactMatrix.identity(0, prime),
-                random_unipotent(5, 3, rng, prime),
-                build_root_element(rep, [e12], prime), build_root_element(rep, [e12, e34], prime)]
-        a, b, _, one, _, u, root, _ = base
-        assert all(m._form is not None for m in (one, root, root.sub_identity(), one.sub_identity()))
-        base += [a @ one, one @ b, a.kron(b), u.kron(one), root @ root]
-        assert all(m._form is None for m in base[-5:])  # products are not seeded
-        for m in base:
-            made += [m, m.sub_identity()]  # M - 1 of M as it was built
-            m._sparse()
-            nil = m.sub_identity()  # with M's form known: seeded unless M has a zero row
-            assert (nil._form is not None) == (len(m._form[0]) == m.dim)
-            assert nil.rows == reference_sub_identity(m).rows
-            made += [nil, nil.sub_identity()]
-    for m in made:
-        fresh = oracle._nonzero(m.rows)
+    made = {
+        "no zero row": (lambda: ExactMatrix([[2, 0, 1], [0, 1, 0], [1, 1, 1]], prime), False),
+        "a zero row": (lambda: ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 1, 1]], prime), False),
+        "diagonal": (lambda: ExactMatrix([[3, 0, 0], [0, 1, 0], [0, 0, -1]], prime), False),
+        "identity": (lambda: ExactMatrix.identity(3, prime), True),
+        "empty identity": (lambda: ExactMatrix.identity(0, prime), True),
+        "random unipotent": (lambda: random_unipotent(5, 3, random.Random(3), prime), False),
+        "root element": (lambda: build_root_element(rep, [e12], prime), True),
+        "root product": (lambda: build_root_element(rep, [e12, e34], prime), True),
+    }
+    a, b, one, u, root = (made[k][0] for k in ("no zero row", "a zero row", "identity",
+                                               "random unipotent", "root element"))
+    made |= {
+        "a @ 1": (lambda: a() @ one(), False), "1 @ b": (lambda: one() @ b(), False),
+        "a (x) b": (lambda: a().kron(b()), False), "u (x) 1": (lambda: u().kron(one()), False),
+        "1 (x) root": (lambda: one().kron(root()), False),
+        "root @ root": (lambda: root() @ root(), True),
+        "form-only twin of b": (lambda: _form_only(b()), True),
+    }
+    for name, (build, form_only) in list(made.items()):
+        yield name, build, form_only
+        # M - 1 and M - 2 hold what M holds
+        yield f"{name} - 1", lambda build=build: build().sub_identity(), form_only
+        yield f"{name} - 2", lambda build=build: build().sub_identity().sub_identity(), form_only
+
+
+def test_seeded_forms_equal_a_fresh_scan():
+    import copy
+    import pickle
+
+    checks = {
+        "==": lambda m, twin: m == twin and twin == m and not m != twin,
+        "hash": lambda m, twin: hash(m) == hash(twin),
+        "repr": lambda m, twin: repr(m) == repr(twin)
+        == f"ExactMatrix(rows={twin.rows!r}, prime={twin.prime!r})",
+        "pickle": lambda m, twin: pickle.loads(pickle.dumps(m)) == twin,
+        "copy": lambda m, twin: copy.copy(m) == twin,
+        "deepcopy": lambda m, twin: copy.deepcopy(m) == twin,
+    }
+    made = [(prime, c) for prime in (None, 7) for c in _constructions(prime)]
+    for prime, (name, build, form_only) in made:
+        twin = ExactMatrix(build().rows, prime)  # built from rows
+        assert twin._form is None and twin._rows is not None
+        for read_first in (True, False):
+            for what, check in checks.items():
+                m = build()
+                assert (m._rows is None, m._form is None) == (form_only, not form_only), name
+                if read_first:
+                    assert m.rows == twin.rows
+                assert check(m, twin), (name, what, read_first)
+        m = build()
         if m._form is not None:
-            assert m._form == fresh
-        assert m._sparse() == fresh
-        plain = ExactMatrix(m.rows, m.prime)
-        assert plain._form is None
-        assert m == plain and hash(m) == hash(plain)
-        assert repr(m) == repr(plain) == f"ExactMatrix(rows={m.rows!r}, prime={m.prime!r})"
-        with pytest.raises(FrozenInstanceError):
-            m._form = None
+            assert m._form == matrix._nonzero(twin.rows), name
+        assert m._sparse() == matrix._nonzero(twin.rows), name
+        assert m.sub_identity() == reference_sub_identity(twin), name
+        assert m.is_zero() == twin.is_zero() and m.is_identity() == twin.is_identity(), name
+        for field in ("_form", "_rows", "rows", "prime", "dim"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, field, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(m, field)
 
 
 def test_halfspin_product_of_orthogonal_roots_builds():
@@ -486,6 +525,33 @@ def test_reports_are_frozen():
     assert json.loads(json.dumps(d)) == d
 
 
+@pytest.mark.parametrize("n", [-2, -1, 2.0, True, "3", None])
+def test_identity_refuses_a_dimension_that_is_not_a_non_negative_int(n):
+    with pytest.raises(PreconditionError, match=re.escape(f"non-negative int, got {n!r}")):
+        ExactMatrix.identity(n)
+
+
+def test_random_unipotent_and_tensor_trials_refuse_arguments_that_are_not_ints():
+    import random
+
+    for dim, k, message in [(3.0, 2, "dimension must be an int, got 3.0"),
+                            (3, 2.0, "unipotence degree must be an int, got 2.0"),
+                            (True, 1, "dimension must be an int, got True")]:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            random_unipotent(dim, k, random.Random(1))
+    bad = [((1.0, 1, (2, 2), 1), "k1 must be an int, got 1.0"),
+           ((1, "1", (2, 2), 1), "k2 must be an int, got '1'"),
+           ((1, 1, (2, 2), 1.5), "trials must be an int, got 1.5"),
+           ((1, 1, (2, 2.0), 1), "dims entry must be an int, got 2.0"),
+           ((1, 1, (2,), 1), "dims must be a pair of ints, got (2,)"),
+           ((1, 1, (2, 2, 2), 1), "dims must be a pair of ints, got (2, 2, 2)"),
+           ((1, 1, 4, 1), "dims must be a pair of ints, got 4")]
+    for (k1, k2, dims, trials), message in bad:
+        with pytest.raises(PreconditionError, match=re.escape(message)):
+            verify_tensor_lemma(k1, k2, dims, trials, 0)
+    assert verify_tensor_lemma(1, 1, [2, 2], 1, 0).dims == (2, 2)
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, 561])
 def test_non_prime_rejected_by_identity(p):
     with pytest.raises(PreconditionError, match="prime >= 2"):
@@ -587,10 +653,11 @@ def test_rank_matches_fraction_elimination_on_deficient_products():
         b = [[entry() for _ in range(n)] for _ in range(k)]
         rows = _scaled([[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
                         for i in range(n)])
-        m = ExactMatrix(rows)
-        assert m.rank() == _reference_rank(rows, None) <= k
-        for p in (2, 3, 10007):
-            assert ExactMatrix(rows, p).rank() == _reference_rank(rows, p)
+        for p in (None, 2, 3, 10007):
+            m = ExactMatrix(rows, p)
+            # the form-only twin writes out a row only once it is reduced
+            assert m.rank() == _form_only(m).rank() == _reference_rank(rows, p) <= n
+        assert ExactMatrix(rows).rank() <= k
 
 
 def test_rank_over_q_matches_fraction_elimination_on_dense_integer_matrices():
@@ -613,17 +680,47 @@ def test_rank_over_q_matches_fraction_elimination_on_dense_integer_matrices():
         assert ExactMatrix(deficient).rank() <= k
 
 
+def _kinds(rows, prime):
+    """The matrix of these rows, holding rows, and its twin that holds only its form."""
+    m = ExactMatrix(rows, prime)
+    return m, _form_only(m)
+
+
 def test_is_zero_on_zero_and_single_entry_matrices():
-    for n in range(1, 6):
+    for n in range(0, 6):
         for prime in (None, 2, 7):
-            assert ExactMatrix([[0] * n for _ in range(n)], prime).is_zero()
+            zero = ExactMatrix.identity(n, prime).sub_identity()
+            assert zero._rows is None
+            for m in _kinds([[0] * n for _ in range(n)], prime) + (zero,):
+                assert m.is_zero()
             for i in range(n):
                 for j in range(n):
-                    for x in (1, -1, 3):
+                    for x in (1, -1, 3):  # none is 0 mod 2 or mod 7
                         rows = [[0] * n for _ in range(n)]
                         rows[i][j] = x
-                        assert not ExactMatrix(rows, prime).is_zero()
-    assert ExactMatrix([[2, 0], [0, 4]], 2).is_zero()  # reduced mod 2
+                        assert not any(m.is_zero() for m in _kinds(rows, prime))
+    assert all(m.is_zero() for m in _kinds([[2, 0], [0, 4]], 2))  # reduced mod 2
+
+
+def test_is_identity_on_both_kinds_of_matrix():
+    for n in range(0, 6):
+        for prime in (None, 2, 7):
+            one = ExactMatrix.identity(n, prime)
+            assert one._rows is None
+            for m in (one,) + _kinds(one.rows, prime):
+                assert m.is_identity() and m.is_zero() == (n == 0)
+            assert one.sub_identity().is_identity() == (n == 0)
+            for i in range(n):
+                for j in range(n):
+                    for x in (1, -1, 3):  # none is 0 mod 2 or mod 7
+                        rows = [list(r) for r in one.rows]
+                        rows[i][j] += x
+                        assert not any(m.is_identity() for m in _kinds(rows, prime))
+                        rows = [[0] * n for _ in range(n)]
+                        rows[i][j] = x
+                        for m in _kinds(rows, prime):
+                            assert m.is_identity() == (m.rows == ((1,),))
+    assert all(m.is_identity() for m in _kinds([[3, 0], [0, 9]], 2))  # reduced mod 2
 
 
 # --- the packed kernel against the row-adaptive product it replaced ----------
@@ -703,8 +800,9 @@ def test_product_matches_row_adaptive_reference(prime):
         a = _random_rows(rng, n, fractions)
         b = [[x * big for x in row] for row in _random_rows(rng, n, fractions)]
         a, b = ExactMatrix(a, prime), ExactMatrix(b, prime)
-        assert (a @ b).rows == _row_adaptive_product(a.rows, b.rows, prime)
-        assert (b @ a).rows == _row_adaptive_product(b.rows, a.rows, prime)
+        fa, fb = _form_only(a), _form_only(b)
+        for x, y in [(a, b), (b, a), (fa, b), (a, fb), (fb, fa)]:
+            assert (x @ y).rows == _row_adaptive_product(x.rows, y.rows, prime)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -712,13 +810,13 @@ def test_kron_matches_entrywise_products(prime):
     import random
 
     rng = random.Random(prime or 5)
-    for n1, n2 in [(1, 1), (1, 4), (4, 1), (2, 5), (5, 3), (6, 6)]:
+    for n1, n2 in [(0, 0), (0, 3), (3, 0), (1, 1), (1, 4), (4, 1), (2, 5), (5, 3), (6, 6)]:
         big = rng.choice((1, 2**40 + 3, -(2**61) - 5))
         a = ExactMatrix(_random_rows(rng, n1, prime is None), prime)
         b = ExactMatrix([[x * big for x in row] for row in _random_rows(rng, n2, prime is None)], prime)
         want = tuple(tuple(x * y % prime if prime else x * y for x in arow for y in brow)
                      for arow in a.rows for brow in b.rows)
-        assert a.kron(b).rows == want
+        assert a.kron(b).rows == _form_only(a).kron(b).rows == a.kron(_form_only(b)).rows == want
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -733,7 +831,8 @@ def test_nilpotency_degree_matches_repeated_products(prime):
     for n in range(1, 13):
         for entry in entries:
             nil = ExactMatrix(_scaled(_nilpotent_rows(rng, n, entry)), prime)
-            assert nilpotency_degree(nil) == _reference_degree(nil)
+            want = _reference_degree(nil)
+            assert nilpotency_degree(nil) == nilpotency_degree(_form_only(nil)) == want
         # dense, with negative entries, and the same scaled past 2^40
         k = rng.randint(1, n)
         nil = random_unipotent(n, k, rng).sub_identity()
@@ -759,17 +858,43 @@ def test_large_entries_widen_the_slots(monkeypatch):
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])
 def test_slots_hold_their_bound_with_a_sign_bit(size):
     top = 2 ** (8 * size - 1) - 1  # the largest |x| a signed slot of this size holds
-    assert oracle._slot_size(top) == size
-    assert oracle._slot_size(top + 1) == 2 * size
+    assert matrix._slot_size(top) == size
+    assert matrix._slot_size(top + 1) == 2 * size
     rows = [(top, -top, 0, 1), (0, 0, 0, 0), (-1, top, -top, -1), (-top, 0, 0, top)]
-    terms = oracle._nonzero(rows)[0]
-    packed = oracle._pack(terms, 4, size)
+    terms = matrix._nonzero(rows)[0]
+    packed = matrix._pack(terms, 4, size)
     assert packed[1] == 0 and all(packed[i] for i in (0, 2, 3))
-    assert oracle._unpack(packed, size) == rows
+    assert matrix._unpack(packed, size) == rows
     # dense rows pack again from their slot bytes: struct up to 8 bytes,
     # to_bytes above
-    assert oracle._pack_rows(rows, size) == packed
-    assert oracle._unpack(oracle._pack_rows(rows, size), size) == rows
+    assert matrix._pack_rows(rows, size) == packed
+    assert matrix._unpack(matrix._pack_rows(rows, size), size) == rows
+
+
+@pytest.mark.parametrize("prime", [None, 2, 10007])
+def test_packing_from_row_bytes_matches_packing_by_shifts(prime):
+    # kron outputs and their M - 1 hold rows, root elements and theirs hold
+    # only their form; both packers agree on each, at the slots of their
+    # entries, of a product, of a Kronecker spread (dim times as wide) and of
+    # entries past 8 bytes
+    import random
+
+    rng = random.Random(prime or 8)
+    ms = []
+    for k1, k2 in [(1, 1), (2, 3), (4, 2)]:
+        t = random_unipotent(rng.randint(k1, 6), k1, rng, prime).kron(
+            random_unipotent(rng.randint(k2, 6), k2, rng, prime))
+        ms += [t, t.sub_identity(), ExactMatrix([[x << 70 for x in row] for row in t.rows], prime)]
+    for t, j in [(CartanType("A", 5), 3), (CartanType("D", 5), 5), (CartanType("E6", 6), 1)]:
+        rep = minuscule_rep(t, j)
+        for i in rng.sample(range(len(rep.datum.positive_roots)), 3):
+            m = build_root_element(rep, [i], prime)
+            ms += [m, m.sub_identity()]
+    for m in ms:
+        terms, bound = m._sparse()
+        narrow = matrix._slot_size(bound)
+        for size in {narrow, matrix._slot_size(m.dim * bound * bound), narrow * 6, narrow * 24}:
+            assert matrix._pack_rows(m.rows, size) == matrix._pack(terms, m.dim, size)
 
 
 @pytest.mark.parametrize("prime", [None, 2**61 - 1])
@@ -778,21 +903,34 @@ def test_a_zero_factor_leaves_room_in_the_slots_for_the_other(prime, big, monkey
     import random
 
     rng = random.Random(big)
-    pack, packs = oracle._pack, []
-    monkeypatch.setattr(oracle, "_pack", lambda *args: packs.append(args) or pack(*args))
+    pack, pack_rows, packs = matrix._pack, matrix._pack_rows, []
+
+    def record(rows, size, packed):
+        packs.append((rows, size, packed))
+        return packed
+
+    def rows_of(terms, n):
+        rows = [[0] * n for _ in range(n)]
+        for i, coeffs, cols in terms:
+            rows[i] = matrix._dense(n, coeffs, cols)
+        return rows
+
+    monkeypatch.setattr(matrix, "_pack", lambda terms, n, size: record(
+        rows_of(terms, n), size, pack(terms, n, size)))
+    monkeypatch.setattr(matrix, "_pack_rows", lambda rows, size: record(
+        rows, size, pack_rows(rows, size)))
     for n1, n2 in [(1, 1), (3, 3), (2, 5), (5, 2)]:
         zero = ExactMatrix([[0] * n1 for _ in range(n1)], prime)
         b = ExactMatrix([[rng.choice((big, -big, 0, 1)) for _ in range(n2)] for _ in range(n2)], prime)
-        if n1 == n2:
-            assert (zero @ b).is_zero() and (b @ zero).is_zero()
-        assert zero.kron(b).is_zero() and b.kron(zero).is_zero()
-    # every factor packed on the way round-trips through its slots
-    for terms, n, size in packs:
-        rows = [[0] * n for _ in range(n)]
-        for i, coeffs, cols in terms:
-            for x, c in zip(coeffs, cols):
-                rows[i][c] = x
-        assert oracle._unpack(pack(terms, n, size), size) == [tuple(r) for r in rows]
+        # each factor as given, holding rows, and as its twin that holds only its form
+        for x, y in [(zero, b), (_form_only(zero), _form_only(b))]:
+            if n1 == n2:
+                assert (x @ y).is_zero() and (y @ x).is_zero()
+            assert x.kron(y).is_zero() and y.kron(x).is_zero()
+    # every factor packed on the way, from its rows or by shifts, round-trips through its slots
+    assert {len(rows) for rows, _, _ in packs} == {1, 2, 3, 5}
+    for rows, size, packed in packs:
+        assert matrix._unpack(packed, size) == [tuple(r) for r in rows]
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -838,8 +976,8 @@ def test_prime_field_bound_matches_the_scanning_reference(prime, monkeypatch):
         assert _degree_or_message(nilpotency_degree, nil) == _degree_or_message(
             scan_nilpotency_degree, nil)
     assert len(repacked) > 100
-    for rows, size in repacked:
-        assert oracle._unpack(pack_rows(rows, size), size) == rows
+    for rows, size in repacked:  # a held tuple of rows, or a list for an unpacked power
+        assert matrix._unpack(pack_rows(rows, size), size) == list(rows)
 
 
 def test_halfspin_product_survey_matches_golden(capsys, monkeypatch):
