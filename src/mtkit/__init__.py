@@ -2,8 +2,8 @@
 
 The library has five layers:
 
-* roots      -- Cartan matrices, positive systems, coroots, Weyl orbits;
-* minuscule  -- the minuscule table: closed-form dimensions and duality signs;
+* roots      -- Cartan matrices, positive systems, coroots, epsilon vectors;
+* minuscule  -- the minuscule table: closed-form dimensions, duality signs, weights;
 * drops      -- drops of quadratic root elements, symplectic classification;
 * oracle     -- exact representation matrices, unipotence degrees, tensor checks;
 * decision   -- the (g, s, endomorphism-type) case engine.
@@ -45,7 +45,6 @@ from .errors import (
 )
 from .minuscule import (
     DEFAULT_RANK_BOUND,
-    ORBIT_BUDGET,
     MinusculeRep,
     enumerate_minuscule,
     minuscule_rep,
@@ -67,19 +66,15 @@ from .roots import (
     ROOT_BUDGET,
     CartanType,
     RootDatum,
-    Weight,
     build_root_datum,
     find_positive_root,
-    weyl_orbit,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanType", "RootDatum", "Weight", "build_root_datum", "ROOT_BUDGET",
-    "weyl_orbit", "find_positive_root",
+    "CartanType", "RootDatum", "build_root_datum", "ROOT_BUDGET", "find_positive_root",
     "MinusculeRep", "enumerate_minuscule", "minuscule_rep", "DEFAULT_RANK_BOUND",
-    "ORBIT_BUDGET",
     "DropReport", "Candidate", "CandidateList", "root_element_drop",
     "drop_spectrum", "classify_symplectic_minuscule",
     "ExactMatrix", "UnipotenceReport", "TensorLemmaReport", "build_root_element",

@@ -86,12 +86,16 @@ def _exact_log2(n: int) -> int | None:
 
 
 def classify_symplectic_minuscule(two_g: int) -> CandidateList:
-    """All symplectic (sign -1) minuscule reps of dimension two_g, in family order.
+    """The symplectic (sign -1) minuscule reps of types A-D of dimension two_g, in family order.
 
-    Each family realizes two_g at one rank only, and every row is a closed
-    form: no root datum is built.  C_n has one minuscule weight, w1, whose
-    standard rep is symplectic of dimension 2n (n = two_g / 2 >= 2; C1 is
-    A1).  The A, B and D ranks are O(log two_g), filtered by dimension and sign:
+    Only the classical types are listed: the simple factors of the
+    Mumford-Tate group of an abelian variety are classical (Deligne,
+    Varietes de Shimura, section 1.3), so E7 w7, symplectic of dimension 56,
+    is never a candidate.  Each family realizes two_g at one rank only, and
+    every row is a closed form: no root datum is built.  C_n has one
+    minuscule weight, w1, whose standard rep is symplectic of dimension 2n
+    (n = two_g / 2 >= 2; C1 is A1).  The A, B and D ranks are O(log two_g),
+    filtered by dimension and sign:
 
     * A: self-dual middle exterior powers have central-binomial dimension
       C(2j, j) < 4**j, strictly increasing in j, so the walk starts at the

@@ -13,25 +13,16 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress, count, permutations
-from operator import attrgetter, itemgetter
+from itertools import combinations, compress, count
+from operator import mul
 from types import MappingProxyType
 
 from .errors import NotUnipotent, PreconditionError
 from .matrix import ExactMatrix, _pack_rows, _require_prime, _slot_size, _times, _unpack
-from .minuscule import MinusculeRep
-from .roots import pair_with_coroot
+from .minuscule import MATRIX_BUDGET, MinusculeRep
+from .roots import _epsilon_vector
 
 DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degrade
-
-# Largest module build_root_element accepts.  A root element holds only its
-# nonzero form, n + drop entries; at least 8 n^2 bytes (134 MB at 4096) are
-# written only for its rows once read, or for the product of several while it
-# is unpacked, so the 8192-dimensional half-spin modules of D14 are refused
-# before their orbit or any row is built.  `oracle drop` on D12 w12 (n = 2048)
-# peaks at 17.6 MB RSS for one root and 63 MB for two, where dense x_alpha(1)
-# and M - 1 took 57 and 122 MB (2 vCPUs, Python 3.11.7).
-MATRIX_BUDGET = 4096
 
 # Largest estimated cost of a verify_tensor_lemma run: trials times
 # n^2 (k1 + k2 - 1) (n (d1 + d2) + 1000) + 500,000 for n = d1 * d2, a fit to
@@ -98,26 +89,34 @@ def build_root_element(
     root_indices: list[int],
     prime: int | None = None,
 ) -> ExactMatrix:
-    """Matrix of the product of root elements x_alpha(1) in the weight basis.
+    """Matrix of the product of root elements x_alpha(1) on the weight basis rep.orbit.
 
-    Each x_alpha sends v_mu to v_mu + v_{mu+alpha} when <mu, alpha_coroot>
-    is -1, and fixes v_mu otherwise: every cocycle sign is +1.  Ranks and
+    The roots are indices into rep.datum.positive_roots; each is paired with
+    the weights on its epsilon vector.  With mu in doubled epsilon
+    coordinates, <mu, alpha_coroot> = (mu, alpha) / (alpha, alpha), so
+    x_alpha sends v_mu to v_mu + v_{mu+alpha} when (mu, alpha) = -(alpha, alpha),
+    and fixes v_mu otherwise: every cocycle sign is +1.  Ranks and
     unipotence degrees over the rationals do not depend on that choice; the
     test suite flips the signs by the parity of the orbit positions and
     asserts it.
 
-    Multiple roots must be distinct and pairwise orthogonal; the product is
-    taken in the given order.  Single-root elements are certified quadratic;
-    products are exploratory (the sign convention is not certified to define
-    a group representation).  Modules of dimension above MATRIX_BUDGET are refused.
+    Multiple roots must be distinct and pairwise orthogonal, one epsilon dot
+    product per pair; the product is taken in the given order.  Single-root
+    elements are certified quadratic; products are exploratory (the sign
+    convention is not certified to define a group representation).  The
+    exceptional types and modules of dimension above MATRIX_BUDGET are
+    refused before any weight or row is built.
     """
     if prime is not None:
         _require_prime(prime)
     if not root_indices:
         raise PreconditionError("at least one root is required")
+    t = rep.cartan_type
+    if not t.is_classical:
+        raise PreconditionError(f"root elements are built for classical types only, not {t}")
     if rep.dimension > MATRIX_BUDGET:
         raise PreconditionError(
-            f"{rep.name} of {rep.cartan_type} has dimension {rep.dimension}, "
+            f"{rep.name} of {t} has dimension {rep.dimension}, "
             f"more than the matrix budget of {MATRIX_BUDGET} rows"
         )
     d = rep.datum
@@ -129,24 +128,30 @@ def build_root_element(
             raise PreconditionError(
                 f"root {d.positive_roots[idx]} is repeated; the roots must be distinct"
             )
-    for a, b in permutations(root_indices, 2):
-        if pair_with_coroot(d.coroots[b], d.root_weight_coords(d.positive_roots[a])):
+    alphas = [_epsilon_vector(t, d.positive_roots[idx]) for idx in root_indices]
+    for (a, x), (b, y) in combinations(zip(root_indices, alphas), 2):
+        if sum(map(mul, x, y)):
             raise PreconditionError(
                 f"roots {d.positive_roots[a]} and {d.positive_roots[b]} are not orthogonal"
             )
 
-    # <mu, alpha coroot> sums mu's coordinates over the coroot's simple coroots with
-    # multiplicity.  x_alpha moves each mu pairing to -1 to mu + alpha, which pairs to
-    # +1; the orbit is sorted and + alpha keeps the order, so the k-th goes to the k-th.
-    n, one = rep.dimension, [1]
+    # An epsilon vector of a classical root has one or two nonzero entries.  x_alpha
+    # moves each mu with (mu, alpha) = -(alpha, alpha) to mu + alpha, with (mu + alpha,
+    # alpha) = +(alpha, alpha); the weights are sorted and + alpha keeps the order, so
+    # the k-th that moves goes to the k-th.
+    n, one, orbit = rep.dimension, [1], rep.orbit
     product: ExactMatrix | None = None
-    for idx in root_indices:
-        ks = [k for k, c in enumerate(d.coroots[idx]) for _ in range(c)]
-        coords = map(itemgetter(*ks), map(attrgetter("coords"), rep.orbit))
-        pairings = list(coords if len(ks) == 1 else map(sum, coords))
+    for alpha in alphas:
+        (k, a), *rest = [(k, a) for k, a in enumerate(alpha) if a]
+        if rest:
+            ((l, b),) = rest
+            pairings = [a * mu[k] + b * mu[l] for mu in orbit]
+        else:
+            pairings = [a * mu[k] for mu in orbit]
+        norm = sum(map(mul, alpha, alpha))
         terms = [(i, one, [i]) for i in range(n)]
-        for src, dst in zip(compress(count(), map((-1).__eq__, pairings)),
-                            compress(count(), map((1).__eq__, pairings)), strict=True):
+        for src, dst in zip(compress(count(), map((-norm).__eq__, pairings)),
+                            compress(count(), map(norm.__eq__, pairings)), strict=True):
             terms[dst] = (dst, [1, 1], [src, dst] if src < dst else [dst, src])
         m = ExactMatrix._derived(None, prime, (terms, 1), n)
         product = m if product is None else product @ m
@@ -164,9 +169,14 @@ class TensorLemmaReport:
     exactly (k1 + k2 - 1)-unipotent over the rationals; over F_p with small p
     the degree can drop, which is recorded in char_deviations rather than
     counted as a failure.  corollary_violations records any quadratic tensor
-    whose factors are both different from the identity (there must be none).
-    The report is read-only: degree_counts and the records are read-only
-    mappings, and the record lists are tuples.
+    whose factors are both different from the identity: over the rationals
+    there are none.  Over F_2 they are expected: for quadratic factors,
+    (u - 1)^2 = 2 X (x) Y with X = g1 - 1 and Y = g2 - 1, which vanishes mod
+    2, so every such trial is quadratic (the 20 trials of
+    tests/golden/oracle_tensor_2_2_seed7_p2.json all are).  passed states
+    the claim over Q, no failure and no corollary violation, and so reads
+    false on such a run.  The report is read-only: degree_counts and the
+    records are read-only mappings, and the record lists are tuples.
     """
 
     k1: int
@@ -264,7 +274,10 @@ def verify_tensor_lemma(
     no quadratic tensor may have two non-identity factors; any miss lands in
     failures / corollary_violations.  Over F_p mismatches are recorded as
     characteristic deviations instead of failures (small p genuinely lowers
-    degrees; p >= k1 + k2 - 1 avoids that).
+    degrees; p >= k1 + k2 - 1 avoids that).  Quadratic tensors of
+    non-identity factors are still recorded as corollary violations over
+    F_p, where small p can make them (every trial of two quadratics over
+    F_2 is one), so the report's passed, the claim over Q, can read false.
     """
     if prime is not None:
         _require_prime(prime)

@@ -3,16 +3,13 @@
 All arithmetic is plain integer arithmetic in two coordinate systems:
 
 * roots and coroots carry coordinates in the simple-root / simple-coroot
-  basis,
-* weights carry coordinates in the fundamental-weight basis,
-
-so the pairing of a weight with the i-th simple coroot is simply
-``w.coords[i]``.  The Cartan matrix convention is fixed once:
-``A[i][j] = <alpha_j, alpha_i_coroot>``, which makes the simple root
-alpha_j, written in the fundamental-weight basis, the j-th *column* of A.
-Epsilon coordinates (which would need half-integers for spin weights)
-are never materialized internally; they only appear in the mnemonic
-parser used by the CLI to let humans name roots.
+  basis, with the Cartan matrix convention fixed once:
+  ``A[i][j] = <alpha_j, alpha_i_coroot>``;
+* a root of a classical type also has an integer epsilon vector
+  (Bourbaki, ch. VI, Plates I-IV), which the CLI's mnemonics name and on
+  which mtkit.minuscule and mtkit.oracle pair roots with weights.  The
+  weights of the classical minuscule modules are materialized in doubled
+  epsilon coordinates (mtkit.minuscule), so spin weights stay integral.
 """
 
 from __future__ import annotations
@@ -66,17 +63,6 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
-    """Integer coefficient vector in the fundamental-weight basis."""
-
-    coords: tuple[int, ...]
-
-    @property
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-
 @dataclass(frozen=True)
 class RootDatum:
     """Cartan matrix plus the full positive system with coroots and length classes.
@@ -101,10 +87,6 @@ class RootDatum:
     @property
     def classes(self) -> tuple[str, ...]:
         return ("long",) if "short" not in self.length_class else ("long", "short")
-
-    def root_weight_coords(self, root: tuple[int, ...]) -> tuple[int, ...]:
-        """Convert simple-root coordinates to fundamental-weight coordinates."""
-        return tuple([sum(map(mul, row, root)) for row in self.cartan_matrix])
 
 
 def _cartan_matrix(t: CartanType) -> list[list[int]]:
@@ -250,57 +232,15 @@ def build_root_datum(t: CartanType) -> RootDatum:
     )
 
 
-def pair_with_coroot(coroot: tuple[int, ...], coords: tuple[int, ...]) -> int:
-    """Pairing of fundamental-weight coordinates with simple-coroot coordinates."""
-    return sum(map(mul, coroot, coords))
-
-
-def weyl_orbit(d: RootDatum, w: Weight) -> tuple[Weight, ...]:
-    """Full Weyl-group orbit of a dominant weight, walked downward level by level.
-
-    From mu the walk steps only down, to nu = s_i(mu) = mu - c alpha_i for
-    each i with c = <mu, alpha_i_coroot> > 0; nu is mu minus c times the
-    sparse column i of the Cartan matrix.  The walk is complete: every orbit
-    weight mu other than the dominant w has a negative coordinate i, and is
-    then one downward step below s_i(mu).  Each downward step raises the
-    length in W/W_w by exactly one, so level k holds exactly the weights of
-    length k and every weight appears on one level only.  Duplicates are
-    therefore removed within the next level alone: the walk keeps no set of
-    every weight seen, only the current level and the next.
-
-    Returns the orbit sorted lexicographically on coordinates, duplicate
-    free; the traversal order never leaks into the result.
-    """
-    if not w.is_dominant:
-        raise PreconditionError(
-            "weyl_orbit requires a dominant weight; take the dominant representative first"
-        )
-    cols = _sparse_columns(d.cartan_matrix)
-    orbit: list[tuple[int, ...]] = []
-    level = [w.coords]
-    while level:
-        orbit += level
-        below = set()
-        for mu in level:
-            for i, c in enumerate(mu):
-                if c > 0:
-                    nu = list(mu)
-                    for k, x in cols[i]:
-                        nu[k] -= c * x
-                    below.add(tuple(nu))
-        level = below
-    orbit.sort()
-    return tuple(map(Weight, orbit))
-
-
-# --- epsilon-coordinate mnemonics -------------------------------------------
+# --- epsilon coordinates -------------------------------------------------------
 #
 # Root specs like "e1-e2", "e3", "2e4" are offered to humans by the CLI.
 # The classical simple roots are e_i - e_(i+1) for i < n, and last
 # e_n - e_(n+1) (A), e_n (B), 2e_n (C) or e_(n-1) + e_n (D), so a vector's
-# simple-root coordinates are its partial sums, corrected at the last node.
-# Only A/B/C/D support this (the drop machinery does not cover exceptional
-# types).
+# simple-root coordinates are its partial sums, corrected at the last node,
+# and a root's epsilon vector is the differences of its simple-root
+# coordinates, corrected the same way.  Only A/B/C/D have them (the drop
+# machinery does not cover exceptional types).
 
 _SPEC_RE = re.compile(r"[+-]?\d*e\d+(?:[+-]\d*e\d+)*")
 _TERM_RE = re.compile(r"([+-]?)(\d*)e(\d+)")
@@ -336,6 +276,19 @@ def _simple_root_coords(t: CartanType, v: tuple[int, ...]) -> tuple[int, ...] | 
         sums[-2] = (sums[-2] - v[-1]) // 2
     sums[-1] //= 2
     return tuple(sums)
+
+
+def _epsilon_vector(t: CartanType, c: tuple[int, ...]) -> tuple[int, ...]:
+    """Epsilon vector of the root with simple-root coordinates c; _simple_root_coords inverts it."""
+    v = [b - a for a, b in zip((0, *c), (*c, 0))]
+    if t.family == "A":
+        return tuple(v)
+    v.pop()
+    if t.family == "C":
+        v[-1] += c[-1]
+    elif t.family == "D":
+        v[-2] += c[-1]
+    return tuple(v)
 
 
 def find_positive_root(d: RootDatum, spec: str) -> int:

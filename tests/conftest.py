@@ -1,16 +1,20 @@
+from dataclasses import dataclass
+from functools import cache
+from operator import mul
+
 from hypothesis import HealthCheck, settings
 
 from mtkit import (
+    CartanType,
     EndoType,
     ExceptionalInstance,
     MtQuery,
     MtVerdict,
+    PreconditionError,
     Status,
     TensorLemmaReport,
-    Weight,
     Witness,
 )
-from mtkit.roots import pair_with_coroot
 
 settings.register_profile(
     "suite",
@@ -64,10 +68,96 @@ def tensor_report_from_dict(d: dict) -> TensorLemmaReport:
     )
 
 
-# The root-datum reference for the minuscule table.  The library reads every
-# row off a closed form or a constant; these derive the same facts from a
-# root datum by scanning all positive coroots, so the tests can hold the
-# rows against them.
+# The root-datum reference for the minuscule table and its weights.  The
+# library reads every row off a closed form or a constant, and lists the
+# weights of a classical module in doubled epsilon coordinates; these derive
+# the same facts from a root datum, with weights in the fundamental-weight
+# basis: the pairing of a weight with the i-th simple coroot is coords[i],
+# and the Weyl orbit of a dominant weight is walked down from it.
+@dataclass(frozen=True, slots=True)
+class Weight:
+    """Integer coefficient vector in the fundamental-weight basis."""
+
+    coords: tuple[int, ...]
+
+    @property
+    def is_dominant(self) -> bool:
+        return all(c >= 0 for c in self.coords)
+
+
+def pair_with_coroot(coroot: tuple[int, ...], coords: tuple[int, ...]) -> int:
+    """Pairing of fundamental-weight coordinates with simple-coroot coordinates."""
+    return sum(map(mul, coroot, coords))
+
+
+def root_weight_coords(d, root: tuple[int, ...]) -> tuple[int, ...]:
+    """Simple-root coordinates to fundamental-weight coordinates: alpha_j is column j of A."""
+    return tuple([sum(map(mul, row, root)) for row in d.cartan_matrix])
+
+
+def weyl_orbit(d, w: Weight) -> tuple[Weight, ...]:
+    """Full Weyl-group orbit of a dominant weight, walked downward level by level.
+
+    From mu the walk steps only down, to nu = s_i(mu) = mu - c alpha_i for
+    each i with c = <mu, alpha_i_coroot> > 0.  Each downward step raises the
+    length in W/W_w by exactly one, so level k holds exactly the weights of
+    length k and duplicates are removed within the next level alone.
+    Returns the orbit sorted lexicographically on coordinates.
+    """
+    if not w.is_dominant:
+        raise PreconditionError(
+            "weyl_orbit requires a dominant weight; take the dominant representative first"
+        )
+    cols = [[(k, row[i]) for k, row in enumerate(d.cartan_matrix) if row[i]]
+            for i in range(d.rank)]
+    orbit: list[tuple[int, ...]] = []
+    level = [w.coords]
+    while level:
+        orbit += level
+        below = set()
+        for mu in level:
+            for i, c in enumerate(mu):
+                if c > 0:
+                    nu = list(mu)
+                    for k, x in cols[i]:
+                        nu[k] -= c * x
+                    below.add(tuple(nu))
+        level = below
+    orbit.sort()
+    return tuple(map(Weight, orbit))
+
+
+@cache
+def bourbaki_simple_roots(t: CartanType) -> list[tuple[int, ...]]:
+    """Epsilon vectors of the simple roots (Bourbaki, ch. VI, Plates I-IV)."""
+    n = t.rank
+    m = n + 1 if t.family == "A" else n
+
+    def vec(*terms):
+        return tuple(sum(c for k, c in terms if k == j) for j in range(m))
+
+    last = {"A": vec((n - 1, 1), (n, -1)), "B": vec((n - 1, 1)),
+            "C": vec((n - 1, 2)), "D": vec((n - 2, 1), (n - 1, 1))}[t.family]
+    return [vec((i, 1), (i + 1, -1)) for i in range(n - 1)] + [last]
+
+
+def to_fundamental(t: CartanType, mu: tuple[int, ...]) -> tuple[int, ...]:
+    """Fundamental-weight coordinates of a weight in doubled epsilon coordinates.
+
+    <mu, alpha_i_coroot> = 2 (mu, alpha_i) / (alpha_i, alpha_i), and mu is doubled."""
+    out = []
+    for a in bourbaki_simple_roots(t):
+        num, norm = sum(map(mul, mu, a)), sum(map(mul, a, a))
+        assert num % norm == 0, (t, mu, a)
+        out.append(num // norm)
+    return tuple(out)
+
+
+def reference_orbit(rep) -> tuple[Weight, ...]:
+    """The walked orbit of the rep's highest weight."""
+    return weyl_orbit(rep.datum, fundamental(rep.cartan_type.rank, rep.weight_index))
+
+
 def fundamental(rank: int, j: int) -> Weight:
     return Weight(tuple(int(k == j - 1) for k in range(rank)))
 
@@ -88,7 +178,7 @@ def simple_reflection(d, w, i) -> Weight:
 
 def reflect_in_root(d, w, root_index) -> Weight:
     c = pair_with_coroot(d.coroots[root_index], w.coords)
-    rw = d.root_weight_coords(d.positive_roots[root_index])
+    rw = root_weight_coords(d, d.positive_roots[root_index])
     return Weight(tuple(x - c * y for x, y in zip(w.coords, rw)))
 
 
@@ -175,21 +265,24 @@ def scan_nilpotency_degree(nil):
 
 
 # build_root_element, sub_identity and rank as they stood before a matrix
-# carried its nonzero form: every orbit weight is paired with the coroot one
+# carried its nonzero form and before the weights were listed in epsilon
+# coordinates: on the walked orbit, every weight is paired with the coroot one
 # call at a time, its image is looked up by coordinates, and M - 1 and the
-# elimination walk every dense row.
+# elimination walk every dense row.  The library's matrices are these
+# conjugated by the basis permutation walk_positions gives.
 def reference_build_root_element(rep, root_indices, prime=None):
     from mtkit import ExactMatrix
 
     d = rep.datum
-    order = {mu.coords: i for i, mu in enumerate(rep.orbit)}
+    orbit = reference_orbit(rep)
+    order = {mu.coords: i for i, mu in enumerate(orbit)}
     identity = ExactMatrix.identity(rep.dimension, prime).rows
     product = None
     for idx in root_indices:
         cr = d.coroots[idx]
-        alpha_w = d.root_weight_coords(d.positive_roots[idx])
+        alpha_w = root_weight_coords(d, d.positive_roots[idx])
         rows = list(identity)
-        for src, mu in enumerate(rep.orbit):
+        for src, mu in enumerate(orbit):
             if pair_with_coroot(cr, mu.coords) != -1:
                 continue
             dst = order[tuple([x + y for x, y in zip(mu.coords, alpha_w)])]
@@ -199,6 +292,25 @@ def reference_build_root_element(rep, root_indices, prime=None):
         m = ExactMatrix(rows, prime)
         product = m if product is None else product @ m
     return product
+
+
+def walk_positions(rep) -> list[int]:
+    """The position in reference_orbit(rep) of each weight of rep.orbit, in order."""
+    walk = {mu.coords: i for i, mu in enumerate(reference_orbit(rep))}
+    return [walk[to_fundamental(rep.cartan_type, mu)] for mu in rep.orbit]
+
+
+def in_walk_basis(m, positions):
+    """m with basis vector k renamed positions[k]: P m P^-1 for that permutation."""
+    from mtkit import ExactMatrix
+
+    rows = [None] * m.dim
+    for k, row in enumerate(m.rows):
+        moved = [0] * m.dim
+        for c, x in enumerate(row):
+            moved[positions[c]] = x
+        rows[positions[k]] = tuple(moved)
+    return ExactMatrix(rows, m.prime)
 
 
 def reference_sub_identity(m):

@@ -131,6 +131,14 @@ def test_classify_command(capsys):
     assert [(c["family"], c["rank"], c["weight"]) for c in cands] == [("A", 5, "w3"), ("C", 10, "w1")]
 
 
+def test_classify_56_lists_c28_alone(capsys):
+    # E7 w7 is symplectic of dimension 56, but only types A-D are listed
+    code, out, _ = invoke(capsys, "classify", "--two-g", "56")
+    cands = json.loads(out)["candidates"]
+    assert code == 0
+    assert [(c["family"], c["rank"], c["weight"]) for c in cands] == [("C", 28, "w1")]
+
+
 def test_mt_exceptional_command(capsys):
     code, out, _ = invoke(capsys, "mt-exceptional", "--max-g", "300", "--endo", "Z")
     inst = json.loads(out)["instances"]

@@ -1,11 +1,12 @@
 """Drop computations and the symplectic-minuscule classifier."""
 
 from dataclasses import FrozenInstanceError
-from functools import partial
 from math import comb
+from operator import mul
 
 import pytest
 
+from conftest import fundamental, pair_with_coroot
 from mtkit import (
     Candidate,
     CandidateList,
@@ -18,7 +19,7 @@ from mtkit import (
     minuscule_rep,
     root_element_drop,
 )
-from mtkit.roots import pair_with_coroot
+from mtkit.roots import _epsilon_vector
 
 
 def test_drop_report_and_candidate_list_are_frozen():
@@ -91,9 +92,11 @@ def test_drop_bounds_when_quadratic():
             assert 1 <= drop <= rep.dimension // 2
 
 
-def _weight_count(orbit_coords, coroot):
-    # the drop by definition: orbit weights pairing to +1 with the coroot
-    return list(map(partial(pair_with_coroot, coroot), orbit_coords)).count(1)
+def _weight_count(orbit, alpha):
+    # the drop by definition: orbit weights pairing to +1 with the coroot, which
+    # on doubled epsilon weights is (mu, alpha) = (alpha, alpha)
+    norm = sum(map(mul, alpha, alpha))
+    return [sum(map(mul, mu, alpha)) for mu in orbit].count(norm)
 
 
 def test_representative_independence_up_to_rank_12():
@@ -112,17 +115,17 @@ def test_representative_independence_up_to_rank_12():
     for t in types:
         for rep in enumerate_minuscule(t):
             d = rep.datum
-            orbit_coords = [mu.coords for mu in rep.orbit]
+            highest = fundamental(t.rank, rep.weight_index).coords
             counts = {}
-            for cr, cls in zip(d.coroots, d.length_class):
-                counts.setdefault(cls, set()).add(_weight_count(orbit_coords, cr))
+            for root, cls in zip(d.positive_roots, d.length_class):
+                counts.setdefault(cls, set()).add(_weight_count(rep.orbit, _epsilon_vector(t, root)))
             for cls, seen in counts.items():
                 assert len(seen) == 1, (t, rep.name, cls, seen)
                 n_pos = d.length_class.count(cls)
-                n_1 = sum(pair_with_coroot(cr, rep.highest_weight.coords) == 1
+                n_1 = sum(pair_with_coroot(cr, highest) == 1
                           for cr, c in zip(d.coroots, d.length_class) if c == cls)
                 assert rep.dimension * n_1 % (2 * n_pos) == 0, (t, rep.name, cls)
-                assert seen == {root_element_drop(rep, cls)} == {len(orbit_coords) * n_1 // (2 * n_pos)}
+                assert seen == {root_element_drop(rep, cls)} == {len(rep.orbit) * n_1 // (2 * n_pos)}
                 pairs += 1
     assert pairs == 152
 
@@ -133,6 +136,14 @@ def _pairs(cl: CandidateList):
 
 def test_classify_20():
     assert _pairs(classify_symplectic_minuscule(20)) == [("A5", "Λ^3 Std"), ("C10", "Std")]
+
+
+def test_classify_lists_classical_types_only():
+    # the Mumford-Tate group of an abelian variety has classical simple
+    # factors only, so E7 w7, symplectic of dimension 56, is not a candidate
+    (e7,) = enumerate_minuscule(CartanType("E7", 7))
+    assert (e7.dimension, e7.sign) == (56, -1)
+    assert _pairs(classify_symplectic_minuscule(56)) == [("C28", "Std")]
 
 
 def test_classify_32():

@@ -1,4 +1,4 @@
-"""The minuscule table: enumeration, dimensions and signs, held against the root datum."""
+"""The minuscule table and its weights: enumeration, dimensions and signs, held against the root datum."""
 
 from dataclasses import FrozenInstanceError
 from itertools import product
@@ -7,22 +7,24 @@ from math import comb
 import pytest
 
 from conftest import (
+    Weight,
     coroot_pairings,
     dual_weight,
     fundamental,
+    reference_orbit,
     scan_duality_sign,
     scan_is_minuscule,
+    to_fundamental,
     weyl_dimension,
+    weyl_orbit,
 )
 from mtkit import (
-    ORBIT_BUDGET,
+    MATRIX_BUDGET,
     CartanType,
     PreconditionError,
-    Weight,
     build_root_datum,
     enumerate_minuscule,
     minuscule_rep,
-    weyl_orbit,
 )
 from mtkit import minuscule
 from mtkit.drops import drop_spectrum
@@ -105,11 +107,12 @@ def test_rep_invariants_small_sweep():
     for t in [CartanType("A", 4), CartanType("B", 3), CartanType("C", 4), CartanType("D", 4)]:
         d = build_root_datum(t)
         for rep in enumerate_minuscule(t):
+            w = fundamental(t.rank, rep.weight_index)
             assert rep.dimension == len(rep.orbit)
-            assert (rep.sign == 0) == (dual_weight(d, rep.highest_weight) != rep.highest_weight)
+            assert (rep.sign == 0) == (dual_weight(d, w) != w)
             # minuscule orbits pair into {-1, 0, 1} with every coroot, both classes
             for mu in rep.orbit:
-                assert set(coroot_pairings(d, mu)) <= {-1, 0, 1}
+                assert set(coroot_pairings(d, Weight(to_fundamental(t, mu)))) <= {-1, 0, 1}
 
 
 CLASSICAL_TYPES_TO_RANK_14 = (
@@ -126,14 +129,18 @@ def test_closed_form_signs_match_the_datum_path_to_rank_14(t):
     reps = enumerate_minuscule(t)
     assert reps
     for rep in reps:
-        d, w = rep.datum, rep.highest_weight
+        d, w = rep.datum, fundamental(t.rank, rep.weight_index)
         assert (rep.sign == 0) == (dual_weight(d, w) != w), (t, rep.name)
         assert rep.sign == scan_duality_sign(d, w), (t, rep.name)
 
 
 def _assert_orbit_size(rep, closed_form):
-    assert len(rep.orbit) == rep.dimension == closed_form
-    assert weyl_dimension(rep.datum, rep.highest_weight) == closed_form
+    # the walked orbit and Weyl's formula; the listed weights up to MATRIX_BUDGET
+    assert len(reference_orbit(rep)) == rep.dimension == closed_form
+    w = fundamental(rep.cartan_type.rank, rep.weight_index)
+    assert weyl_dimension(rep.datum, w) == closed_form
+    if rep.cartan_type.is_classical and closed_form <= MATRIX_BUDGET:
+        assert len(rep.orbit) == closed_form
 
 
 def test_closed_form_and_weyl_dimensions_to_rank_14():
@@ -173,7 +180,7 @@ def test_exceptional_constant_rows_match_the_datum(t):
     reps = enumerate_minuscule(t)
     assert [(rep.weight_index, rep.dimension, rep.sign) for rep in reps] == expected
     for rep in reps:
-        assert len(rep.orbit) == rep.dimension
+        assert len(weyl_orbit(d, weights[rep.weight_index])) == rep.dimension
 
 
 def test_quadratic_classes_is_read_only():
@@ -198,61 +205,57 @@ def test_orbit_is_built_once_sorted_and_leaves_equality_alone():
     orbit = rep.orbit
     assert rep.orbit is orbit
     # sorted on coordinates: build_root_element pairs the weights it moves by position
-    assert [mu.coords for mu in orbit] == sorted(mu.coords for mu in orbit)
+    assert list(orbit) == sorted(orbit)
     assert "orbit" not in vars(fresh)
     assert rep == fresh and hash(rep) == hash(fresh)
 
 
+def _no_expansion(t, j):
+    raise AssertionError(f"listed the weights of w{j} of {t}")
+
+
 def test_orbit_budget_rejects_before_expanding(monkeypatch):
-    assert ORBIT_BUDGET == 2**20
-    # B20 spin has exactly 2^20 weights; B21 spin has twice the budget
-    assert weyl_dimension(build_root_datum(CartanType("B", 20)), fundamental(20, 20)) == ORBIT_BUDGET
+    assert MATRIX_BUDGET == 4096
+    # B12 spin has exactly 2^12 weights; B13 spin has twice the budget
+    assert weyl_dimension(build_root_datum(CartanType("B", 12)), fundamental(12, 12)) == MATRIX_BUDGET
+    assert len(minuscule_rep(CartanType("B", 12), 12).orbit) == MATRIX_BUDGET
 
-    def no_expansion(d, w):
-        raise AssertionError(f"expanded {w} of {d.cartan_type}")
-
-    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
-    rep = minuscule_rep(CartanType("B", 21), 21)
-    assert (rep.dimension, rep.sign) == (2**21, -1)
-    with pytest.raises(PreconditionError, match=f"orbit budget of {ORBIT_BUDGET} weights"):
+    monkeypatch.setattr(minuscule, "_epsilon_weights", _no_expansion)
+    rep = minuscule_rep(CartanType("B", 13), 13)
+    assert (rep.dimension, rep.sign) == (2**13, -1)
+    with pytest.raises(PreconditionError, match=f"matrix budget of {MATRIX_BUDGET} weights"):
         rep.orbit
 
 
 def test_orbit_budget_holds_per_type(monkeypatch):
-    # A22: w1 to w9 fit the budget, w10 (C(23, 10) = 1144066 weights) does not;
-    # enumerating A22 expands no orbit, and reading w10's orbit is refused
-    def no_expansion(d, w):
-        raise AssertionError(f"expanded {w} of {d.cartan_type}")
-
-    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
-    reps = enumerate_minuscule(CartanType("A", 22))
-    assert [r.dimension for r in reps] == [comb(23, k) for k in range(1, 23)]
-    assert [r.weight_index for r in reps if r.dimension <= ORBIT_BUDGET] == list(range(1, 10)) + list(range(14, 23))
-    with pytest.raises(PreconditionError, match="w10 of A22 has 1144066 weights"):
-        reps[9].orbit
+    # A14: w1 to w5 fit the budget, w6 (C(15, 6) = 5005 weights) does not;
+    # enumerating A14 lists no weights, and reading w6's weights is refused
+    monkeypatch.setattr(minuscule, "_epsilon_weights", _no_expansion)
+    reps = enumerate_minuscule(CartanType("A", 14))
+    assert [r.dimension for r in reps] == [comb(15, k) for k in range(1, 15)]
+    assert [r.weight_index for r in reps if r.dimension <= MATRIX_BUDGET] == list(range(1, 6)) + list(range(10, 15))
+    with pytest.raises(PreconditionError, match="w6 of A14 has 5005 weights"):
+        reps[5].orbit
 
 
 def test_orbit_budget_holds_across_types(monkeypatch):
-    # A21 fits the budget and B21 spin (2^21 weights) does not: enumerating
-    # the whole sequence expands no orbit and builds no root datum, and the
-    # refusal of B21's orbit builds none either
+    # A13 fits the budget and B13 spin (2^13 weights) does not: enumerating
+    # the whole sequence lists no weights and builds no root datum, and the
+    # refusal of B13's weights builds none either
     built = []
-
-    def no_expansion(d, w):
-        raise AssertionError(f"expanded {w} of {d.cartan_type}")
 
     def counting_datum(t):
         built.append(t)
         return build_root_datum(t)
 
-    monkeypatch.setattr(minuscule, "weyl_orbit", no_expansion)
+    monkeypatch.setattr(minuscule, "_epsilon_weights", _no_expansion)
     monkeypatch.setattr(minuscule, "build_root_datum", counting_datum)
-    types = [CartanType(f, n) for f in "AB" for n in range(2, 22)]
+    types = [CartanType(f, n) for f in "AB" for n in range(2, 14)]
     reps = [r for t in types for r in enumerate_minuscule(t)]
     assert built == []
-    over = [r for r in reps if r.dimension > ORBIT_BUDGET]
-    assert [(r.cartan_type, r.weight_index) for r in over] == [(CartanType("B", 21), 21)]
-    with pytest.raises(PreconditionError, match="w21 of B21 has 2097152 weights"):
+    over = [r for r in reps if r.dimension > MATRIX_BUDGET]
+    assert [(r.cartan_type, r.weight_index) for r in over] == [(CartanType("B", 13), 13)]
+    with pytest.raises(PreconditionError, match="w13 of B13 has 8192 weights"):
         over[0].orbit
     assert built == []
 
@@ -260,15 +263,41 @@ def test_orbit_budget_holds_across_types(monkeypatch):
 def test_orbit_is_expanded_once_on_first_read(monkeypatch):
     calls = []
 
-    def counting_orbit(d, w):
-        calls.append(w)
-        return weyl_orbit(d, w)
+    def counting_weights(t, j):
+        calls.append((t, j))
+        return epsilon_weights(t, j)
 
-    monkeypatch.setattr(minuscule, "weyl_orbit", counting_orbit)
+    epsilon_weights = minuscule._epsilon_weights
+    monkeypatch.setattr(minuscule, "_epsilon_weights", counting_weights)
     rep = minuscule_rep(CartanType("D", 5), 5)
     assert calls == []
     assert rep.orbit is rep.orbit and len(rep.orbit) == rep.dimension == 16
-    assert calls == [rep.highest_weight]
+    assert calls == [(CartanType("D", 5), 5)]
+
+
+@pytest.mark.parametrize("t", [CartanType("E6", 6), CartanType("E7", 7)], ids=str)
+def test_exceptional_weights_are_refused_by_name_before_any_is_listed(t, monkeypatch):
+    monkeypatch.setattr(minuscule, "_epsilon_weights", _no_expansion)
+    for rep in enumerate_minuscule(t):
+        with pytest.raises(PreconditionError, match=f"classical types only, not {t}"):
+            rep.orbit
+
+
+CLASSICAL_REPS_TO_RANK_12 = [
+    rep for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)) for n in range(lo, 13)
+    for rep in enumerate_minuscule(CartanType(f, n))
+]
+
+
+def test_closed_form_weights_are_the_walked_orbit_to_rank_12():
+    # every classical minuscule rep to rank 12 (all within MATRIX_BUDGET, the
+    # largest being B12 spin): the doubled epsilon weights, read in
+    # fundamental-weight coordinates, are the orbit walked down from the
+    # highest weight
+    for rep in CLASSICAL_REPS_TO_RANK_12:
+        walked = [mu.coords for mu in reference_orbit(rep)]
+        listed = sorted(to_fundamental(rep.cartan_type, mu) for mu in rep.orbit)
+        assert listed == walked, (rep.cartan_type, rep.name)
 
 
 # --- the table against a scan of all coroots of the root datum ---
@@ -279,7 +308,8 @@ def _assert_rows_match_scan(t, weights):
     # every row is found (each caller's weights include all fundamental ones)
     d = build_root_datum(t)
     found = {w: scan_duality_sign(d, w) for w in weights if scan_is_minuscule(d, w)}
-    assert found == {rep.highest_weight: rep.sign for rep in enumerate_minuscule(t)}, t
+    assert found == {fundamental(t.rank, rep.weight_index): rep.sign
+                     for rep in enumerate_minuscule(t)}, t
 
 
 SMALL_RANK_TYPES = (

@@ -13,11 +13,16 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    fundamental,
+    in_walk_basis,
+    pair_with_coroot,
     reference_build_root_element,
+    reference_orbit,
     reference_random_unipotent,
     reference_rank,
     reference_sub_identity,
     scan_nilpotency_degree,
+    walk_positions,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,11 +161,12 @@ def test_root_index_must_be_a_plain_int():
             build_root_element(rep, [bad])
         with pytest.raises(PreconditionError, match=re.escape(f"got {bad!r}")):
             build_root_element(rep, [0, bad])
-    assert build_root_element(rep, [8]) == reference_build_root_element(rep, [8])
+    m = build_root_element(rep, [8])
+    assert in_walk_basis(m, walk_positions(rep)) == reference_build_root_element(rep, [8])
 
 
 # every (rep, positive root) of the classical minuscule reps to rank 7 with
-# dimension <= 128, the E6 and E7 reps, and the products of the survey script
+# dimension <= 128, and the products of the survey script
 CLASSICAL_TO_RANK_7 = [(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
                        for n in range(lo, 8)]
 SURVEY_PRODUCTS = {4: [["e1-e2", "e3-e4"], ["e1-e2", "e1+e2"]],  # from this D rank on
@@ -170,7 +176,6 @@ SURVEY_PRODUCTS = {4: [["e1-e2", "e3-e4"], ["e1-e2", "e1+e2"]],  # from this D r
 def _root_element_cases():
     reps = [minuscule_rep(r.cartan_type, r.weight_index) for f, n in CLASSICAL_TO_RANK_7
             for r in enumerate_minuscule(CartanType(f, n)) if r.dimension <= 128]
-    reps += [minuscule_rep(CartanType("E6", 6), 1), minuscule_rep(CartanType("E7", 7), 7)]
     for rep in reps:
         yield from ((rep, [i]) for i in range(len(rep.datum.positive_roots)))
     for n in range(4, 9):
@@ -184,11 +189,14 @@ def _form_only(m):
     return ExactMatrix._derived(None, m.prime, matrix._nonzero(m.rows), m.dim)
 
 
-@pytest.mark.parametrize("prime", [None, 2])
+@pytest.mark.parametrize("prime", [None, 2, 3])
 def test_root_elements_match_the_dense_reference(prime, monkeypatch):
+    # the matrices on the epsilon weights are the walked-orbit reference's,
+    # conjugated by the permutation between the two sorted bases
     degree, nils = oracle.nilpotency_degree, []
     monkeypatch.setattr(oracle, "nilpotency_degree", lambda nil: nils.append(nil) or degree(nil))
     cases = 0
+    positions = {}
     for rep, idxs in _root_element_cases():
         m = build_root_element(rep, idxs, prime)
         report = unipotence(m)
@@ -197,12 +205,47 @@ def test_root_elements_match_the_dense_reference(prime, monkeypatch):
         assert m._rows is None and nils[-1]._rows is None
         ref = reference_build_root_element(rep, idxs, prime)
         nil, ref_nil = m.sub_identity(), reference_sub_identity(ref)
-        assert m.rows == ref.rows and nil.rows == ref_nil.rows
+        if rep not in positions:
+            positions[rep] = walk_positions(rep)
+        assert in_walk_basis(m, positions[rep]) == ref
+        assert in_walk_basis(nil, positions[rep]) == ref_nil
         assert m._sparse() == matrix._nonzero(m.rows) and nil._sparse() == matrix._nonzero(nil.rows)
         assert report.degree == degree(nil) == scan_nilpotency_degree(ref_nil)
         assert report.drop == nil.rank() == reference_rank(ref_nil)
         cases += 1
-    assert cases == 1070 + 36 + 63 + 16
+    assert cases == 1070 + 16
+
+
+@pytest.mark.parametrize("t, j, drop", [(CartanType("E6", 6), 1, 6), (CartanType("E6", 6), 6, 6),
+                                        (CartanType("E7", 7), 7, 12)], ids=str)
+def test_walked_exceptional_root_elements_match_the_constant_rows(t, j, drop):
+    # the library builds no E root element; on the walked orbit, the reference
+    # has the constant row's dimension, and every root element is quadratic
+    # with the double count dim * N1 / (2 N+) of the datum as its drop
+    rep = minuscule_rep(t, j)
+    d = rep.datum
+    assert len(reference_orbit(rep)) == rep.dimension
+    n_1 = sum(pair_with_coroot(cr, fundamental(t.rank, j).coords) == 1 for cr in d.coroots)
+    assert rep.dimension * n_1 == drop * 2 * len(d.positive_roots)
+    for i in range(len(d.positive_roots)):
+        ref_nil = reference_sub_identity(reference_build_root_element(rep, [i]))
+        assert (scan_nilpotency_degree(ref_nil), reference_rank(ref_nil)) == (2, drop), i
+
+
+@pytest.mark.parametrize("t", [CartanType("E6", 6), CartanType("E7", 7)], ids=str)
+def test_exceptional_root_elements_are_refused_by_name_before_any_weight(t, monkeypatch):
+    from mtkit import minuscule
+
+    def no_weights(u, j):
+        raise AssertionError(f"listed the weights of w{j} of {u}")
+
+    monkeypatch.setattr(minuscule, "_epsilon_weights", no_weights)
+    for j in [r.weight_index for r in enumerate_minuscule(t)]:
+        rep = minuscule_rep(t, j)
+        for prime in (None, 2):
+            with pytest.raises(PreconditionError, match=f"classical types only, not {t}"):
+                build_root_element(rep, [0], prime)
+        assert "orbit" not in vars(rep)
 
 
 def _constructions(prime):
@@ -885,7 +928,7 @@ def test_packing_from_row_bytes_matches_packing_by_shifts(prime):
         t = random_unipotent(rng.randint(k1, 6), k1, rng, prime).kron(
             random_unipotent(rng.randint(k2, 6), k2, rng, prime))
         ms += [t, t.sub_identity(), ExactMatrix([[x << 70 for x in row] for row in t.rows], prime)]
-    for t, j in [(CartanType("A", 5), 3), (CartanType("D", 5), 5), (CartanType("E6", 6), 1)]:
+    for t, j in [(CartanType("A", 5), 3), (CartanType("D", 5), 5), (CartanType("B", 4), 4)]:
         rep = minuscule_rep(t, j)
         for i in rng.sample(range(len(rep.datum.positive_roots)), 3):
             m = build_root_element(rep, [i], prime)

@@ -1,4 +1,4 @@
-"""Root datum construction, pairings and orbits; the duality and dimension references."""
+"""Root datum construction and epsilon vectors; the pairing, orbit, duality and dimension references."""
 
 from fractions import Fraction
 from itertools import product
@@ -8,18 +8,26 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import dual_weight, reflect_in_root, simple_reflection, weyl_dimension
+from conftest import (
+    Weight,
+    bourbaki_simple_roots,
+    dual_weight,
+    pair_with_coroot,
+    reflect_in_root,
+    root_weight_coords,
+    simple_reflection,
+    weyl_dimension,
+    weyl_orbit,
+)
 from mtkit import (
     ROOT_BUDGET,
     CartanType,
     InvalidCartanType,
     PreconditionError,
-    Weight,
     build_root_datum,
     find_positive_root,
-    weyl_orbit,
 )
-from mtkit.roots import pair_with_coroot, positive_root_count
+from mtkit.roots import _epsilon_vector, _simple_root_coords, positive_root_count
 
 POSITIVE_ROOT_COUNT = {
     ("A", 5): 15, ("A", 1): 1, ("B", 2): 4, ("B", 5): 25, ("C", 4): 16,
@@ -88,7 +96,7 @@ def test_cartan_matrix_shape(t):
 def test_coroots_pair_to_two_with_own_root(t):
     d = build_root_datum(t)
     for root, cr in zip(d.positive_roots, d.coroots):
-        wc = d.root_weight_coords(root)
+        wc = root_weight_coords(d, root)
         assert sum(a * b for a, b in zip(cr, wc)) == 2
 
 
@@ -253,7 +261,7 @@ def test_simple_roots_match_cartan_columns():
         d = build_root_datum(t)
         for j in range(t.rank):
             simple = tuple(1 if k == j else 0 for k in range(t.rank))
-            assert d.root_weight_coords(simple) == tuple(row[j] for row in d.cartan_matrix)
+            assert root_weight_coords(d, simple) == tuple(row[j] for row in d.cartan_matrix)
 
 
 # --- the alpha-string generator against an independent reflection closure ---
@@ -432,19 +440,6 @@ def test_weyl_dimension_small_cases():
     assert weyl_dimension(build_root_datum(CartanType("B", 3)), Weight((0, 0, 0))) == 1
 
 
-def _bourbaki_simple_roots(t: CartanType) -> list[tuple[int, ...]]:
-    """Epsilon vectors of the simple roots (Bourbaki, ch. VI, Plates I-IV)."""
-    n = t.rank
-    m = n + 1 if t.family == "A" else n
-
-    def vec(*terms):
-        return tuple(sum(c for k, c in terms if k == j) for j in range(m))
-
-    last = {"A": vec((n - 1, 1), (n, -1)), "B": vec((n - 1, 1)),
-            "C": vec((n - 1, 2)), "D": vec((n - 2, 1), (n - 1, 1))}[t.family]
-    return [vec((i, 1), (i + 1, -1)) for i in range(n - 1)] + [last]
-
-
 def _spec(v: tuple[int, ...]) -> str:
     """Mnemonic of an epsilon vector: "e1-e2", "2e3", "-e1+2e4"; "0e1" for zero."""
     terms = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}e{k + 1}"
@@ -459,11 +454,12 @@ CLASSICAL_TO_RANK_8 = [CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 
 @pytest.mark.parametrize("t", CLASSICAL_TO_RANK_8, ids=str)
 def test_every_positive_root_mnemonic_resolves_and_nothing_else(t):
     d = build_root_datum(t)
-    simple = _bourbaki_simple_roots(t)
+    simple = bourbaki_simple_roots(t)
     m = len(simple[0])
     roots = {}
     for idx, root in enumerate(d.positive_roots):
         eps = tuple(sum(c * s[j] for c, s in zip(root, simple)) for j in range(m))
+        assert _epsilon_vector(t, root) == eps
         roots[eps] = idx
         assert find_positive_root(d, _spec(eps)) == idx
     assert len(roots) == len(d.positive_roots)
@@ -472,3 +468,20 @@ def test_every_positive_root_mnemonic_resolves_and_nothing_else(t):
             if v not in roots:
                 with pytest.raises(PreconditionError, match="is not a positive root"):
                     find_positive_root(d, _spec(v))
+
+
+CLASSICAL_TO_RANK_12 = [CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                        for n in range(lo, 13)]
+
+
+def test_epsilon_vector_and_simple_root_coords_are_inverse_to_rank_12():
+    # the forward map on every positive root, the inverse on its image; an
+    # epsilon vector of a classical root has one or two nonzero entries
+    for t in CLASSICAL_TO_RANK_12:
+        d = build_root_datum(t)
+        for root in d.positive_roots:
+            v = _epsilon_vector(t, root)
+            assert _simple_root_coords(t, v) == root, (t, root)
+            assert 1 <= sum(map(bool, v)) <= 2, (t, root)
+        simple = [tuple(int(k == i) for k in range(t.rank)) for i in range(t.rank)]
+        assert [_epsilon_vector(t, c) for c in simple] == bourbaki_simple_roots(t), t
