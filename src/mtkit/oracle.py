@@ -6,6 +6,13 @@ Gaussian elimination, unipotence degrees from repeated multiplication.
 Arithmetic is exact throughout -- every matrix has integer entries, read
 over the rationals or reduced mod p over a prime field.  No floats anywhere.
 The matrix type, ExactMatrix, and its product kernel are in mtkit.matrix.
+
+Unipotence degrees come from one power loop on packed rows.  Over Q a power
+stays packed while a test of each packed row (add 2^b to every slot, mask
+the bits above b) shows room in the slots for the next product; it is
+unpacked only to reduce it mod p or to widen the slots.  The tensor trials
+never form the n x n tensor: N = g1 (x) g2 - 1 acts as
+N P = (g1 (x) 1) ((1 (x) g2) P) - P through the two factors' nonzero forms.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, compress, count
-from operator import mul
+from operator import mul, sub
 from types import MappingProxyType
 
 from .errors import NotUnipotent, PreconditionError
@@ -25,9 +32,10 @@ from .roots import _epsilon_vector
 DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degrade
 
 # Largest estimated cost of a verify_tensor_lemma run: trials times
-# n^2 (k1 + k2 - 1) (n (d1 + d2) + 1000) + 500,000 for n = d1 * d2, a fit to
-# 47 timed trial shapes (n <= 128, over Q and F_p) in which a unit took at
-# most 0.98 ns on a 2-vCPU host, so no accepted run takes much above 50 s.
+# n^2 (k1 + k2 - 1) (n (d1 + d2) + 1000) + 500,000 for n = d1 * d2.  It was
+# fitted to trials that took dense n x n powers, at most 0.98 ns a unit on a
+# 2-vCPU host; powers through the two factors are no slower, so it is an
+# upper bound, and no accepted run takes much above 50 s.
 RUN_BUDGET = 5 * 10**10
 
 
@@ -52,30 +60,91 @@ class UnipotenceReport:
                 "quadratic": self.quadratic, "prime": self.prime}
 
 
+def _power_slot(bound: int) -> int:
+    # _slot_size, but a slot of more than 8 bytes is a multiple of 8 bytes
+    # rather than a power of two: a power that wide is packed and unpacked
+    # slot by slot with to_bytes and from_bytes, which take any width, and a
+    # product costs in proportion to the width
+    size = _slot_size(bound)
+    return size if size <= 8 else (bound.bit_length() + 64) // 64 * 8
+
+
+def _room(n: int, size: int, step: int) -> tuple[int, int]:
+    # 2^b, and bits b + 1 to w - 1, in each of n slots, for the largest b with
+    # step 2^b < 2^(w-1).  A packed row v whose entries all lie in [-2^b, 2^b)
+    # has slots v + 2^b in [0, 2^(b+1)), so none of those bits set; the lowest
+    # slot out of that range sets one, bit w - 1 if it is negative.
+    w, b = 8 * size, 8 * size - 1 - step.bit_length()
+    ones = int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
+    return ones << b, ones * ((1 << w) - (2 << b))
+
+
+def _power_degree(factors, minus_one: bool, power: list[int], k: int, size: int, step: int,
+                  p: int | None) -> int:
+    """Smallest j > k with N^j = 0, from N^k packed in slots of this size.
+
+    N is the product of the factors (nonzero forms, the last one applied
+    first), minus 1 if minus_one, and |entries of N P| <= step max |entries
+    of P|.  A power over Q stays packed while the test of _room finds room in
+    its slots for the next one; a power is unpacked only to reduce it mod p,
+    or to rescan it and widen the slots when that test fails."""
+    n = len(power)
+    add, mask = _room(n, size, step)
+    for k in range(k + 1, n + 1):
+        product = power
+        for terms in reversed(factors):
+            product = _times(terms, product)
+        power = list(map(sub, product, power)) if minus_one else product
+        if p or (any(power) and any(map(mask.__and__, map(add.__add__, power)))):
+            rows = _unpack(power, size, p)
+            # reduced mod p, every entry lies in [0, p - 1]: only a power over Q is scanned
+            bound = p - 1 if p else max(max(map(max, rows)), -min(map(min, rows)))
+            if (fit := _power_slot(step * bound)) != size:
+                size, (add, mask) = fit, _room(n, fit, step)
+            power = _pack_rows(rows, size)
+        if not any(power):
+            return k
+    raise NotUnipotent(f"(M - 1)^{n} != 0, so M is not unipotent")
+
+
 def nilpotency_degree(nil: ExactMatrix) -> int:
     """Smallest k >= 1 with nil^k = 0; raises NotUnipotent when none exists.
 
-    nil^(k+1) = nil nil^k stays packed; a power is unpacked only to reduce it
-    mod p, or to widen the slots when the bound on the next one outgrows them."""
-    n, p = nil.dim, nil.prime
-    terms, bound = nil._sparse()  # bound: on the entries of the current power
+    nil^(k+1) = nil nil^k, in slots that first hold the a-priori bound on nil^2."""
+    terms, bound = nil._sparse()
     if not terms:
         return 1
-    step = n * bound  # the next power's entries are at most step * bound
-    size = _slot_size(step * bound)
-    packed = nil._packed(size)
-    for k in range(2, n + 1):
-        packed = _times(terms, packed)
-        bound *= step
-        if p or (any(packed) and _slot_size(step * bound) > size):
-            power = _unpack(packed, size, p)
-            # reduced mod p, every entry lies in [0, p - 1]: only a power over Q is scanned
-            bound = p - 1 if p else max(max(map(max, power)), -min(map(min, power)))
-            size = _slot_size(step * bound)
-            packed = _pack_rows(power, size)
-        if not any(packed):
-            return k
-    raise NotUnipotent(f"(M - 1)^{n} != 0, so M is not unipotent")
+    step = nil.dim * bound
+    size = _power_slot(step * bound)
+    return _power_degree([terms], False, nil._packed(size), 1, size, step, nil.prime)
+
+
+def _tensor_factors(m1: ExactMatrix, m2: ExactMatrix) -> list:
+    """The nonzero forms of m1 (x) 1 and 1 (x) m2, leaving out a factor that is
+    the identity, read off the terms of m1 and m2: their product is m1 (x) m2."""
+    d1, d2 = m1.dim, m2.dim
+    factors = []
+    if not m1.is_identity():  # row (i, j) of m1 (x) 1: row i of m1, in the columns (c, j)
+        factors.append([(i * d2 + j, coeffs, [c * d2 + j for c in cols])
+                        for i, coeffs, cols in m1._sparse()[0] for j in range(d2)])
+    if not m2.is_identity():  # row (i, j) of 1 (x) m2: row j of m2, in the columns (i, c)
+        factors.append([(i * d2 + j, coeffs, [i * d2 + c for c in cols])
+                        for i in range(d1) for j, coeffs, cols in m2._sparse()[0]])
+    return factors
+
+
+def _tensor_degree(m1: ExactMatrix, m2: ExactMatrix) -> int:
+    """nilpotency_degree(m1.kron(m2).sub_identity()), without the n x n tensor.
+
+    N = m1 (x) m2 - 1 acts as N P = (m1 (x) 1) ((1 (x) m2) P) - P, a power
+    costing n (d1 + d2 + 1) multiply-adds for dense factors instead of n^2.
+    The powers start from the packed identity, in slots that first hold
+    step^2, the a-priori bound on N^2."""
+    n = m1.dim * m2.dim
+    step = n * m1._sparse()[1] * m2._sparse()[1] + 1
+    size = _power_slot(step * step)
+    identity = [1 << (8 * size * i) for i in range(n)]
+    return _power_degree(_tensor_factors(m1, m2), True, identity, 0, size, step, m1.prime)
 
 
 def unipotence(m: ExactMatrix) -> UnipotenceReport:
@@ -278,6 +347,11 @@ def verify_tensor_lemma(
     non-identity factors are still recorded as corollary violations over
     F_p, where small p can make them (every trial of two quadratics over
     F_2 is one), so the report's passed, the claim over Q, can read false.
+
+    A trial's degree is nilpotency_degree(g1.kron(g2).sub_identity()), taken
+    without the tensor: the powers of N = g1 (x) g2 - 1 go through the
+    sparse factors g1 (x) 1 and 1 (x) g2, n (d1 + d2 + 1) multiply-adds each
+    instead of n^2, and over Q stay packed while the room test passes.
     """
     if prime is not None:
         _require_prime(prime)
@@ -306,7 +380,7 @@ def verify_tensor_lemma(
         rng = random.Random(base.randrange(2**63))
         m1 = random_unipotent(d1, k1, rng, prime)
         m2 = random_unipotent(d2, k2, rng, prime)
-        deg = nilpotency_degree(m1.kron(m2).sub_identity())
+        deg = _tensor_degree(m1, m2)
         counts[deg] = counts.get(deg, 0) + 1
         if deg != expected:
             record = {"trial": t, "degree": deg, "expected": expected}

@@ -898,6 +898,145 @@ def test_large_entries_widen_the_slots(monkeypatch):
     assert unpacked  # over Z only a widening unpacks a power
 
 
+# --- tensor trials through the factors m1 (x) 1 and 1 (x) m2 -----------------
+
+TENSOR_PRIMES = [None, 2, 3, 10007]
+
+
+def _tensor_pairs(rng, prime):
+    """For every d1, d2 <= 6: random unipotents of random degrees (the 1 x 1
+    and degree-1 ones are identities), then two general matrices."""
+    for d1 in range(1, 7):
+        for d2 in range(1, 7):
+            yield (random_unipotent(d1, rng.randint(1, d1), rng, prime),
+                   random_unipotent(d2, rng.randint(1, d2), rng, prime))
+            yield (ExactMatrix(_random_rows(rng, d1, False), prime),
+                   ExactMatrix(_random_rows(rng, d2, False), prime))
+
+
+@pytest.mark.parametrize("prime", TENSOR_PRIMES)
+def test_tensor_factors_multiply_to_the_kronecker_product(prime):
+    import random
+
+    rng = random.Random(prime or 11)
+    seen_identity = False
+    for m1, m2 in _tensor_pairs(rng, prime):
+        n = m1.dim * m2.dim
+        factors = oracle._tensor_factors(m1, m2)
+        # an identity factor is left out; the others keep the nonzeros of the rows they copy
+        kept = [m for m in (m1, m2) if not m.is_identity()]
+        seen_identity |= len(kept) < 2
+        assert len(factors) == len(kept)
+        for terms, m in zip(factors, kept):
+            assert sum(len(cols) for _, _, cols in terms) == n // m.dim * sum(
+                len(cols) for _, _, cols in m._sparse()[0])
+        product = ExactMatrix.identity(n, prime)
+        for terms in factors:
+            product = product @ ExactMatrix._derived(None, prime, (terms, matrix._largest(terms)), n)
+        assert product.rows == m1.kron(m2).rows
+    assert seen_identity
+
+
+@pytest.mark.parametrize("prime", TENSOR_PRIMES)
+def test_tensor_degree_matches_the_dense_tensor(prime):
+    import random
+
+    rng = random.Random(prime or 12)
+    for m1, m2 in _tensor_pairs(rng, prime):
+        nil = m1.kron(m2).sub_identity()
+        want = _degree_or_message(nilpotency_degree, nil)
+        assert want == _degree_or_message(scan_nilpotency_degree, nil)
+        assert _degree_or_message(lambda _: oracle._tensor_degree(m1, m2), nil) == want
+
+
+def test_tensor_trials_never_form_the_dense_tensor(monkeypatch):
+    import random
+
+    def refuse(*args):
+        raise AssertionError("formed the dense tensor or its M - 1")
+
+    cases = [(1, 1, (1, 1), None), (1, 5, (3, 5), None), (3, 2, (4, 3), None), (4, 4, (6, 6), None),
+             (2, 2, (4, 4), 2), (3, 3, (5, 3), 3), (4, 3, (6, 6), 10007)]
+    monkeypatch.setattr(ExactMatrix, "kron", refuse)
+    monkeypatch.setattr(ExactMatrix, "sub_identity", refuse)
+    reports = [verify_tensor_lemma(k1, k2, dims, 6, 21, prime) for k1, k2, dims, prime in cases]
+    monkeypatch.undo()
+    for (k1, k2, dims, prime), report in zip(cases, reports):
+        # the same trials through the dense tensor
+        base, counts = random.Random(21), {}
+        for _ in range(6):
+            rng = random.Random(base.randrange(2**63))
+            m1 = random_unipotent(dims[0], k1, rng, prime)
+            m2 = random_unipotent(dims[1], k2, rng, prime)
+            deg = nilpotency_degree(m1.kron(m2).sub_identity())
+            counts[deg] = counts.get(deg, 0) + 1
+        assert dict(report.degree_counts) == counts
+        assert report.passed or prime == 2
+
+
+@pytest.mark.parametrize("size, step", [(size, step) for size in (1, 2, 4, 8, 16)
+                                        for step in (1, 2, 3, 37, 2**20 + 1) if step < 2 ** (8 * size - 1)])
+def test_room_test_accepts_exactly_the_entries_in_its_range(size, step):
+    # b is the largest exponent with step 2^b < 2^(w-1); a packed power passes
+    # the test exactly when every entry lies in [-2^b, 2^b)
+    w, n = 8 * size, 3
+    b = w - 1 - step.bit_length()
+    assert step * 2**b < 2 ** (w - 1) <= step * 2 ** (b + 1)
+    add, mask = oracle._room(n, size, step)
+    edges = [-(2**b), 2**b - 1, 2**b, -(2**b) - 1, 0, -1, 1]
+    rows = [(x, y, z) for x in edges for y in edges for z in edges]
+    for i in range(0, len(rows) - n + 1, n):  # n rows at a time, as a power's n x n
+        block = rows[i:i + n]
+        packed = matrix._pack_rows(block, size)
+        assert matrix._unpack(packed, size) == block
+        for row, v in zip(block, packed):
+            fits = all(-(2**b) <= x < 2**b for x in row)
+            assert (not (v + add) & mask) == fits, (row, size, step)
+    # negative and out-of-range top slots over clean and out-of-range lower ones
+    for row in [(0, 0, -1), (1, 2**b - 1, -(2**b) - 1), (-(2**b), 0, 2**b), (-1, 0, 0)]:
+        (v, *_) = matrix._pack_rows([row, (0,) * n, (0,) * n], size)
+        assert (not (v + add) & mask) == all(-(2**b) <= x < 2**b for x in row)
+
+
+@pytest.mark.parametrize("prime", [None, 10007])
+def test_power_slots_hold_their_bound_and_round_trip(prime):
+    # up to 8 bytes the slots of _slot_size; past that the fewest whole
+    # multiples of 8 bytes that hold the bound with a sign bit
+    for bits in range(1, 400):
+        for bound in (2 ** (bits - 1), 2**bits - 1):
+            size = oracle._power_slot(bound)
+            assert bound < 2 ** (8 * size - 1)
+            if size <= 8:
+                assert size == matrix._slot_size(bound)
+            else:
+                assert size % 8 == 0 and bound >= 2 ** (8 * size - 65)
+    import random
+
+    rng = random.Random(9)
+    for bits in (60, 64, 100, 200, 333):
+        bound = 2**bits - 1
+        size = oracle._power_slot(bound)
+        rows = [tuple(rng.choice((bound, -bound, 0, 1, -1)) for _ in range(5)) for _ in range(5)]
+        assert matrix._unpack(matrix._pack_rows(rows, size), size) == rows
+    nil = random_unipotent(8, 8, rng).sub_identity()
+    big = ExactMatrix([[x << 90 for x in row] for row in nil.rows], prime)
+    assert nilpotency_degree(big) == _reference_degree(big)
+
+
+def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
+    # the benchmark's shape: 6 x 6 factors of every degree pair up to 4;
+    # over F_p every power is unpacked to reduce it
+    unpacked = []
+    unpack = oracle._unpack
+    monkeypatch.setattr(oracle, "_unpack", lambda *args: unpacked.append(args[2]) or unpack(*args))
+    for k1 in range(1, 5):
+        for k2 in range(1, 5):
+            assert verify_tensor_lemma(k1, k2, (6, 6), 12, 100 * k1 + k2).passed
+    assert not unpacked
+    verify_tensor_lemma(3, 3, (6, 6), 2, 1, 10007)
+    assert unpacked and set(unpacked) == {10007}
+
+
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])
 def test_slots_hold_their_bound_with_a_sign_bit(size):
     top = 2 ** (8 * size - 1) - 1  # the largest |x| a signed slot of this size holds
