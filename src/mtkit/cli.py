@@ -39,6 +39,7 @@ from .roots import FAMILIES, ROOT_BUDGET, CartanType, find_positive_root, positi
 from .roots import _FIXED_RANK, _MIN_RANK
 
 FORMATS = ("json", "csv", "markdown")
+_encode = json.encoder.encode_basestring  # json.dumps' str encoder when ensure_ascii=False
 
 
 class UsageError(Exception):
@@ -194,13 +195,11 @@ def _parse_dims(spec: str) -> tuple[int, int]:
 def _prime(text: str) -> int:
     """argparse type for --prime: an integer that is a prime."""
     try:
-        p = int(text)
+        return _require_prime(int(text))
+    except PreconditionError as exc:  # a DomainError, so a ValueError: caught first
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    try:
-        return _require_prime(p)
-    except PreconditionError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _cmd_oracle_tensor(args) -> tuple[dict, list[dict]]:
@@ -213,9 +212,7 @@ def _cmd_oracle_tensor(args) -> tuple[dict, list[dict]]:
              "trials": payload["trials"], "seed": payload["seed"], "prime": payload["prime"],
              "expected_degree": payload["expected_degree"],
              "degree_counts": "|".join(f"{k}x{v}" for k, v in payload["degree_counts"].items()),
-             "failures": len(payload["failures"]),
-             "char_deviations": len(payload["char_deviations"]),
-             "corollary_violations": len(payload["corollary_violations"]),
+             **{k: len(payload[k]) for k in ("failures", "char_deviations", "corollary_violations")},
              "passed": payload["passed"]}]
     return payload, rows
 
@@ -245,14 +242,30 @@ def _cmd_oracle_drop(args) -> tuple[dict, list[dict]]:
     return payload, rows
 
 
-def _render(fmt: str, payload: dict, rows: list[dict], header: list[str] | None = None) -> str:
-    """JSON of the payload, or a csv or markdown table of the rows.
+def _json(o, indent: str = "\n") -> str:
+    """json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False), strs and ints written in C
+    as json writes them; floats, non-str keys and what json refuses go to json.dumps."""
+    if isinstance(o, str):
+        return _encode(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        items, ends = [_json(x, inner) for x in o], "[]"
+    elif isinstance(o, dict) and all(isinstance(k, str) for k in o):
+        items, ends = [f"{_encode(k)}: {_json(o[k], inner)}" for k in sorted(o)], "{}"
+    else:
+        return json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", indent)
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{indent}{ends[1]}" if items else ends
 
-    The table's header is the key order of the rows; a command whose rows
-    can be empty passes it.
-    """
+
+def _render(fmt: str, payload: dict, rows: list[dict], header: list[str] | None = None) -> str:
+    """JSON of the payload, or a csv or markdown table of the rows; the header is
+    the rows' key order, or passed by a command whose rows can be empty."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
+        return _json(payload)
     header = header or list(rows[0])
     table = [header, *(["" if row[c] is None else row[c] for c in header] for row in rows)]
     if fmt == "csv":
@@ -260,92 +273,73 @@ def _render(fmt: str, payload: dict, rows: list[dict], header: list[str] | None 
         csv.writer(buf, lineterminator="\n").writerows(table)
         return buf.getvalue().rstrip("\n")
     table.insert(1, ["---"] * len(header))
-    return "\n".join("| " + " | ".join(map(str, line)) + " |" for line in table)
+    return "\n".join("| " + " | ".join([str(c).replace("|", "\\|") for c in line]) + " |"
+                     for line in table)
 
 
-@functools.cache  # parse_args leaves the parser as it was, and building it costs ten classify runs
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="mtkit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each subcommand: its help, its arguments (flag: add_argument keywords; --format
+# comes last) and its handler, or its help and its own subcommands.
+_REQ, _INT, _REQ_INT = {"required": True}, {"type": int}, {"type": int, "required": True}
+_PRIME = {"type": _prime, "nargs": "?", "const": DEFAULT_PRIME, "default": None}
+_COMMANDS = {
+    "table": ("emit the minuscule table up to a rank bound",
+              {"--max-rank": {"type": int, "default": DEFAULT_RANK_BOUND}}, _cmd_table),
+    "minuscule": ("minuscule representations of one type",
+                  {"--type": _REQ, "--rank": _INT}, _cmd_minuscule),
+    "drops": ("drop spectrum of one minuscule representation",
+              {"--type": _REQ, "--rank": _INT, "--weight": _REQ}, _cmd_drops),
+    "classify": ("symplectic minuscule reps of a given dimension",
+                 {"--two-g": _REQ_INT}, _cmd_classify),
+    "mt-check": ("decide one (g, s, endo) query",
+                 {"--g": _REQ_INT, "--s": _REQ_INT, "--endo": _REQ}, _cmd_mt_check),
+    "mt-exceptional": ("exceptional (g, s) pairs up to a bound",
+                       {"--max-g": _REQ_INT, "--endo": _REQ}, _cmd_mt_exceptional),
+    "oracle": ("brute-force matrix computations", {
+        "tensor-lemma": ("randomized tensor degree verification",
+                         {"--k1": _REQ_INT, "--k2": _REQ_INT, "--trials": _REQ_INT,
+                          "--seed": _REQ_INT, "--dims": {"default": "6,6"}, "--prime": _PRIME},
+                         _cmd_oracle_tensor),
+        "drop": ("root-element matrix, degree and drop",
+                 {"--type": _REQ, "--rank": _INT, "--weight": _REQ, "--roots": {
+                     **_REQ, "help": "comma-separated epsilon mnemonics, e.g. e1-e2,e3-e4"},
+                  "--prime": _PRIME}, _cmd_oracle_drop),
+    }),
+}
 
-    def add_format(p):
+
+def _add_commands(parser: _Parser, dest: str, commands: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (summary, arguments, *handler) in commands.items():
+        p = sub.add_parser(name, help=summary)
+        if not handler:
+            _add_commands(p, f"{name}_command", arguments)
+            continue
+        for flag, keywords in arguments.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=FORMATS, default="json")
+        p.set_defaults(func=handler[0])
 
-    p = sub.add_parser("table", help="emit the minuscule table up to a rank bound")
-    p.add_argument("--max-rank", type=int, default=DEFAULT_RANK_BOUND)
-    add_format(p)
-    p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("minuscule", help="minuscule representations of one type")
-    p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int)
-    add_format(p)
-    p.set_defaults(func=_cmd_minuscule)
-
-    p = sub.add_parser("drops", help="drop spectrum of one minuscule representation")
-    p.add_argument("--type", required=True)
-    p.add_argument("--rank", type=int)
-    p.add_argument("--weight", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_drops)
-
-    p = sub.add_parser("classify", help="symplectic minuscule reps of a given dimension")
-    p.add_argument("--two-g", dest="two_g", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("mt-check", help="decide one (g, s, endo) query")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--endo", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_mt_check)
-
-    p = sub.add_parser("mt-exceptional", help="exceptional (g, s) pairs up to a bound")
-    p.add_argument("--max-g", dest="max_g", type=int, required=True)
-    p.add_argument("--endo", required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_mt_exceptional)
-
-    p = sub.add_parser("oracle", help="brute-force matrix computations")
-    osub = p.add_subparsers(dest="oracle_command", required=True)
-
-    q = osub.add_parser("tensor-lemma", help="randomized tensor degree verification")
-    q.add_argument("--k1", type=int, required=True)
-    q.add_argument("--k2", type=int, required=True)
-    q.add_argument("--trials", type=int, required=True)
-    q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--dims", default="6,6")
-    q.add_argument("--prime", type=_prime, nargs="?", const=DEFAULT_PRIME, default=None)
-    add_format(q)
-    q.set_defaults(func=_cmd_oracle_tensor)
-
-    q = osub.add_parser("drop", help="root-element matrix, degree and drop")
-    q.add_argument("--type", required=True)
-    q.add_argument("--rank", type=int)
-    q.add_argument("--weight", required=True)
-    q.add_argument("--roots", required=True, help="comma-separated epsilon mnemonics, e.g. e1-e2,e3-e4")
-    q.add_argument("--prime", type=_prime, nargs="?", const=DEFAULT_PRIME, default=None)
-    add_format(q)
-    q.set_defaults(func=_cmd_oracle_drop)
-
+@functools.cache  # parse_args leaves a parser as it was, so each is built once per process
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of this subcommand alone, or of every subcommand."""
+    parser = _Parser(prog="mtkit", description=__doc__)
+    _add_commands(parser, "command", {command: _COMMANDS[command]} if command else _COMMANDS)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # top-level --help and the errors for a missing or unknown command list every subcommand
+    parser = _build_parser(argv[0]) if argv and argv[0] in _COMMANDS else _build_parser()
     try:
         args = parser.parse_args(argv)
+        output = args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-    try:
-        output = args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

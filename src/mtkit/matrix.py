@@ -30,8 +30,12 @@ _SIGN = bytes(128) + b"\xff" * 128  # a slot's top byte -> the byte that sign-ex
 
 
 def _slot_size(bound: int) -> int:
-    """Bytes per signed slot, a power of two, holding every |x| <= bound."""
-    return 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()
+    """Bytes per signed slot holding every |x| <= bound: 1, 2, 4 or 8, or past
+    8 bytes the fewest whole multiples of 8.  A slot that wide is packed and
+    unpacked with to_bytes and from_bytes, which take any width, and a product
+    costs in proportion to the width."""
+    size = 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()
+    return size if size <= 8 else (bound.bit_length() + 64) // 64 * 8
 
 
 def _times(terms, packed, op=mul) -> list[int]:

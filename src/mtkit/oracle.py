@@ -60,15 +60,6 @@ class UnipotenceReport:
                 "quadratic": self.quadratic, "prime": self.prime}
 
 
-def _power_slot(bound: int) -> int:
-    # _slot_size, but a slot of more than 8 bytes is a multiple of 8 bytes
-    # rather than a power of two: a power that wide is packed and unpacked
-    # slot by slot with to_bytes and from_bytes, which take any width, and a
-    # product costs in proportion to the width
-    size = _slot_size(bound)
-    return size if size <= 8 else (bound.bit_length() + 64) // 64 * 8
-
-
 def _room(n: int, size: int, step: int) -> tuple[int, int]:
     # 2^b, and bits b + 1 to w - 1, in each of n slots, for the largest b with
     # step 2^b < 2^(w-1).  A packed row v whose entries all lie in [-2^b, 2^b)
@@ -99,7 +90,7 @@ def _power_degree(factors, minus_one: bool, power: list[int], k: int, size: int,
             rows = _unpack(power, size, p)
             # reduced mod p, every entry lies in [0, p - 1]: only a power over Q is scanned
             bound = p - 1 if p else max(max(map(max, rows)), -min(map(min, rows)))
-            if (fit := _power_slot(step * bound)) != size:
+            if (fit := _slot_size(step * bound)) != size:
                 size, (add, mask) = fit, _room(n, fit, step)
             power = _pack_rows(rows, size)
         if not any(power):
@@ -115,7 +106,7 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
     if not terms:
         return 1
     step = nil.dim * bound
-    size = _power_slot(step * bound)
+    size = _slot_size(step * bound)
     return _power_degree([terms], False, nil._packed(size), 1, size, step, nil.prime)
 
 
@@ -142,7 +133,7 @@ def _tensor_degree(m1: ExactMatrix, m2: ExactMatrix) -> int:
     step^2, the a-priori bound on N^2."""
     n = m1.dim * m2.dim
     step = n * m1._sparse()[1] * m2._sparse()[1] + 1
-    size = _power_slot(step * step)
+    size = _slot_size(step * step)
     identity = [1 << (8 * size * i) for i in range(n)]
     return _power_degree(_tensor_factors(m1, m2), True, identity, 0, size, step, m1.prime)
 

@@ -1,13 +1,19 @@
 """CLI grammar, exit codes, output formats, round-trips, reproducibility."""
 
+import argparse
 import csv
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import (
     exceptional_instance_from_dict,
@@ -15,7 +21,16 @@ from conftest import (
     tensor_report_from_dict,
     verdict_from_dict,
 )
-from mtkit import CartanType, EndoType, cli, enumerate_exceptional, minuscule, roots
+from mtkit import (
+    CartanType,
+    EndoType,
+    Status,
+    TensorLemmaReport,
+    cli,
+    enumerate_exceptional,
+    minuscule,
+    roots,
+)
 from mtkit.cli import run
 
 
@@ -274,6 +289,9 @@ GOLDEN_RUNS = {
                                "--weight", "std", "--roots", "2e1", "--format", "csv"],
     "oracle_drop_A3_std.md": ["oracle", "drop", "--type", "A", "--rank", "3",
                               "--weight", "std", "--roots", "e1-e2", "--format", "markdown"],
+    # the roots cell joins two roots with an escaped |
+    "oracle_drop_D5_w5.md": ["oracle", "drop", "--type", "D", "--rank", "5", "--weight", "w5",
+                             "--roots", "e1-e2,e3-e4", "--format", "markdown"],
     # default dims 6,6; the prime-2 run records 20 characteristic deviations
     "oracle_tensor_3_4_seed7.json": ["oracle", "tensor-lemma", "--k1", "3", "--k2", "4",
                                      "--trials", "40", "--seed", "7"],
@@ -318,8 +336,9 @@ def test_stdout_matches_golden_file(capsys, golden):
 
 
 def test_one_parser_serves_every_call(capsys):
-    # the parser is built once per process: no call may leave state for the next
+    # each parser is built once per process: no call may leave state for the next
     assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser("classify") is cli._build_parser("classify")
     code, out, _ = invoke(capsys, "classify", "--two-g", "20", "--format", "csv")
     assert code == 0 and out.encode("utf-8") == (GOLDEN / "classify_20.csv").read_bytes()
     code, _, err = invoke(capsys, "classify", "--two-g")
@@ -590,3 +609,172 @@ def test_empty_table_header_is_the_row_schema(capsys, empty, full):
     _, out, _ = invoke(capsys, *full)
     assert len(header.splitlines()) == 1 < len(out.splitlines())
     assert header.splitlines() == out.splitlines()[:1]
+
+
+def markdown_cells(line: str) -> list[str]:
+    """The cells of a markdown table line, split at the pipes that are not escaped."""
+    return re.split(r" (?<!\\)\| ", line[2:-2])
+
+
+def test_markdown_cells_escape_the_pipe(capsys, monkeypatch):
+    _, out, _ = invoke(capsys, *GOLDEN_RUNS["oracle_drop_D5_w5.md"])
+    header, _, row = out.splitlines()
+    assert len(markdown_cells(row)) == len(markdown_cells(header)) == 11
+    assert markdown_cells(row)[4] == "e1-e2\\|e3-e4"
+    # a tensor-lemma run that sees two degrees joins their counts with a |
+    report = TensorLemmaReport(
+        k1=2, k2=2, dims=(6, 6), trials=3, seed=1, prime=2, expected_degree=3,
+        degree_counts={2: 2, 3: 1},
+        char_deviations=[{"trial": t, "degree": 2, "expected": 3} for t in (0, 2)])
+    monkeypatch.setattr(cli, "verify_tensor_lemma", lambda **kwargs: report)
+    argv = ["oracle", "tensor-lemma", "--k1", "2", "--k2", "2", "--trials", "3", "--seed", "1",
+            "--prime", "2", "--format"]
+    _, out, _ = invoke(capsys, *argv, "markdown")
+    header, _, row = out.splitlines()
+    cells = dict(zip(markdown_cells(header), markdown_cells(row), strict=True))
+    assert (cells["degree_counts"], cells["char_deviations"]) == ("2x2\\|3x1", "2")
+    _, out, _ = invoke(capsys, *argv, "csv")
+    assert next(csv.DictReader(io.StringIO(out)))["degree_counts"] == "2x2|3x1"
+
+
+def dumps(o) -> str:
+    return json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False)
+
+
+# ints of 4300 digits, the limit of str(int) that json and the writer both
+# hit, and of 4301; built lazily, as a strategy's repr would print them
+limit_ints = st.builds(lambda digits, sign: sign * (10**digits - 1), st.sampled_from([4300, 4301]),
+                       st.sampled_from([1, -1]))
+leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), limit_ints, st.floats(),
+    st.text(), st.text(st.characters(max_codepoint=0x1F)), st.text(st.characters(min_codepoint=0x80)),
+    st.sampled_from([*EndoType, *Status]),
+)
+keys = st.one_of(st.text(), st.sampled_from([*EndoType, *Status]))
+documents = st.recursive(leaves, lambda inner: st.one_of(
+    st.lists(inner), st.lists(inner).map(tuple), st.dictionaries(keys, inner),
+    st.dictionaries(st.one_of(keys, st.integers(), st.floats(allow_nan=False)), inner, max_size=3),
+), max_leaves=20)
+
+
+def outcome(write, o):
+    try:
+        return write(o)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(documents)
+def test_json_writer_is_json_dumps(document):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert outcome(cli._json, document) == outcome(dumps, document)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_json_writer_edge_cases():
+    for document in ({}, [], (), {"a": {}, "b": [], "c": ()}, [[], [[]], {"": None}],
+                     {"k": True, "j": False, "i": 1, "h": None, "g": "\x00\x1f\"\\\u2028Λ"},
+                     {EndoType("II"): EndoType("III"), "Z": Status.PROVED_BY_PINK},
+                     {"x": 1.5, "y": [float("nan")]}, {"n": {1: 2, 3: [4]}}, {1: "a", "b": 2}):
+        assert outcome(cli._json, document) == outcome(dumps, document), document
+    # json.dumps's own error on an int it cannot print
+    too_long = {"g": [10**4300]}
+    assert outcome(cli._json, too_long)[0] is outcome(dumps, too_long)[0] is ValueError
+
+
+def parse(parser, argv, capsys):
+    """What a parser does with argv: the usage error, the exit code, or the parsed
+    namespace less its handler; and what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+        result.pop("func")
+    except cli.UsageError as exc:
+        result = f"usage error: {exc}"
+    except SystemExit as exc:
+        result = exc.code
+    return result, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["table", "--help"], ["table", "--max-rank", "x"], ["table", "--format", "xml"],
+    ["table", "--max-rank", "3", "classify"],
+    ["minuscule", "--help"], ["minuscule", "--type", "A", "--rank", "x"], ["minuscule"],
+    ["drops", "--help"], ["drops", "--type", "B", "--rank", "x", "--weight", "spin"],
+    ["classify", "--help"], ["classify", "--two-g", "x"], ["classify", "--two-g"],
+    ["mt-check", "--help"], ["mt-check", "--g", "x", "--s", "1", "--endo", "Z"],
+    ["mt-exceptional", "--help"], ["mt-exceptional", "--max-g", "x", "--endo", "Z"],
+    ["oracle", "--help"], ["oracle", "bogus"], ["oracle"],
+    ["oracle", "tensor-lemma", "--help"],
+    ["oracle", "tensor-lemma", "--k1", "x", "--k2", "2", "--trials", "1", "--seed", "1"],
+    ["oracle", "tensor-lemma", "--k1", "2", "--k2", "2", "--trials", "1", "--seed", "1",
+     "--prime", "4"],
+    ["oracle", "drop", "--help"],
+    ["oracle", "drop", "--type", "C", "--weight", "std", "--roots", "e1-e2", "--prime", "x"],
+    ["oracle", "drop", "--type", "C", "--rank", "3", "--weight", "std", "--roots", "e1-e2",
+     "--prime"],
+])
+def test_one_command_parser_reads_as_the_full_parser(capsys, argv):
+    full = parse(cli._build_parser(), argv, capsys)
+    assert parse(cli._build_parser(argv[0]), argv, capsys) == full
+    assert full[1] or "--help" not in argv
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], [], ["nonsense"], ["--format", "json"],
+                                  ["Table", "--help"]])
+def test_top_level_runs_read_the_full_parser(capsys, argv):
+    result, out = parse(cli._build_parser(), argv, capsys)
+    code, run_out, err = invoke(capsys, *argv)
+    if argv and argv[0] in ("--help", "-h"):
+        assert (code, run_out, err) == (0, out, "") and "oracle" in out
+    else:
+        assert (code, run_out, err) == (1, "", f"{result}\n")
+
+
+def test_a_cold_run_builds_the_parser_of_its_command_alone(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)  # no cache
+    code, out, _ = invoke(capsys, "table", "--max-rank", "12")
+    assert code == 0 and out.encode("utf-8") == (GOLDEN / "table_max_rank_12.json").read_bytes()
+    assert len(built) == 2  # mtkit and mtkit table
+    built.clear()
+    invoke(capsys, "oracle", "drop", "--help")
+    assert len(built) == 4  # mtkit, mtkit oracle and its two subcommands
+    built.clear()
+    invoke(capsys, "--help")
+    assert len(built) == 10
+
+
+def entry_point(*argv) -> subprocess.CompletedProcess:
+    """`python -m mtkit.cli` with these arguments, in a fresh interpreter, stdout as UTF-8 bytes."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "utf-8"}
+    return subprocess.run([sys.executable, "-m", "mtkit.cli", *argv], env=env, capture_output=True)
+
+
+def test_entry_point_prints_the_golden_table():
+    done = entry_point("table", "--max-rank", "12")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "table_max_rank_12.json").read_bytes()
+
+
+def test_entry_point_help_lists_every_command():
+    done = entry_point("--help")
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.startswith(b"usage: mtkit [-h]")
+    for name, (summary, *_) in cli._COMMANDS.items():
+        assert re.search(rf"\n    {name} +{re.escape(summary)}\n", done.stdout.decode()), name
+
+
+def test_entry_point_refuses_an_unknown_command():
+    done = entry_point("nonsense", "--max-rank", "12")
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr == (
+        b"usage error: argument command: invalid choice: 'nonsense' (choose from 'table', "
+        b"'minuscule', 'drops', 'classify', 'mt-check', 'mt-exceptional', 'oracle')\n"
+    )

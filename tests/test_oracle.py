@@ -1000,14 +1000,14 @@ def test_room_test_accepts_exactly_the_entries_in_its_range(size, step):
 
 @pytest.mark.parametrize("prime", [None, 10007])
 def test_power_slots_hold_their_bound_and_round_trip(prime):
-    # up to 8 bytes the slots of _slot_size; past that the fewest whole
-    # multiples of 8 bytes that hold the bound with a sign bit
+    # the fewest bytes of 1, 2, 4 or 8, and past that the fewest whole
+    # multiples of 8 bytes, that hold the bound with a sign bit
     for bits in range(1, 400):
         for bound in (2 ** (bits - 1), 2**bits - 1):
-            size = oracle._power_slot(bound)
+            size = matrix._slot_size(bound)
             assert bound < 2 ** (8 * size - 1)
             if size <= 8:
-                assert size == matrix._slot_size(bound)
+                assert size in (1, 2, 4, 8) and (size == 1 or bound >= 2 ** (4 * size - 1))
             else:
                 assert size % 8 == 0 and bound >= 2 ** (8 * size - 65)
     import random
@@ -1015,7 +1015,7 @@ def test_power_slots_hold_their_bound_and_round_trip(prime):
     rng = random.Random(9)
     for bits in (60, 64, 100, 200, 333):
         bound = 2**bits - 1
-        size = oracle._power_slot(bound)
+        size = matrix._slot_size(bound)
         rows = [tuple(rng.choice((bound, -bound, 0, 1, -1)) for _ in range(5)) for _ in range(5)]
         assert matrix._unpack(matrix._pack_rows(rows, size), size) == rows
     nil = random_unipotent(8, 8, rng).sub_identity()
@@ -1041,7 +1041,8 @@ def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
 def test_slots_hold_their_bound_with_a_sign_bit(size):
     top = 2 ** (8 * size - 1) - 1  # the largest |x| a signed slot of this size holds
     assert matrix._slot_size(top) == size
-    assert matrix._slot_size(top + 1) == 2 * size
+    # a power of two up to 8 bytes, then 8 bytes more
+    assert matrix._slot_size(top + 1) == (2 * size if size < 8 else size + 8)
     rows = [(top, -top, 0, 1), (0, 0, 0, 0), (-1, top, -top, -1), (-top, 0, 0, top)]
     terms = matrix._nonzero(rows)[0]
     packed = matrix._pack(terms, 4, size)
