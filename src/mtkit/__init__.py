@@ -2,7 +2,7 @@
 
 The library has five layers:
 
-* roots      -- Cartan matrices, positive systems, coroots, epsilon vectors;
+* roots      -- Cartan types, classical positive roots in closed form, epsilon vectors;
 * minuscule  -- the minuscule table: closed-form dimensions, duality signs, weights;
 * drops      -- drops of quadratic root elements, symplectic classification;
 * oracle     -- exact representation matrices, unipotence degrees, tensor checks;

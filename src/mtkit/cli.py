@@ -36,7 +36,7 @@ from .oracle import (
     verify_tensor_lemma,
 )
 from .roots import FAMILIES, ROOT_BUDGET, CartanType, find_positive_root, positive_root_count
-from .roots import _FIXED_RANK, _MIN_RANK
+from .roots import _FIXED_RANK, _MIN_RANK, parse_epsilon_spec
 
 FORMATS = ("json", "csv", "markdown")
 _encode = json.encoder.encode_basestring  # json.dumps' str encoder when ensure_ascii=False
@@ -77,9 +77,13 @@ def resolve_weight_label(t: CartanType, label: str) -> int:
     for prefix in prefixes:
         digits = s[len(prefix):]
         if s.startswith(prefix) and digits.isdecimal():
-            if not 1 <= int(digits) <= n:
+            try:
+                j = int(digits)
+            except ValueError:  # more digits than int() reads: out of range like 0
+                j = 0
+            if not 1 <= j <= n:
                 raise UsageError(f"weight index {label!r} out of range 1..{n} for {t}")
-            return int(digits)
+            return j
     indices = _minuscule_indices(t)  # Λ^j Std is wedgeJ, and the E6 and E7 names are wJ
     names = {name: j for j in (1, n - 1, n)
              if j in indices and (name := _rep_name(t, j).lower()).strip("+-").isalpha()}
@@ -224,6 +228,10 @@ def _cmd_oracle_drop(args) -> tuple[dict, list[dict]]:
     if not specs:
         raise UsageError("--roots must name at least one root, e.g. e1-e2")
     try:
+        if not t.is_classical:  # it has no root datum: every spec is parsed before the refusal
+            for s in specs:
+                parse_epsilon_spec(t, s)
+            raise PreconditionError(f"epsilon mnemonics cover classical types only, not {t}")
         indices = [find_positive_root(rep.datum, s) for s in specs]
     except DomainError as exc:  # malformed or unmatched specs are usage errors
         raise UsageError(str(exc)) from None

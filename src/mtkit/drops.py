@@ -107,7 +107,7 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     Raises PreconditionError when one of the A, B or D ranks has more than
     ROOT_BUDGET positive roots (see enumerate_minuscule).
     """
-    if two_g < 2 or two_g % 2:
+    if type(two_g) is not int or two_g < 2 or two_g % 2:
         raise PreconditionError(f"two_g must be an even integer >= 2, got {two_g}")
 
     j = (two_g.bit_length() + 1) // 2

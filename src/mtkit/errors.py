@@ -11,7 +11,7 @@ class DomainError(ValueError):
 
 
 class InvalidCartanType(DomainError):
-    """Rank outside the bounds of the requested family."""
+    """Unknown family, or a rank that is not an int or is outside the bounds of the family."""
 
 
 class PreconditionError(DomainError):

@@ -55,6 +55,7 @@ class MinusculeRep:
 
     @cached_property
     def datum(self) -> RootDatum:
+        """The root datum of a classical type; build_root_datum refuses the exceptional ones."""
         return build_root_datum(self.cartan_type)
 
     @cached_property
@@ -157,8 +158,8 @@ def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
 
 def _fundamental_rep(t: CartanType, j: int) -> MinusculeRep:
     """The rep of the minuscule w_j of t, as enumerate_minuscule builds it."""
-    if not 1 <= j <= t.rank:
-        raise PreconditionError(f"weight index w{j} out of range for {t}")
+    if type(j) is not int or not 1 <= j <= t.rank:  # bool is refused too
+        raise PreconditionError(f"weight index must be an int in 1..{t.rank} for {t}, got {j!r}")
     _require_root_budget(t)
     if j not in _minuscule_indices(t):
         raise PreconditionError(f"w{j} is not minuscule for {t}")
@@ -166,10 +167,11 @@ def _fundamental_rep(t: CartanType, j: int) -> MinusculeRep:
 
 
 def minuscule_rep(t: CartanType, weight_index: int) -> MinusculeRep:
-    """The minuscule rep with the given 1-based fundamental-weight index, its root datum built.
+    """The minuscule rep of a 1-based fundamental-weight index, its datum built if classical.
 
     mtkit.oracle reads rep.datum: building it here keeps it out of the oracle's loops.
     """
     rep = _fundamental_rep(t, weight_index)
-    rep.datum  # read once to build the cached datum
+    if t.is_classical:
+        rep.datum  # read once to build the cached datum
     return rep

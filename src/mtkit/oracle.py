@@ -169,8 +169,8 @@ def build_root_element(
     """
     if prime is not None:
         _require_prime(prime)
-    if not root_indices:
-        raise PreconditionError("at least one root is required")
+    if not isinstance(root_indices, (list, tuple)) or not root_indices:
+        raise PreconditionError(f"root_indices must be a nonempty list, got {root_indices!r}")
     t = rep.cartan_type
     if not t.is_classical:
         raise PreconditionError(f"root elements are built for classical types only, not {t}")

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from operator import mul
 
@@ -66,6 +67,118 @@ def tensor_report_from_dict(d: dict) -> TensorLemmaReport:
         char_deviations=d["char_deviations"],
         corollary_violations=d["corollary_violations"],
     )
+
+
+# The reference root datum, for every family: the Cartan matrix, and the
+# positive roots, coroots and length classes from closing the simple roots
+# under the simple reflections.  The library lists the classical positive
+# roots in closed form and has no Cartan matrix, coroot or exceptional root.
+def cartan_matrix(t: CartanType) -> tuple[tuple[int, ...], ...]:
+    """A[i][j] = <alpha_j, alpha_i_coroot>, simple roots numbered as in Bourbaki's plates."""
+    n = t.rank
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def chain(pairs):
+        for i, j in pairs:
+            a[i][j] = -1
+            a[j][i] = -1
+
+    fam = t.family
+    if fam in ("A", "B", "C"):
+        chain((i, i + 1) for i in range(n - 1))
+        if fam == "B":
+            a[n - 1][n - 2] = -2  # alpha_n short: <alpha_{n-1}, alpha_n_coroot> = -2
+        if fam == "C":
+            a[n - 2][n - 1] = -2  # alpha_n long: <alpha_n, alpha_{n-1}_coroot> = -2
+    elif fam == "D":
+        chain((i, i + 1) for i in range(n - 2))
+        chain([(n - 3, n - 1)])
+    elif fam == "E6":
+        chain([(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)])
+    elif fam == "E7":
+        chain([(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)])
+    elif fam == "F4":
+        chain([(0, 1), (1, 2), (2, 3)])
+        a[2][1] = -2  # alpha_3, alpha_4 short
+    elif fam == "G2":
+        a[0][1] = -3
+        a[1][0] = -1
+    return tuple(map(tuple, a))
+
+
+def _symmetrizer_from_cartan(a):
+    """d_i with d_i a_ij = d_j a_ji, read off the Cartan matrix along the Dynkin graph."""
+    n = len(a)
+    d = [None] * n
+    d[0] = Fraction(1)
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if a[i][j] and d[j] is None:
+                d[j] = d[i] * a[i][j] / a[j][i]
+                stack.append(j)
+    lo = min(d)
+    return [int(x / lo) for x in d]
+
+
+def _reflection_closure(a):
+    """Positive roots, coroots and length classes by closing the simple roots
+    under all simple reflections (negative roots included), keyed by their
+    dense simple-root coordinates."""
+    n = len(a)
+    d = _symmetrizer_from_cartan(a)
+    cols = [[(k, a[k][j]) for k in range(n) if a[k][j]] for j in range(n)]
+    # root -> its nonzero pairings {i: <root, alpha_i_coroot>}
+    seen = {tuple(1 if j == i else 0 for j in range(n)): dict(cols[i]) for i in range(n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for c in frontier:
+            p = seen[c]
+            for i, delta in p.items():
+                cc = list(c)
+                cc[i] -= delta
+                cc = tuple(cc)
+                if cc not in seen:
+                    q = dict(p)
+                    for k, x in cols[i]:
+                        q[k] = q.get(k, 0) - delta * x
+                    seen[cc] = {k: v for k, v in q.items() if v}
+                    new.append(cc)
+        frontier = new
+    positives = sorted(c for c in seen if min(c) >= 0)
+    halves = []
+    for c in positives:
+        norm = sum(c[i] * d[i] * v for i, v in seen[c].items())
+        assert norm > 0 and norm % 2 == 0
+        halves.append(norm // 2)
+    coroots = [tuple(cj * dj // h for cj, dj in zip(c, d)) for c, h in zip(positives, halves)]
+    long_half = max(halves)
+    classes = tuple("long" if h == long_half else "short" for h in halves)
+    return tuple(positives), tuple(coroots), classes
+
+
+@dataclass(frozen=True)
+class ReferenceDatum:
+    """Cartan matrix plus the positive roots, in the simple-root basis and sorted,
+    with their coroots in the simple-coroot basis and their length classes."""
+
+    cartan_type: CartanType
+    cartan_matrix: tuple[tuple[int, ...], ...]
+    positive_roots: tuple[tuple[int, ...], ...]
+    coroots: tuple[tuple[int, ...], ...]
+    length_class: tuple[str, ...]
+
+    @property
+    def rank(self) -> int:
+        return self.cartan_type.rank
+
+
+@cache
+def reference_datum(t: CartanType) -> ReferenceDatum:
+    a = cartan_matrix(t)
+    return ReferenceDatum(t, a, *_reflection_closure(a))
 
 
 # The root-datum reference for the minuscule table and its weights.  The
@@ -155,7 +268,8 @@ def to_fundamental(t: CartanType, mu: tuple[int, ...]) -> tuple[int, ...]:
 
 def reference_orbit(rep) -> tuple[Weight, ...]:
     """The walked orbit of the rep's highest weight."""
-    return weyl_orbit(rep.datum, fundamental(rep.cartan_type.rank, rep.weight_index))
+    return weyl_orbit(reference_datum(rep.cartan_type),
+                      fundamental(rep.cartan_type.rank, rep.weight_index))
 
 
 def fundamental(rank: int, j: int) -> Weight:
@@ -273,7 +387,7 @@ def scan_nilpotency_degree(nil):
 def reference_build_root_element(rep, root_indices, prime=None):
     from mtkit import ExactMatrix
 
-    d = rep.datum
+    d = reference_datum(rep.cartan_type)
     orbit = reference_orbit(rep)
     order = {mu.coords: i for i, mu in enumerate(orbit)}
     identity = ExactMatrix.identity(rep.dimension, prime).rows

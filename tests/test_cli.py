@@ -203,7 +203,7 @@ def test_oracle_drop_product_flagged_exploratory(capsys):
     assert "exploratory" in payload["note"]
 
 
-def test_oracle_drop_malformed_roots_exit_1(capsys):
+def test_oracle_drop_malformed_roots_exit_1(capsys, default_int_digits):
     code, _, err = invoke(
         capsys, "oracle", "drop", "--type", "A", "--rank", "3",
         "--weight", "std", "--roots", "e9-e1",
@@ -215,6 +215,12 @@ def test_oracle_drop_malformed_roots_exit_1(capsys):
                                 "--weight", "std", "--roots", spec)
         assert (code, out) == (1, ""), spec
         assert "malformed root spec" in err, spec
+    # an index or a coefficient of more digits than int() reads names the spec
+    for spec in ("e" + "9" * 4301, "9" * 4301 + "e1-e2"):
+        code, out, err = invoke(capsys, "oracle", "drop", "--type", "C", "--rank", "3",
+                                "--weight", "std", "--roots", spec)
+        assert (code, out) == (1, "")
+        assert err == f"usage error: malformed root spec {spec!r}: too many digits\n"
     # exceptional types have no mnemonics; a spec is parsed before that refusal
     for spec, message in (("e1-e2", "epsilon mnemonics cover classical types only, not E6"),
                           ("e1-", "malformed root spec 'e1-'")):
@@ -545,8 +551,14 @@ def test_weight_labels_resolve_as_before(capsys, family, rank):
     ("A", 5, "w²", "unknown weight label 'w²' for A5"),
     ("A", 5, "wedge9", "weight index 'wedge9' out of range 1..5 for A5"),
     ("C", 4, "w0", "weight index 'w0' out of range 1..4 for C4"),
+    # more digits than int() reads
+    pytest.param("C", 3, "w" + "9" * 4301, f"weight index 'w{'9' * 4301}' out of range 1..3 for C3",
+                 id="C-3-w-4301-digits"),
+    pytest.param("A", 3, "wedge" + "9" * 4301,
+                 f"weight index 'wedge{'9' * 4301}' out of range 1..3 for A3", id="A-3-wedge-4301-digits"),
 ])
-def test_refused_weight_label_lists_the_valid_ones(capsys, family, rank, label, expected):
+def test_refused_weight_label_lists_the_valid_ones(capsys, default_int_digits, family, rank, label,
+                                                   expected):
     code, out, err = invoke(capsys, "drops", "--type", family, "--rank", str(rank),
                             "--weight", label)
     assert (code, out) == (1, "")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import verdict_from_dict
+from conftest import reference_datum, verdict_from_dict
 from mtkit import (
     CartanType,
     EndoType,
@@ -215,10 +215,10 @@ def test_family2_congruences_partition_against_signs():
     # Z uses the 2g-dimensional spin of B_{t+1} (symplectic), II the
     # g-dimensional spin of B_t (symplectic), III the same but orthogonal
     from conftest import fundamental, scan_duality_sign
-    from mtkit import CartanType, build_root_datum
+    from mtkit import CartanType
 
     def spin_sign(n):
-        return scan_duality_sign(build_root_datum(CartanType("B", n)), fundamental(n, n))
+        return scan_duality_sign(reference_datum(CartanType("B", n)), fundamental(n, n))
 
     for endo, bound in ((Z, 2**9), (II, 2**9), (III, 2**9)):
         for inst in enumerate_exceptional(bound, endo):
@@ -483,7 +483,7 @@ def test_exceptional_families_are_derived_from_the_representation_engine():
     reps = list(_self_dual_minuscule(2 * g_max))
 
     def drops(rep):
-        return {root_element_drop(rep, c) for c in rep.datum.classes}
+        return {root_element_drop(rep, c) for c in set(reference_datum(rep.cartan_type).length_class)}
 
     derived = {Z: {(rep.dimension // 2, s) for rep in reps
                    if rep.sign == -1 and not pink_gate(rep.dimension // 2).proves

@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from conftest import fundamental, pair_with_coroot
+from conftest import fundamental, pair_with_coroot, reference_datum
 from mtkit import (
     Candidate,
     CandidateList,
@@ -114,7 +114,7 @@ def test_representative_independence_up_to_rank_12():
     pairs = 0
     for t in types:
         for rep in enumerate_minuscule(t):
-            d = rep.datum
+            d = reference_datum(t)
             highest = fundamental(t.rank, rep.weight_index).coords
             counts = {}
             for root, cls in zip(d.positive_roots, d.length_class):

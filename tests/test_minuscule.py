@@ -11,6 +11,7 @@ from conftest import (
     coroot_pairings,
     dual_weight,
     fundamental,
+    reference_datum,
     reference_orbit,
     scan_duality_sign,
     scan_is_minuscule,
@@ -31,25 +32,25 @@ from mtkit.drops import drop_spectrum
 
 
 def test_is_minuscule_c3_std():
-    d = build_root_datum(CartanType("C", 3))
+    d = reference_datum(CartanType("C", 3))
     assert scan_is_minuscule(d, Weight((1, 0, 0)))
     assert [rep.weight_index for rep in enumerate_minuscule(CartanType("C", 3))] == [1]
 
 
 def test_is_minuscule_rejects_doubled_weight():
     # the reference scan sees <2 w1, theta_coroot> = 2
-    d = build_root_datum(CartanType("A", 3))
+    d = reference_datum(CartanType("A", 3))
     assert not scan_is_minuscule(d, Weight((2, 0, 0)))
 
 
 def test_f4_has_no_minuscule_weight():
-    d = build_root_datum(CartanType("F4", 4))
+    d = reference_datum(CartanType("F4", 4))
     assert not any(scan_is_minuscule(d, fundamental(4, j)) for j in range(1, 5))
     assert enumerate_minuscule(CartanType("F4", 4)) == []
 
 
 def test_g2_has_no_minuscule_weight():
-    d = build_root_datum(CartanType("G2", 2))
+    d = reference_datum(CartanType("G2", 2))
     assert not scan_is_minuscule(d, Weight((1, 0)))
     assert not scan_is_minuscule(d, Weight((0, 1)))
     assert enumerate_minuscule(CartanType("G2", 2)) == []
@@ -85,17 +86,17 @@ def test_sign_c_family_always_symplectic():
     for n in range(2, 9):
         t = CartanType("C", n)
         assert minuscule_rep(t, 1).sign == -1
-        assert scan_duality_sign(build_root_datum(t), fundamental(n, 1)) == -1
+        assert scan_duality_sign(reference_datum(t), fundamental(n, 1)) == -1
 
 
 def test_sign_a3_w2_orthogonal():
     assert minuscule_rep(CartanType("A", 3), 2).sign == 1
-    assert scan_duality_sign(build_root_datum(CartanType("A", 3)), Weight((0, 1, 0))) == 1
+    assert scan_duality_sign(reference_datum(CartanType("A", 3)), Weight((0, 1, 0))) == 1
 
 
 def test_sign_b5_spin_symplectic():
     assert minuscule_rep(CartanType("B", 5), 5).sign == -1
-    assert scan_duality_sign(build_root_datum(CartanType("B", 5)), fundamental(5, 5)) == -1
+    assert scan_duality_sign(reference_datum(CartanType("B", 5)), fundamental(5, 5)) == -1
 
 
 def test_sign_rejects_non_minuscule():
@@ -105,7 +106,7 @@ def test_sign_rejects_non_minuscule():
 
 def test_rep_invariants_small_sweep():
     for t in [CartanType("A", 4), CartanType("B", 3), CartanType("C", 4), CartanType("D", 4)]:
-        d = build_root_datum(t)
+        d = reference_datum(t)
         for rep in enumerate_minuscule(t):
             w = fundamental(t.rank, rep.weight_index)
             assert rep.dimension == len(rep.orbit)
@@ -129,7 +130,7 @@ def test_closed_form_signs_match_the_datum_path_to_rank_14(t):
     reps = enumerate_minuscule(t)
     assert reps
     for rep in reps:
-        d, w = rep.datum, fundamental(t.rank, rep.weight_index)
+        d, w = reference_datum(t), fundamental(t.rank, rep.weight_index)
         assert (rep.sign == 0) == (dual_weight(d, w) != w), (t, rep.name)
         assert rep.sign == scan_duality_sign(d, w), (t, rep.name)
 
@@ -138,7 +139,7 @@ def _assert_orbit_size(rep, closed_form):
     # the walked orbit and Weyl's formula; the listed weights up to MATRIX_BUDGET
     assert len(reference_orbit(rep)) == rep.dimension == closed_form
     w = fundamental(rep.cartan_type.rank, rep.weight_index)
-    assert weyl_dimension(rep.datum, w) == closed_form
+    assert weyl_dimension(reference_datum(rep.cartan_type), w) == closed_form
     if rep.cartan_type.is_classical and closed_form <= MATRIX_BUDGET:
         assert len(rep.orbit) == closed_form
 
@@ -173,7 +174,7 @@ def test_exceptional_constant_rows_match_the_datum(t):
     # the constant rows against the root datum: the minuscule indices from the
     # coroot scan of every fundamental weight, the sign from the dual weight
     # and the coroot-sum parity, the dimension from the orbit and Weyl's formula
-    d = build_root_datum(t)
+    d = reference_datum(t)
     weights = {j: fundamental(t.rank, j) for j in range(1, t.rank + 1)}
     expected = [(j, weyl_dimension(d, w), scan_duality_sign(d, w))
                 for j, w in weights.items() if scan_is_minuscule(d, w)]
@@ -217,7 +218,7 @@ def _no_expansion(t, j):
 def test_orbit_budget_rejects_before_expanding(monkeypatch):
     assert MATRIX_BUDGET == 4096
     # B12 spin has exactly 2^12 weights; B13 spin has twice the budget
-    assert weyl_dimension(build_root_datum(CartanType("B", 12)), fundamental(12, 12)) == MATRIX_BUDGET
+    assert weyl_dimension(reference_datum(CartanType("B", 12)), fundamental(12, 12)) == MATRIX_BUDGET
     assert len(minuscule_rep(CartanType("B", 12), 12).orbit) == MATRIX_BUDGET
 
     monkeypatch.setattr(minuscule, "_epsilon_weights", _no_expansion)
@@ -306,7 +307,7 @@ def test_closed_form_weights_are_the_walked_orbit_to_rank_12():
 def _assert_rows_match_scan(t, weights):
     # every weight the scan finds minuscule is a row, with the scan's sign;
     # every row is found (each caller's weights include all fundamental ones)
-    d = build_root_datum(t)
+    d = reference_datum(t)
     found = {w: scan_duality_sign(d, w) for w in weights if scan_is_minuscule(d, w)}
     assert found == {fundamental(t.rank, rep.weight_index): rep.sign
                      for rep in enumerate_minuscule(t)}, t

@@ -17,6 +17,7 @@ from conftest import (
     in_walk_basis,
     pair_with_coroot,
     reference_build_root_element,
+    reference_datum,
     reference_orbit,
     reference_random_unipotent,
     reference_rank,
@@ -223,7 +224,7 @@ def test_walked_exceptional_root_elements_match_the_constant_rows(t, j, drop):
     # has the constant row's dimension, and every root element is quadratic
     # with the double count dim * N1 / (2 N+) of the datum as its drop
     rep = minuscule_rep(t, j)
-    d = rep.datum
+    d = reference_datum(t)
     assert len(reference_orbit(rep)) == rep.dimension
     n_1 = sum(pair_with_coroot(cr, fundamental(t.rank, j).coords) == 1 for cr in d.coroots)
     assert rep.dimension * n_1 == drop * 2 * len(d.positive_roots)
