@@ -32,7 +32,7 @@ from functools import lru_cache, update_wrapper
 from math import comb
 
 from .drops import _exact_log2
-from .errors import QueryInvalid
+from .errors import QueryInvalid, printable
 
 CITATION_PINK = (
     "Pink: 2g is neither an odd-exponent perfect power nor a central binomial "
@@ -88,7 +88,7 @@ def _endo_type(endo) -> EndoType:
         return EndoType(endo)
     except ValueError:
         raise QueryInvalid(
-            f"unknown endomorphism type {endo!r}; expected one of Z, II, III"
+            f"unknown endomorphism type {printable(endo)}; expected one of Z, II, III"
         ) from None
 
 

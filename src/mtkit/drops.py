@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
 
-from .errors import NoSuchLengthClass, PreconditionError
+from .errors import NoSuchLengthClass, PreconditionError, printable
 from .minuscule import MinusculeRep, _classical_row, _rep_name, enumerate_minuscule
 from .roots import CartanType
 
@@ -63,7 +63,7 @@ def root_element_drop(rep: MinusculeRep, length_class: str) -> int:
     classical row (Bourbaki, Plates I-IV).
     """
     if length_class not in LENGTH_CLASSES:
-        raise NoSuchLengthClass(f"unknown length class {length_class!r}")
+        raise NoSuchLengthClass(f"unknown length class {printable(length_class)}")
     per = _drops(rep)
     if length_class not in per:
         raise NoSuchLengthClass(
@@ -108,7 +108,7 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     ROOT_BUDGET positive roots (see enumerate_minuscule).
     """
     if type(two_g) is not int or two_g < 2 or two_g % 2:
-        raise PreconditionError(f"two_g must be an even integer >= 2, got {two_g}")
+        raise PreconditionError(f"two_g must be an even integer >= 2, got {printable(two_g)}")
 
     j = (two_g.bit_length() + 1) // 2
     while (central := comb(2 * j, j)) < two_g:

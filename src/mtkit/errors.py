@@ -6,6 +6,17 @@ violations uniformly.  Messages always name the violated condition.
 """
 
 
+def printable(value) -> str:
+    """repr(value), or, past sys.get_int_max_str_digits(), an int's sign and
+    bit length and the type of anything else that holds such an int."""
+    try:
+        return repr(value)
+    except ValueError:  # str() of such an int raises, and a refusal must stay a DomainError
+        if type(value) is int:
+            return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+        return f"<a {type(value).__name__} that holds an int too long to print>"
+
+
 class DomainError(ValueError):
     """A precondition or invariant of the library was violated."""
 

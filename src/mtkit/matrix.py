@@ -11,7 +11,7 @@ from itertools import chain, compress, count
 from math import gcd
 from operator import lshift, mul
 
-from .errors import FieldMismatch, PreconditionError
+from .errors import FieldMismatch, PreconditionError, printable
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -167,27 +167,26 @@ def _is_prime(p: int) -> bool:
 def _require_prime(p: int) -> int:
     """Return p if it is a prime the primality test can certify; raise otherwise."""
     if not isinstance(p, int):  # typed cache: 7.0 must not hit the entry for 7
-        raise PreconditionError(f"prime must be an integer, got {p!r}")
+        raise PreconditionError(f"prime must be an integer, got {printable(p)}")
     if p >= _MR_BOUND:
         raise PreconditionError(
             f"prime must be below {_MR_BOUND}, the range of the deterministic "
-            f"primality test, got {p}"
+            f"primality test, got {printable(p)}"
         )
     if not _is_prime(p):
-        raise PreconditionError(f"prime must be a prime >= 2, got {p}")
+        raise PreconditionError(f"prime must be a prime >= 2, got {printable(p)}")
     return p
 
 
 class ExactMatrix:
     """Immutable square integer matrix, over Q (prime=None) or over F_p.
 
-    A matrix holds its dense rows (a tuple of row tuples), its nonzero form
-    (_nonzero(rows)), or both, and builds the other when first read: the
-    checked constructor, @ and kron hold rows; identity, build_root_element
-    and a product of two matrices that hold only their forms hold the form;
-    M - 1 holds what M holds.  ==, hash, repr, pickling and copying see only
-    rows and prime.  Products and powers pack an operand that holds rows from
-    its bytes and one that holds only its form by shifts.
+    A matrix is its nonzero form (_nonzero(rows)): the checked constructor
+    computes it once, and every matrix the class derives (identity, @,
+    M - 1, kron, root elements) is built as a form.  Its dense rows are a
+    cached read-only view, the caller's checked rows or written out from the
+    form when first read; ==, hash, repr, pickling and copying see only rows
+    and prime.
 
     Caller-supplied rows are checked once, in the constructor: square shape,
     int entries, a certified prime, entries reduced mod p.  Matrices the class
@@ -211,12 +210,12 @@ class ExactMatrix:
                 if not isinstance(x, int):
                     raise PreconditionError(
                         "floating point entries are not allowed" if isinstance(x, float)
-                        else f"entries must be int, got {x!r}"
+                        else f"entries must be int, got {printable(x)}"
                     )
         if prime is not None:
             _require_prime(prime)
             rows = tuple([tuple([x % prime for x in row]) for row in rows])
-        self._hold(rows, prime, n, None)
+        self._hold(rows, prime, n, _nonzero(rows))
 
     def _hold(self, rows, prime, n, form) -> None:
         object.__setattr__(self, "_rows", rows)
@@ -225,22 +224,19 @@ class ExactMatrix:
         object.__setattr__(self, "_form", form)
 
     @classmethod
-    def _derived(cls, rows: tuple[tuple, ...] | None, prime: int | None, form=None,
-                 n: int | None = None) -> "ExactMatrix":
-        """Wrap rows or a form (then n is the dimension) built from checked entries."""
+    def _derived(cls, prime: int | None, form, n: int) -> "ExactMatrix":
+        """Wrap the nonzero form of an n x n matrix built from checked entries."""
         m = object.__new__(cls)
-        m._hold(rows, prime, len(rows) if n is None else n, form)
+        m._hold(None, prime, n, form)
         return m
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        """The dense rows, built from the form when first read."""
+        """The dense rows, unpacked from the form when first read."""
         if self._rows is None:
-            n = self.dim
-            rows = [(0,) * n] * n
-            for i, coeffs, cols in self._form[0]:
-                rows[i] = tuple(_dense(n, coeffs, cols))
-            object.__setattr__(self, "_rows", tuple(rows))
+            form, n = self._form, self.dim
+            size = _slot_size(form[1])
+            self._hold(tuple(_unpack(_pack(form[0], n, size), size)), self.prime, n, form)
         return self._rows
 
     def __eq__(self, other):
@@ -262,43 +258,22 @@ class ExactMatrix:
 
     __delattr__ = __setattr__
 
-    def _sparse(self) -> tuple[list[tuple[int, list, list[int]]], int]:
-        if self._form is None:
-            object.__setattr__(self, "_form", _nonzero(self._rows))
-        return self._form
-
-    def _bound(self) -> int:  # max |entry|, 1 for a zero matrix
-        if self._form is not None:
-            return self._form[1]
-        rows = self._rows
-        return max(1, max(map(max, rows), default=0), -min(map(min, rows), default=0))
-
-    def _packed(self, size: int) -> list[int]:
-        # from the row bytes when the matrix holds rows, by shifts from its form otherwise
-        if self._rows is None:
-            return _pack(self._form[0], self.dim, size)
-        return _pack_rows(self._rows, size)
-
     @classmethod
     def identity(cls, n: int, prime: int | None = None) -> "ExactMatrix":
         if type(n) is not int or n < 0:
-            raise PreconditionError(f"identity dimension must be a non-negative int, got {n!r}")
+            raise PreconditionError(
+                f"identity dimension must be a non-negative int, got {printable(n)}")
         if prime is not None:
             _require_prime(prime)
         one = [1]
-        return cls._derived(None, prime, ([(i, one, [i]) for i in range(n)], 1), n)
+        return cls._derived(prime, ([(i, one, [i]) for i in range(n)], 1), n)
 
     def is_zero(self) -> bool:
-        if self._form is not None:
-            return not self._form[0]
-        return not any(map(any, self._rows))
+        return not self._form[0]
 
     def is_identity(self) -> bool:
-        n = self.dim
-        if self._form is not None:
-            terms = self._form[0]
-            return len(terms) == n and all(k == [i] and c == [1] for i, c, k in terms)
-        return all(row[i] == 1 and row.count(0) == n - 1 for i, row in enumerate(self._rows))
+        terms = self._form[0]
+        return len(terms) == self.dim and all(k == [i] and c == [1] for i, c, k in terms)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         """Product by Kronecker substitution: each row of other packs into one int."""
@@ -306,36 +281,27 @@ class ExactMatrix:
             raise FieldMismatch("cannot multiply matrices over different fields")
         if self.dim != other.dim:
             raise PreconditionError("dimension mismatch in matrix product")
-        a, ma = self._sparse()
-        size = _slot_size(self.dim * ma * other._bound())
-        rows = _unpack(_times(a, other._packed(size)), size, self.prime)
-        if self._rows is None and other._rows is None:  # a product of forms holds its form
-            return ExactMatrix._derived(None, self.prime, _nonzero(rows), self.dim)
-        return ExactMatrix._derived(tuple(rows), self.prime)
+        (a, ma), (b, mb), n = self._form, other._form, self.dim
+        size = _slot_size(n * ma * mb)
+        rows = _unpack(_times(a, _pack(b, n, size)), size, self.prime)
+        return ExactMatrix._derived(self.prime, _nonzero(rows), n)
 
     def sub_identity(self) -> "ExactMatrix":
-        """M - 1, the nilpotent part candidate, holding what M holds."""
-        p, n, rows = self.prime, self.dim, self._rows
-        if rows is not None:
-            out = []
-            for i, row in enumerate(rows):
-                row = list(row)
-                row[i] = (row[i] - 1) % p if p else row[i] - 1
-                out.append(tuple(row))
-            return ExactMatrix._derived(tuple(out), p)
-        return ExactMatrix._derived(None, p, _minus_one(self._form[0], n, p), n)
+        """M - 1, the nilpotent part candidate."""
+        p, n = self.prime, self.dim
+        return ExactMatrix._derived(p, _minus_one(self._form[0], n, p), n)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Kronecker product: row (i, j) packs to packed(other_j) times row i
-        of self packed into slots dim(other) times as wide."""
+        """Kronecker product from the two forms: row (i, j) holds a_ic b_je in
+        column (c, e).  Over F_p a product of two nonzero residues is nonzero,
+        so every term keeps all its entries."""
         if self.prime != other.prime:
             raise FieldMismatch("cannot tensor matrices over different fields")
-        if not other.dim:  # no slots to spread self's rows into
-            return ExactMatrix._derived((), self.prime)
-        size = _slot_size(self._bound() * other._bound())
-        spread, packed = self._packed(size * other.dim), other._packed(size)
-        rows = _unpack([x * y for x in spread for y in packed], size, self.prime)
-        return ExactMatrix._derived(tuple(rows), self.prime)
+        p, d = self.prime, other.dim
+        terms = [(i * d + j, [x * y % p if p else x * y for x in a for y in b],
+                  [c * d + e for c in acols for e in bcols])
+                 for i, a, acols in self._form[0] for j, b, bcols in other._form[0]]
+        return ExactMatrix._derived(p, (terms, _largest(terms)), self.dim * d)
 
     def rank(self) -> int:
         """Exact rank by elimination: each nonzero row is reduced by the kept row
@@ -346,21 +312,17 @@ class ExactMatrix:
         and g = gcd(v, pivot), becomes (pivot/g) row - (v/g) kept row divided
         by the gcd of its entries.
         """
-        p, n, rows = self.prime, self.dim, self._rows
-
-        def dense(term):
-            return rows[term[0]] if rows is not None else _dense(n, *term[1:])
-
-        kept: dict[int, tuple | list] = {}  # leading column -> a term, or a reduced row (a list)
-        for term in self._sparse()[0]:
+        p, n = self.prime, self.dim
+        kept: dict[int, tuple | list] = {}  # leading column -> a term, or a dense row (a list)
+        for term in self._form[0]:
             lead = term[2][0]
             if lead not in kept:
                 kept[lead] = term
                 continue
-            row = dense(term)
+            row = _dense(n, *term[1:])
             while (prow := kept.get(lead)) is not None:
                 if type(prow) is tuple:
-                    prow = dense(prow)
+                    kept[lead] = prow = _dense(n, *prow[1:])
                 v, pivot = row[lead], prow[lead]
                 if p:
                     f = v * pow(pivot, -1, p) % p

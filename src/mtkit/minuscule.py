@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations, product
 from math import comb
 
-from .errors import PreconditionError
+from .errors import PreconditionError, printable
 from .roots import CartanType, RootDatum, _require_root_budget, build_root_datum
 
 # Default --max-rank of table.
@@ -159,7 +159,8 @@ def enumerate_minuscule(t: CartanType) -> list[MinusculeRep]:
 def _fundamental_rep(t: CartanType, j: int) -> MinusculeRep:
     """The rep of the minuscule w_j of t, as enumerate_minuscule builds it."""
     if type(j) is not int or not 1 <= j <= t.rank:  # bool is refused too
-        raise PreconditionError(f"weight index must be an int in 1..{t.rank} for {t}, got {j!r}")
+        raise PreconditionError(
+            f"weight index must be an int in 1..{printable(t.rank)} for {t}, got {printable(j)}")
     _require_root_budget(t)
     if j not in _minuscule_indices(t):
         raise PreconditionError(f"w{j} is not minuscule for {t}")

@@ -24,8 +24,9 @@ from itertools import combinations, compress, count
 from operator import mul, sub
 from types import MappingProxyType
 
-from .errors import NotUnipotent, PreconditionError
-from .matrix import ExactMatrix, _pack_rows, _require_prime, _slot_size, _times, _unpack
+from .errors import NotUnipotent, PreconditionError, printable
+from .matrix import (ExactMatrix, _nonzero, _pack, _pack_rows, _require_prime, _slot_size,
+                     _times, _unpack)
 from .minuscule import MATRIX_BUDGET, MinusculeRep
 from .roots import _epsilon_vector
 
@@ -41,7 +42,7 @@ RUN_BUDGET = 5 * 10**10
 
 def _require_int(name: str, value) -> int:
     if type(value) is not int:
-        raise PreconditionError(f"{name} must be an int, got {value!r}")
+        raise PreconditionError(f"{name} must be an int, got {printable(value)}")
     return value
 
 
@@ -102,12 +103,12 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
     """Smallest k >= 1 with nil^k = 0; raises NotUnipotent when none exists.
 
     nil^(k+1) = nil nil^k, in slots that first hold the a-priori bound on nil^2."""
-    terms, bound = nil._sparse()
+    terms, bound = nil._form
     if not terms:
         return 1
     step = nil.dim * bound
     size = _slot_size(step * bound)
-    return _power_degree([terms], False, nil._packed(size), 1, size, step, nil.prime)
+    return _power_degree([terms], False, _pack(terms, nil.dim, size), 1, size, step, nil.prime)
 
 
 def _tensor_factors(m1: ExactMatrix, m2: ExactMatrix) -> list:
@@ -117,10 +118,10 @@ def _tensor_factors(m1: ExactMatrix, m2: ExactMatrix) -> list:
     factors = []
     if not m1.is_identity():  # row (i, j) of m1 (x) 1: row i of m1, in the columns (c, j)
         factors.append([(i * d2 + j, coeffs, [c * d2 + j for c in cols])
-                        for i, coeffs, cols in m1._sparse()[0] for j in range(d2)])
+                        for i, coeffs, cols in m1._form[0] for j in range(d2)])
     if not m2.is_identity():  # row (i, j) of 1 (x) m2: row j of m2, in the columns (i, c)
         factors.append([(i * d2 + j, coeffs, [i * d2 + c for c in cols])
-                        for i in range(d1) for j, coeffs, cols in m2._sparse()[0]])
+                        for i in range(d1) for j, coeffs, cols in m2._form[0]])
     return factors
 
 
@@ -132,7 +133,7 @@ def _tensor_degree(m1: ExactMatrix, m2: ExactMatrix) -> int:
     The powers start from the packed identity, in slots that first hold
     step^2, the a-priori bound on N^2."""
     n = m1.dim * m2.dim
-    step = n * m1._sparse()[1] * m2._sparse()[1] + 1
+    step = n * m1._form[1] * m2._form[1] + 1
     size = _slot_size(step * step)
     identity = [1 << (8 * size * i) for i in range(n)]
     return _power_degree(_tensor_factors(m1, m2), True, identity, 0, size, step, m1.prime)
@@ -170,7 +171,8 @@ def build_root_element(
     if prime is not None:
         _require_prime(prime)
     if not isinstance(root_indices, (list, tuple)) or not root_indices:
-        raise PreconditionError(f"root_indices must be a nonempty list, got {root_indices!r}")
+        raise PreconditionError(
+            f"root_indices must be a nonempty list, got {printable(root_indices)}")
     t = rep.cartan_type
     if not t.is_classical:
         raise PreconditionError(f"root elements are built for classical types only, not {t}")
@@ -183,7 +185,7 @@ def build_root_element(
     for k, idx in enumerate(root_indices):
         if type(idx) is not int or not 0 <= idx < len(d.positive_roots):
             raise PreconditionError(
-                f"root index must be an int in [0, {len(d.positive_roots)}), got {idx!r}")
+                f"root index must be an int in [0, {len(d.positive_roots)}), got {printable(idx)}")
         if idx in root_indices[:k]:
             raise PreconditionError(
                 f"root {d.positive_roots[idx]} is repeated; the roots must be distinct"
@@ -213,7 +215,7 @@ def build_root_element(
         for src, dst in zip(compress(count(), map((-norm).__eq__, pairings)),
                             compress(count(), map(norm.__eq__, pairings)), strict=True):
             terms[dst] = (dst, [1, 1], [src, dst] if src < dst else [dst, src])
-        m = ExactMatrix._derived(None, prime, (terms, 1), n)
+        m = ExactMatrix._derived(prime, (terms, 1), n)
         product = m if product is None else product @ m
     return product
 
@@ -294,12 +296,18 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
 
     Jordan blocks form a random partition of dim with largest part exactly k;
     the conjugator is a product of random unit-triangular integer matrices,
-    so the result is integral and stays invertible mod every prime.
+    so the result is integral and stays invertible mod every prime.  A dim
+    with dim^4 above RUN_BUDGET (one tensor trial on dims (dim, 1) costs
+    more) is refused before any draw.
     """
     if _require_int("unipotence degree", k) < 1:
         raise PreconditionError("unipotence degree must be >= 1")
     if _require_int("dimension", dim) < k:
-        raise PreconditionError(f"dimension {dim} cannot host a {k}-unipotent element")
+        raise PreconditionError(
+            f"dimension {printable(dim)} cannot host a {printable(k)}-unipotent element")
+    if dim**4 > RUN_BUDGET:
+        raise PreconditionError(
+            f"dimension {printable(dim)} is over the run budget: dim^4 > {RUN_BUDGET}")
     parts = [k]
     rem = dim - k
     while rem:
@@ -308,12 +316,12 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
         rem -= p
 
     def wrap(rows) -> ExactMatrix:
-        return ExactMatrix._derived(tuple([tuple(row) for row in rows]), None)
+        return ExactMatrix._derived(None, _nonzero(rows), dim)
 
     lo, lo2 = ([[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)]
                 for i in range(dim)] for _ in range(2))
-    conj = wrap(lo) @ wrap(zip(*lo2))
-    conj_inv = wrap(zip(*_unit_lower_inverse(lo2))) @ wrap(_unit_lower_inverse(lo))
+    conj = wrap(lo) @ wrap(list(zip(*lo2)))
+    conj_inv = wrap(list(zip(*_unit_lower_inverse(lo2)))) @ wrap(_unit_lower_inverse(lo))
     # column j of the Jordan seed J is e_j, plus e_(j-1) when j is inside a block
     link = [i > 0 for part in parts for i in range(part)]
     m = wrap([[row[j] + link[j] * row[j - 1] for j in range(dim)] for row in conj.rows]) @ conj_inv
@@ -347,19 +355,21 @@ def verify_tensor_lemma(
     if prime is not None:
         _require_prime(prime)
     if not isinstance(dims, (tuple, list)) or len(dims) != 2:
-        raise PreconditionError(f"dims must be a pair of ints, got {dims!r}")
+        raise PreconditionError(f"dims must be a pair of ints, got {printable(dims)}")
     d1, d2 = (_require_int("dims entry", d) for d in dims)
     if _require_int("k1", k1) < 1 or _require_int("k2", k2) < 1:
         raise PreconditionError("unipotence degrees must be >= 1")
     if _require_int("trials", trials) <= 0:
         raise PreconditionError("trials must be positive")
     if d1 < k1 or d2 < k2:
-        raise PreconditionError(f"dims {dims} too small for degrees ({k1}, {k2})")
+        raise PreconditionError(f"dims ({printable(d1)}, {printable(d2)}) too small for "
+                                f"degrees ({printable(k1)}, {printable(k2)})")
     n = d1 * d2
     per_trial = n * n * (k1 + k2 - 1) * (n * (d1 + d2) + 1000) + 500_000
     if trials * per_trial > RUN_BUDGET:
         raise PreconditionError(
-            f"{trials} trials at degrees ({k1}, {k2}) on dims {dims} are over the run budget, "
+            f"{printable(trials)} trials at degrees ({printable(k1)}, {printable(k2)}) on dims "
+            f"({printable(d1)}, {printable(d2)}) are over the run budget, "
             f"which allows {RUN_BUDGET // per_trial} such trials"
         )
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .errors import InvalidCartanType, PreconditionError
+from .errors import InvalidCartanType, PreconditionError, printable
 
 CLASSICAL_FAMILIES = ("A", "B", "C", "D")
 EXCEPTIONAL_FAMILIES = ("E6", "E7", "F4", "G2")
@@ -38,16 +38,17 @@ class CartanType:
 
     def __post_init__(self) -> None:
         if type(self.rank) is not int:  # bool and float are refused too
-            raise InvalidCartanType(f"rank must be an int, got {self.rank!r}")
+            raise InvalidCartanType(f"rank must be an int, got {printable(self.rank)}")
         if self.family not in FAMILIES:
-            raise InvalidCartanType(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+            raise InvalidCartanType(
+                f"unknown family {printable(self.family)}; expected one of {FAMILIES}")
         fixed = _FIXED_RANK.get(self.family)
         if fixed is not None and self.rank != fixed:
-            raise InvalidCartanType(f"{self.family} has fixed rank {fixed}, got {self.rank}")
-        if fixed is None and self.rank < _MIN_RANK[self.family]:
             raise InvalidCartanType(
-                f"family {self.family} requires rank >= {_MIN_RANK[self.family]}, got {self.rank}"
-            )
+                f"{self.family} has fixed rank {fixed}, got {printable(self.rank)}")
+        if fixed is None and self.rank < _MIN_RANK[self.family]:
+            raise InvalidCartanType(f"family {self.family} requires rank >= "
+                                    f"{_MIN_RANK[self.family]}, got {printable(self.rank)}")
 
     @property
     def is_classical(self) -> bool:
@@ -56,7 +57,7 @@ class CartanType:
     def __str__(self) -> str:
         if self.family in _FIXED_RANK:
             return self.family
-        return f"{self.family}{self.rank}"
+        return f"{self.family}{printable(self.rank)}"
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,8 @@ def _require_root_budget(t: CartanType) -> None:
     """Raise PreconditionError when t has more than ROOT_BUDGET positive roots."""
     count = positive_root_count(t)
     if count > ROOT_BUDGET:
-        raise PreconditionError(
-            f"{t} has {count} positive roots, more than the root budget of {ROOT_BUDGET} roots"
-        )
+        raise PreconditionError(f"{t} has {printable(count)} positive roots, "
+                                f"more than the root budget of {ROOT_BUDGET} roots")
 
 
 def build_root_datum(t: CartanType) -> RootDatum:
@@ -136,7 +136,7 @@ _TERM_RE = re.compile(r"([+-]?)(\d*)e(\d+)")
 def parse_epsilon_spec(t: CartanType, spec: str) -> tuple[int, ...]:
     """Parse a mnemonic like "e1-e2" or "2e3" into an epsilon vector."""
     if not isinstance(spec, str):
-        raise PreconditionError(f"a root spec is a str like 'e1-e2', got {spec!r}")
+        raise PreconditionError(f"a root spec is a str like 'e1-e2', got {printable(spec)}")
     m = t.rank + 1 if t.family == "A" else t.rank
     s = spec.replace(" ", "")
     if not _SPEC_RE.fullmatch(s):

@@ -13,16 +13,21 @@ from hypothesis import strategies as st
 
 from conftest import reference_datum, verdict_from_dict
 from mtkit import (
+    MATRIX_BUDGET,
     CartanType,
     EndoType,
     MtQuery,
     QueryInvalid,
     Status,
+    build_root_element,
     enumerate_exceptional,
     enumerate_minuscule,
+    find_positive_root,
+    minuscule_rep,
     mt_check,
     pink_gate,
     root_element_drop,
+    unipotence,
 )
 from mtkit.decision import _FAMILY1_CACHE_SIZE, _FAMILY1_POINTS, _family1_from, _int_nth_root
 
@@ -497,6 +502,28 @@ def test_exceptional_families_are_derived_from_the_representation_engine():
         assert len(listed) > 40
         assert only.keys() <= derived[endo] and not only.keys() & listed
         assert derived[endo] - only.keys() == listed
+
+
+@pytest.mark.parametrize("prime", [None, 3])
+def test_every_type_z_instance_within_the_matrix_budget_has_a_matrix_witness(prime):
+    # family 1: a root of A_(2r-1) on w_r drops C(2r-2, r-1) = s; family 2:
+    # on the B_(t+1) spin module a long root drops g/2 and a short root g.
+    # Each root element is quadratic on a module of dimension 2g, over Q and
+    # over F_3 (Premet-Suprunenko's quadratic modules are in odd characteristic)
+    instances = enumerate_exceptional(MATRIX_BUDGET // 2, Z)
+    assert len(instances) == 11
+    for inst in instances:
+        if inst.family == 1:
+            r = inst.parameter
+            rep, spec, length = minuscule_rep(CartanType("A", 2 * r - 1), r), "e1-e2", "long"
+        else:
+            n = inst.parameter + 1
+            rep = minuscule_rep(CartanType("B", n), n)
+            spec, length = ("e1-e2", "long") if 2 * inst.s == inst.g else ("e1", "short")
+        root = find_positive_root(rep.datum, spec)
+        assert rep.datum.length_class[root] == length
+        report = unipotence(build_root_element(rep, [root], prime))
+        assert (report.dim, report.quadratic, report.drop) == (2 * inst.g, True, inst.s), inst
 
 
 DENSITY_SCRIPT = Path(__file__).parent.parent / "scripts" / "exceptional_density.py"

@@ -185,11 +185,6 @@ def _root_element_cases():
             yield rep, [find_positive_root(rep.datum, s) for s in specs]
 
 
-def _form_only(m):
-    """A twin of m that holds only its nonzero form, as identity and root elements do."""
-    return ExactMatrix._derived(None, m.prime, matrix._nonzero(m.rows), m.dim)
-
-
 @pytest.mark.parametrize("prime", [None, 2, 3])
 def test_root_elements_match_the_dense_reference(prime, monkeypatch):
     # the matrices on the epsilon weights are the walked-orbit reference's,
@@ -201,8 +196,8 @@ def test_root_elements_match_the_dense_reference(prime, monkeypatch):
     for rep, idxs in _root_element_cases():
         m = build_root_element(rep, idxs, prime)
         report = unipotence(m)
-        # x_alpha(1), a product of several, and the M - 1 unipotence builds
-        # hold only their forms through the degree and the drop
+        # certifying x_alpha(1), or a product of several, writes out the dense
+        # rows of neither M nor the M - 1 whose degree and drop it takes
         assert m._rows is None and nils[-1]._rows is None
         ref = reference_build_root_element(rep, idxs, prime)
         nil, ref_nil = m.sub_identity(), reference_sub_identity(ref)
@@ -210,7 +205,7 @@ def test_root_elements_match_the_dense_reference(prime, monkeypatch):
             positions[rep] = walk_positions(rep)
         assert in_walk_basis(m, positions[rep]) == ref
         assert in_walk_basis(nil, positions[rep]) == ref_nil
-        assert m._sparse() == matrix._nonzero(m.rows) and nil._sparse() == matrix._nonzero(nil.rows)
+        assert m._form == matrix._nonzero(m.rows) and nil._form == matrix._nonzero(nil.rows)
         assert report.degree == degree(nil) == scan_nilpotency_degree(ref_nil)
         assert report.drop == nil.rank() == reference_rank(ref_nil)
         cases += 1
@@ -250,35 +245,33 @@ def test_exceptional_root_elements_are_refused_by_name_before_any_weight(t, monk
 
 
 def _constructions(prime):
-    """(name, build, holds only its form) for every way a matrix is made."""
+    """(name, build) for every way a matrix is made."""
     import random
 
     rep = minuscule_rep(CartanType("D", 5), 5)
     e12, e34 = (find_positive_root(rep.datum, s) for s in ("e1-e2", "e3-e4"))
     made = {
-        "no zero row": (lambda: ExactMatrix([[2, 0, 1], [0, 1, 0], [1, 1, 1]], prime), False),
-        "a zero row": (lambda: ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 1, 1]], prime), False),
-        "diagonal": (lambda: ExactMatrix([[3, 0, 0], [0, 1, 0], [0, 0, -1]], prime), False),
-        "identity": (lambda: ExactMatrix.identity(3, prime), True),
-        "empty identity": (lambda: ExactMatrix.identity(0, prime), True),
-        "random unipotent": (lambda: random_unipotent(5, 3, random.Random(3), prime), False),
-        "root element": (lambda: build_root_element(rep, [e12], prime), True),
-        "root product": (lambda: build_root_element(rep, [e12, e34], prime), True),
+        "no zero row": lambda: ExactMatrix([[2, 0, 1], [0, 1, 0], [1, 1, 1]], prime),
+        "a zero row": lambda: ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 1, 1]], prime),
+        "diagonal": lambda: ExactMatrix([[3, 0, 0], [0, 1, 0], [0, 0, -1]], prime),
+        "identity": lambda: ExactMatrix.identity(3, prime),
+        "empty identity": lambda: ExactMatrix.identity(0, prime),
+        "random unipotent": lambda: random_unipotent(5, 3, random.Random(3), prime),
+        "root element": lambda: build_root_element(rep, [e12], prime),
+        "root product": lambda: build_root_element(rep, [e12, e34], prime),
     }
-    a, b, one, u, root = (made[k][0] for k in ("no zero row", "a zero row", "identity",
-                                               "random unipotent", "root element"))
+    a, b, one, u, root = (made[k] for k in ("no zero row", "a zero row", "identity",
+                                            "random unipotent", "root element"))
     made |= {
-        "a @ 1": (lambda: a() @ one(), False), "1 @ b": (lambda: one() @ b(), False),
-        "a (x) b": (lambda: a().kron(b()), False), "u (x) 1": (lambda: u().kron(one()), False),
-        "1 (x) root": (lambda: one().kron(root()), False),
-        "root @ root": (lambda: root() @ root(), True),
-        "form-only twin of b": (lambda: _form_only(b()), True),
+        "a @ 1": lambda: a() @ one(), "1 @ b": lambda: one() @ b(),
+        "a (x) b": lambda: a().kron(b()), "u (x) 1": lambda: u().kron(one()),
+        "1 (x) root": lambda: one().kron(root()), "root @ root": lambda: root() @ root(),
+        "empty (x) a": lambda: made["empty identity"]().kron(a()),
     }
-    for name, (build, form_only) in list(made.items()):
-        yield name, build, form_only
-        # M - 1 and M - 2 hold what M holds
-        yield f"{name} - 1", lambda build=build: build().sub_identity(), form_only
-        yield f"{name} - 2", lambda build=build: build().sub_identity().sub_identity(), form_only
+    for name, build in list(made.items()):
+        yield name, build
+        yield f"{name} - 1", lambda build=build: build().sub_identity()
+        yield f"{name} - 2", lambda build=build: build().sub_identity().sub_identity()
 
 
 def test_seeded_forms_equal_a_fresh_scan():
@@ -295,20 +288,17 @@ def test_seeded_forms_equal_a_fresh_scan():
         "deepcopy": lambda m, twin: copy.deepcopy(m) == twin,
     }
     made = [(prime, c) for prime in (None, 7) for c in _constructions(prime)]
-    for prime, (name, build, form_only) in made:
+    for prime, (name, build) in made:
         twin = ExactMatrix(build().rows, prime)  # built from rows
-        assert twin._form is None and twin._rows is not None
         for read_first in (True, False):
             for what, check in checks.items():
                 m = build()
-                assert (m._rows is None, m._form is None) == (form_only, not form_only), name
                 if read_first:
                     assert m.rows == twin.rows
                 assert check(m, twin), (name, what, read_first)
+        # every matrix is its nonzero form, with the exact max |entry|
         m = build()
-        if m._form is not None:
-            assert m._form == matrix._nonzero(twin.rows), name
-        assert m._sparse() == matrix._nonzero(twin.rows), name
+        assert m._form == matrix._nonzero(m.rows) == twin._form, name
         assert m.sub_identity() == reference_sub_identity(twin), name
         assert m.is_zero() == twin.is_zero() and m.is_identity() == twin.is_identity(), name
         for field in ("_form", "_rows", "rows", "prime", "dim"):
@@ -596,6 +586,29 @@ def test_random_unipotent_and_tensor_trials_refuse_arguments_that_are_not_ints()
     assert verify_tensor_lemma(1, 1, [2, 2], 1, 0).dims == (2, 2)
 
 
+def test_random_unipotent_refuses_a_dimension_over_the_run_budget_before_any_draw(monkeypatch):
+    # dim^4 <= RUN_BUDGET admits 472, the largest factor dimension an accepted
+    # tensor run draws: reaching a draw means accepted
+    import random
+
+    def no_matrix(*args):
+        raise AssertionError("built a matrix")
+
+    assert 472**4 <= oracle.RUN_BUDGET < 473**4
+    monkeypatch.setattr(oracle, "random_unipotent", no_matrix)
+    with pytest.raises(AssertionError, match="built a matrix"):
+        verify_tensor_lemma(1, 1, (472, 1), 1, 1)
+    with pytest.raises(PreconditionError, match="run budget"):
+        verify_tensor_lemma(1, 1, (473, 1), 1, 1)
+    monkeypatch.undo()
+    for dim in (473, 10**5000):
+        rng = random.Random(1)
+        state = rng.getstate()
+        with pytest.raises(PreconditionError, match=r"over the run budget: dim\^4 > 50000000000"):
+            random_unipotent(dim, 1, rng)
+        assert rng.getstate() == state
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, 561])
 def test_non_prime_rejected_by_identity(p):
     with pytest.raises(PreconditionError, match="prime >= 2"):
@@ -698,9 +711,7 @@ def test_rank_matches_fraction_elimination_on_deficient_products():
         rows = _scaled([[sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(n)]
                         for i in range(n)])
         for p in (None, 2, 3, 10007):
-            m = ExactMatrix(rows, p)
-            # the form-only twin writes out a row only once it is reduced
-            assert m.rank() == _form_only(m).rank() == _reference_rank(rows, p) <= n
+            assert ExactMatrix(rows, p).rank() == _reference_rank(rows, p) <= n
         assert ExactMatrix(rows).rank() <= k
 
 
@@ -724,34 +735,26 @@ def test_rank_over_q_matches_fraction_elimination_on_dense_integer_matrices():
         assert ExactMatrix(deficient).rank() <= k
 
 
-def _kinds(rows, prime):
-    """The matrix of these rows, holding rows, and its twin that holds only its form."""
-    m = ExactMatrix(rows, prime)
-    return m, _form_only(m)
-
-
 def test_is_zero_on_zero_and_single_entry_matrices():
     for n in range(0, 6):
         for prime in (None, 2, 7):
             zero = ExactMatrix.identity(n, prime).sub_identity()
-            assert zero._rows is None
-            for m in _kinds([[0] * n for _ in range(n)], prime) + (zero,):
-                assert m.is_zero()
+            assert zero.is_zero() and ExactMatrix([[0] * n for _ in range(n)], prime).is_zero()
             for i in range(n):
                 for j in range(n):
                     for x in (1, -1, 3):  # none is 0 mod 2 or mod 7
                         rows = [[0] * n for _ in range(n)]
                         rows[i][j] = x
-                        assert not any(m.is_zero() for m in _kinds(rows, prime))
-    assert all(m.is_zero() for m in _kinds([[2, 0], [0, 4]], 2))  # reduced mod 2
+                        assert not ExactMatrix(rows, prime).is_zero()
+    assert ExactMatrix([[2, 0], [0, 4]], 2).is_zero()  # reduced mod 2
 
 
 def test_is_identity_on_both_kinds_of_matrix():
+    # the identity built as a form, and its rows through the checked constructor
     for n in range(0, 6):
         for prime in (None, 2, 7):
             one = ExactMatrix.identity(n, prime)
-            assert one._rows is None
-            for m in (one,) + _kinds(one.rows, prime):
+            for m in (one, ExactMatrix(one.rows, prime)):
                 assert m.is_identity() and m.is_zero() == (n == 0)
             assert one.sub_identity().is_identity() == (n == 0)
             for i in range(n):
@@ -759,12 +762,12 @@ def test_is_identity_on_both_kinds_of_matrix():
                     for x in (1, -1, 3):  # none is 0 mod 2 or mod 7
                         rows = [list(r) for r in one.rows]
                         rows[i][j] += x
-                        assert not any(m.is_identity() for m in _kinds(rows, prime))
+                        assert not ExactMatrix(rows, prime).is_identity()
                         rows = [[0] * n for _ in range(n)]
                         rows[i][j] = x
-                        for m in _kinds(rows, prime):
-                            assert m.is_identity() == (m.rows == ((1,),))
-    assert all(m.is_identity() for m in _kinds([[3, 0], [0, 9]], 2))  # reduced mod 2
+                        m = ExactMatrix(rows, prime)
+                        assert m.is_identity() == (m.rows == ((1,),))
+    assert ExactMatrix([[3, 0], [0, 9]], 2).is_identity()  # reduced mod 2
 
 
 # --- the packed kernel against the row-adaptive product it replaced ----------
@@ -844,8 +847,7 @@ def test_product_matches_row_adaptive_reference(prime):
         a = _random_rows(rng, n, fractions)
         b = [[x * big for x in row] for row in _random_rows(rng, n, fractions)]
         a, b = ExactMatrix(a, prime), ExactMatrix(b, prime)
-        fa, fb = _form_only(a), _form_only(b)
-        for x, y in [(a, b), (b, a), (fa, b), (a, fb), (fb, fa)]:
+        for x, y in [(a, b), (b, a)]:
             assert (x @ y).rows == _row_adaptive_product(x.rows, y.rows, prime)
 
 
@@ -860,7 +862,8 @@ def test_kron_matches_entrywise_products(prime):
         b = ExactMatrix([[x * big for x in row] for row in _random_rows(rng, n2, prime is None)], prime)
         want = tuple(tuple(x * y % prime if prime else x * y for x in arow for y in brow)
                      for arow in a.rows for brow in b.rows)
-        assert a.kron(b).rows == _form_only(a).kron(b).rows == a.kron(_form_only(b)).rows == want
+        t = a.kron(b)
+        assert t.rows == want and t._form == matrix._nonzero(want)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -876,7 +879,7 @@ def test_nilpotency_degree_matches_repeated_products(prime):
         for entry in entries:
             nil = ExactMatrix(_scaled(_nilpotent_rows(rng, n, entry)), prime)
             want = _reference_degree(nil)
-            assert nilpotency_degree(nil) == nilpotency_degree(_form_only(nil)) == want
+            assert nilpotency_degree(nil) == want
         # dense, with negative entries, and the same scaled past 2^40
         k = rng.randint(1, n)
         nil = random_unipotent(n, k, rng).sub_identity()
@@ -930,10 +933,10 @@ def test_tensor_factors_multiply_to_the_kronecker_product(prime):
         assert len(factors) == len(kept)
         for terms, m in zip(factors, kept):
             assert sum(len(cols) for _, _, cols in terms) == n // m.dim * sum(
-                len(cols) for _, _, cols in m._sparse()[0])
+                len(cols) for _, _, cols in m._form[0])
         product = ExactMatrix.identity(n, prime)
         for terms in factors:
-            product = product @ ExactMatrix._derived(None, prime, (terms, matrix._largest(terms)), n)
+            product = product @ ExactMatrix._derived(prime, (terms, matrix._largest(terms)), n)
         assert product.rows == m1.kron(m2).rows
     assert seen_identity
 
@@ -1057,9 +1060,8 @@ def test_slots_hold_their_bound_with_a_sign_bit(size):
 
 @pytest.mark.parametrize("prime", [None, 2, 10007])
 def test_packing_from_row_bytes_matches_packing_by_shifts(prime):
-    # kron outputs and their M - 1 hold rows, root elements and theirs hold
-    # only their form; both packers agree on each, at the slots of their
-    # entries, of a product, of a Kronecker spread (dim times as wide) and of
+    # both packers agree on dense tensors, root elements and their M - 1, at
+    # the slots of their entries, of a product, of dim times as wide and of
     # entries past 8 bytes
     import random
 
@@ -1075,7 +1077,7 @@ def test_packing_from_row_bytes_matches_packing_by_shifts(prime):
             m = build_root_element(rep, [i], prime)
             ms += [m, m.sub_identity()]
     for m in ms:
-        terms, bound = m._sparse()
+        terms, bound = m._form
         narrow = matrix._slot_size(bound)
         for size in {narrow, matrix._slot_size(m.dim * bound * bound), narrow * 6, narrow * 24}:
             assert matrix._pack_rows(m.rows, size) == matrix._pack(terms, m.dim, size)
@@ -1087,7 +1089,7 @@ def test_a_zero_factor_leaves_room_in_the_slots_for_the_other(prime, big, monkey
     import random
 
     rng = random.Random(big)
-    pack, pack_rows, packs = matrix._pack, matrix._pack_rows, []
+    pack, packs = matrix._pack, []
 
     def record(rows, size, packed):
         packs.append((rows, size, packed))
@@ -1101,18 +1103,14 @@ def test_a_zero_factor_leaves_room_in_the_slots_for_the_other(prime, big, monkey
 
     monkeypatch.setattr(matrix, "_pack", lambda terms, n, size: record(
         rows_of(terms, n), size, pack(terms, n, size)))
-    monkeypatch.setattr(matrix, "_pack_rows", lambda rows, size: record(
-        rows, size, pack_rows(rows, size)))
     for n1, n2 in [(1, 1), (3, 3), (2, 5), (5, 2)]:
         zero = ExactMatrix([[0] * n1 for _ in range(n1)], prime)
         b = ExactMatrix([[rng.choice((big, -big, 0, 1)) for _ in range(n2)] for _ in range(n2)], prime)
-        # each factor as given, holding rows, and as its twin that holds only its form
-        for x, y in [(zero, b), (_form_only(zero), _form_only(b))]:
-            if n1 == n2:
-                assert (x @ y).is_zero() and (y @ x).is_zero()
-            assert x.kron(y).is_zero() and y.kron(x).is_zero()
-    # every factor packed on the way, from its rows or by shifts, round-trips through its slots
-    assert {len(rows) for rows, _, _ in packs} == {1, 2, 3, 5}
+        if n1 == n2:
+            assert (zero @ b).is_zero() and (b @ zero).is_zero()
+        assert zero.kron(b).is_zero() and b.kron(zero).is_zero()
+    # every factor a product packs round-trips through its slots; kron packs nothing
+    assert {len(rows) for rows, _, _ in packs} == {1, 3}
     for rows, size, packed in packs:
         assert matrix._unpack(packed, size) == [tuple(r) for r in rows]
 

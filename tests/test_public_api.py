@@ -62,3 +62,46 @@ def _minuscule_rep(j):
 def test_entry_points_refuse_wrong_argument_types(call, error):
     with pytest.raises(error):
         call()
+
+
+HUGE = 10**5000  # 5001 digits, past CPython's default limit of 4300
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mtkit.CartanType("E6", HUGE),
+    lambda: mtkit.CartanType("A", -HUGE),
+    lambda: mtkit.enumerate_minuscule(mtkit.CartanType("A", HUGE)),
+    lambda: _minuscule_rep(HUGE),
+    lambda: mtkit.classify_symplectic_minuscule(HUGE + 1),
+    lambda: mtkit.ExactMatrix.identity(-HUGE),
+    lambda: mtkit.ExactMatrix([[1]], HUGE),
+    lambda: mtkit.random_unipotent(3, HUGE, None),
+    lambda: mtkit.verify_tensor_lemma(1, 1, (2, 2), HUGE, 1),
+    lambda: mtkit.verify_tensor_lemma(1, 1, (HUGE, 2), 1, 1),
+    lambda: mtkit.build_root_element(_minuscule_rep(1), [HUGE]),
+    lambda: mtkit.build_root_element(_minuscule_rep(1), HUGE),
+    lambda: mtkit.verify_tensor_lemma(1, 1, (2, 2), [HUGE], 1),
+    lambda: mtkit.verify_tensor_lemma(1, 1, (HUGE, 1, 1), 1, 1),
+    lambda: mtkit.CartanType(HUGE, 3),
+    lambda: mtkit.CartanType("A", [HUGE]),
+    lambda: mtkit.find_positive_root(_minuscule_rep(1).datum, HUGE),
+    lambda: mtkit.root_element_drop(_minuscule_rep(1), HUGE),
+    lambda: mtkit.ExactMatrix([[[HUGE]]]),
+    lambda: mtkit.enumerate_exceptional(10, HUGE),
+], ids=["fixed-rank", "negative-rank", "root-budget", "weight-index", "two-g", "identity",
+        "prime", "unipotence-degree", "trials", "dims", "root-index", "root-indices",
+        "trials-list", "dims-triple", "family", "rank-list", "spec", "length-class",
+        "entry-list", "endo"])
+def test_huge_ints_are_refused_with_their_domain_error(call):
+    # an f-string of an int past sys.get_int_max_str_digits() digits raises a
+    # bare ValueError; the refusal shows the int's bit length instead, or the
+    # type of the list or tuple that holds it
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(mtkit.DomainError, match=r"-bit int>|int too long to print>"):
+            call()
+    finally:
+        sys.set_int_max_str_digits(limit)
