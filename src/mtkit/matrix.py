@@ -12,6 +12,7 @@ from math import gcd
 from operator import lshift, mul
 
 from .errors import FieldMismatch, PreconditionError, printable
+from .minuscule import MATRIX_BUDGET
 
 # Miller-Rabin with the first thirteen prime bases is exact below this bound.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -138,6 +139,7 @@ def _minus_one(terms, n: int, p: int | None) -> tuple[list, int]:
     return out, _largest(out)
 
 
+@lru_cache(maxsize=128)
 def _is_prime(p: int) -> bool:
     """Deterministic Miller-Rabin, exact for p < _MR_BOUND."""
     if p < 2:
@@ -163,10 +165,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=128, typed=True)
-def _require_prime(p: int) -> int:
-    """Return p if it is a prime the primality test can certify; raise otherwise."""
-    if not isinstance(p, int):  # typed cache: 7.0 must not hit the entry for 7
+def _require_prime(p: int | None) -> int | None:
+    """Return p if it is None (the rationals) or a prime the test can certify; raise otherwise."""
+    if p is None:
+        return p
+    if not isinstance(p, int):
         raise PreconditionError(f"prime must be an integer, got {printable(p)}")
     if p >= _MR_BOUND:
         raise PreconditionError(
@@ -201,7 +204,10 @@ class ExactMatrix:
     __slots__ = ("_rows", "prime", "dim", "_form")
 
     def __init__(self, rows, prime: int | None = None) -> None:
-        rows = tuple([tuple(row) for row in rows])
+        try:
+            rows = tuple([tuple(row) for row in rows])
+        except TypeError:  # rows, or one of them, is not iterable
+            raise PreconditionError(f"rows must be rows of ints, got {printable(rows)}") from None
         n = len(rows)
         for row in rows:
             if len(row) != n:
@@ -212,8 +218,7 @@ class ExactMatrix:
                         "floating point entries are not allowed" if isinstance(x, float)
                         else f"entries must be int, got {printable(x)}"
                     )
-        if prime is not None:
-            _require_prime(prime)
+        if _require_prime(prime) is not None:
             rows = tuple([tuple([x % prime for x in row]) for row in rows])
         self._hold(rows, prime, n, _nonzero(rows))
 
@@ -263,8 +268,9 @@ class ExactMatrix:
         if type(n) is not int or n < 0:
             raise PreconditionError(
                 f"identity dimension must be a non-negative int, got {printable(n)}")
-        if prime is not None:
-            _require_prime(prime)
+        if n > MATRIX_BUDGET:
+            raise PreconditionError(f"identity dimension {printable(n)} is over MATRIX_BUDGET")
+        _require_prime(prime)
         one = [1]
         return cls._derived(prime, ([(i, one, [i]) for i in range(n)], 1), n)
 

@@ -22,12 +22,12 @@ from .roots import CartanType, RootDatum, _require_root_budget, build_root_datum
 # Default --max-rank of table.
 DEFAULT_RANK_BOUND = 12
 
-# Largest module whose weights MinusculeRep.orbit lists and mtkit.oracle's
-# build_root_element accepts.  A root element holds only its nonzero form,
-# n + drop entries; at least 8 n^2 bytes (134 MB at 4096) are written only
-# for its rows once read, or for the product of several while it is
-# unpacked, so the 8192-dimensional half-spin modules of D14 are refused
-# before their weights or any row are built.  `oracle drop` on D12 w12
+# Largest module whose weights MinusculeRep.orbit lists, and largest matrix
+# build_root_element or ExactMatrix.identity builds.  A root element holds
+# only its nonzero form, n + drop entries; at least 8 n^2 bytes (134 MB at
+# 4096) are written only for its rows once read, or for the product of
+# several while it is unpacked, so the 8192-dimensional half-spin modules of
+# D14 are refused before their weights or any row are built.  `oracle drop` on D12 w12
 # (n = 2048) peaks at 17.6 MB RSS for one root and 63 MB for two, where
 # dense x_alpha(1) and M - 1 took 57 and 122 MB (2 vCPUs, Python 3.11.7).
 MATRIX_BUDGET = 4096

@@ -168,8 +168,7 @@ def build_root_element(
     exceptional types and modules of dimension above MATRIX_BUDGET are
     refused before any weight or row is built.
     """
-    if prime is not None:
-        _require_prime(prime)
+    _require_prime(prime)
     if not isinstance(root_indices, (list, tuple)) or not root_indices:
         raise PreconditionError(
             f"root_indices must be a nonempty list, got {printable(root_indices)}")
@@ -280,26 +279,19 @@ class TensorLemmaReport:
         }
 
 
-def _unit_lower_inverse(l_rows: list[list[int]]) -> list[list[int]]:
-    # forward substitution; unit triangular integer matrices invert over Z
-    n = len(l_rows)
-    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for c in range(n):
-        for i in range(c + 1, n):
-            s = sum(l_rows[i][j] * inv[j][c] for j in range(c, i) if l_rows[i][j])
-            inv[i][c] = -s
-    return inv
-
-
 def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = None) -> ExactMatrix:
-    """Random k-unipotent dim x dim matrix: a conjugated Jordan-shaped seed.
+    """Random k-unipotent dim x dim matrix M = C J C^-1, J a Jordan-shaped seed.
 
     Jordan blocks form a random partition of dim with largest part exactly k;
-    the conjugator is a product of random unit-triangular integer matrices,
-    so the result is integral and stays invertible mod every prime.  A dim
-    with dim^4 above RUN_BUDGET (one tensor trial on dims (dim, 1) costs
-    more) is refused before any draw.
+    C = lo lo2^T is a product of random unit-triangular integer matrices, so M
+    is integral and stays invertible mod every prime.  M^T solves lo2 (lo^T M^T)
+    = (C J)^T by forward and back substitution on packed rows, in slots for
+    |M| <= 8 dim 9^dim (|C J| <= 8 dim; a unit-triangular solve with entries in
+    [-2, 2] grows a bound at most 3^dim): no inverse, no product of matrices.  A
+    dim with dim^4 above RUN_BUDGET (one tensor trial on dims (dim, 1) costs
+    more) and a prime that is not one are refused before any draw.
     """
+    _require_prime(prime)
     if _require_int("unipotence degree", k) < 1:
         raise PreconditionError("unipotence degree must be >= 1")
     if _require_int("dimension", dim) < k:
@@ -308,24 +300,21 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
     if dim**4 > RUN_BUDGET:
         raise PreconditionError(
             f"dimension {printable(dim)} is over the run budget: dim^4 > {RUN_BUDGET}")
-    parts = [k]
-    rem = dim - k
-    while rem:
-        p = rng.randint(1, min(k, rem))
-        parts.append(p)
-        rem -= p
-
-    def wrap(rows) -> ExactMatrix:
-        return ExactMatrix._derived(None, _nonzero(rows), dim)
-
+    # the Jordan blocks: column j of the seed J is e_j, plus e_(j-1) when j is inside a block
+    link = [i > 0 for i in range(k)]
+    while len(link) < dim:
+        link += [i > 0 for i in range(rng.randint(1, min(k, dim - len(link))))]
     lo, lo2 = ([[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)]
                 for i in range(dim)] for _ in range(2))
-    conj = wrap(lo) @ wrap(list(zip(*lo2)))
-    conj_inv = wrap(list(zip(*_unit_lower_inverse(lo2)))) @ wrap(_unit_lower_inverse(lo))
-    # column j of the Jordan seed J is e_j, plus e_(j-1) when j is inside a block
-    link = [i > 0 for part in parts for i in range(part)]
-    m = wrap([[row[j] + link[j] * row[j - 1] for j in range(dim)] for row in conj.rows]) @ conj_inv
-    return ExactMatrix(m.rows, prime) if prime is not None else m
+    size, lo_t, low = _slot_size(8 * dim * 9**dim), list(zip(*lo)), _nonzero(lo2)[0]
+    cols = _times(low, _pack_rows(lo_t, size))  # the columns of C, rows of lo2 lo^T
+    sol = [c + cols[j - 1] if inside else c for j, (c, inside) in enumerate(zip(cols, link))]
+    for i, coeffs, js in low:  # forward: the diagonal 1 of row i of lo2 comes last
+        sol[i] -= sum(map(mul, coeffs[:-1], map(sol.__getitem__, js[:-1])))
+    for i, coeffs, js in reversed(_nonzero(lo_t)[0]):  # back: that of lo^T comes first
+        sol[i] -= sum(map(mul, coeffs[1:], map(sol.__getitem__, js[1:])))
+    rows = list(zip(*_unpack(sol, size, prime)))  # sol holds the rows of M^T
+    return ExactMatrix._derived(prime, _nonzero(rows), dim)
 
 
 def verify_tensor_lemma(
@@ -352,8 +341,6 @@ def verify_tensor_lemma(
     sparse factors g1 (x) 1 and 1 (x) g2, n (d1 + d2 + 1) multiply-adds each
     instead of n^2, and over Q stay packed while the room test passes.
     """
-    if prime is not None:
-        _require_prime(prime)
     if not isinstance(dims, (tuple, list)) or len(dims) != 2:
         raise PreconditionError(f"dims must be a pair of ints, got {printable(dims)}")
     d1, d2 = (_require_int("dims entry", d) for d in dims)
@@ -376,7 +363,7 @@ def verify_tensor_lemma(
     expected = k1 + k2 - 1
     counts: dict[int, int] = {}
     failures, deviations, violations = [], [], []
-    base = random.Random(seed)
+    base = random.Random(_require_int("seed", seed))
     for t in range(trials):
         rng = random.Random(base.randrange(2**63))
         m1 = random_unipotent(d1, k1, rng, prime)

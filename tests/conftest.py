@@ -324,10 +324,20 @@ def weyl_dimension(d, w) -> int:
 
 # The four-product construction of random_unipotent, as it stood before the
 # library formed conj J by a column shift-add and wrapped its own integer
-# rows without re-checking them: the draws and the matrix must not change.
+# rows without re-checking them, and before it solved for M = C J C^-1 by
+# substitution instead of inverting C: the draws and the matrix must not change.
+def _unit_lower_inverse(l_rows):
+    # forward substitution; unit triangular integer matrices invert over Z
+    n = len(l_rows)
+    inv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for c in range(n):
+        for i in range(c + 1, n):
+            inv[i][c] = -sum(l_rows[i][j] * inv[j][c] for j in range(c, i) if l_rows[i][j])
+    return inv
+
+
 def reference_random_unipotent(dim, k, rng, prime=None):
     from mtkit import ExactMatrix
-    from mtkit.oracle import _unit_lower_inverse
 
     def transpose(rows):
         return [list(col) for col in zip(*rows)]

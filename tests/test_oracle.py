@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtkit import (
+    MATRIX_BUDGET,
     CartanType,
     ExactMatrix,
     FieldMismatch,
@@ -352,16 +353,18 @@ def test_random_unipotent_has_requested_degree():
 
 @pytest.mark.parametrize("prime", [None, 7])
 def test_random_unipotent_matches_four_product_reference(prime):
+    # every shape up to dim 8 (slots of at most 8 bytes), and dims whose slots
+    # for |M| <= 8 dim 9^dim are 16 and 24 bytes wide
     import random
 
-    for dim in range(1, 9):
-        for k in range(1, dim + 1):
-            for seed in range(5):
-                rng, ref = random.Random(seed), random.Random(seed)
-                m = random_unipotent(dim, k, rng, prime)
-                want = reference_random_unipotent(dim, k, ref, prime)
-                assert (m.rows, m.prime) == (want.rows, want.prime)
-                assert rng.getstate() == ref.getstate()  # the same draws
+    shapes = [(dim, k, seed) for dim in range(1, 9) for k in range(1, dim + 1) for seed in range(5)]
+    shapes += [(dim, k, seed) for dim in (20, 33, 48) for k in (1, 3, dim) for seed in (0, 1)]
+    for dim, k, seed in shapes:
+        rng, ref = random.Random(seed), random.Random(seed)
+        m = random_unipotent(dim, k, rng, prime)
+        want = reference_random_unipotent(dim, k, ref, prime)
+        assert (m.rows, m.prime) == (want.rows, want.prime)
+        assert rng.getstate() == ref.getstate()  # the same draws
 
 
 def test_verify_tensor_lemma_identity_factor():
@@ -584,6 +587,37 @@ def test_random_unipotent_and_tensor_trials_refuse_arguments_that_are_not_ints()
         with pytest.raises(PreconditionError, match=re.escape(message)):
             verify_tensor_lemma(k1, k2, dims, trials, 0)
     assert verify_tensor_lemma(1, 1, [2, 2], 1, 0).dims == (2, 2)
+    # the seed is echoed in the report, so only an int is taken
+    for seed in ([3], 1.5, True, None):
+        with pytest.raises(PreconditionError, match=re.escape(f"seed must be an int, got {seed!r}")):
+            verify_tensor_lemma(1, 1, (2, 2), 1, seed)
+
+
+@pytest.mark.parametrize("prime", [[3], {}, (3,), 7.0])
+def test_a_prime_that_is_not_hashable_or_not_an_int_is_refused(prime):
+    # the primality test is cached; the type is checked before anything is hashed
+    import random
+
+    rep = minuscule_rep(CartanType("C", 2), 1)
+    for call in [lambda: ExactMatrix([[1]], prime), lambda: ExactMatrix.identity(2, prime),
+                 lambda: build_root_element(rep, [0], prime),
+                 lambda: random_unipotent(3, 2, random.Random(1), prime),
+                 lambda: verify_tensor_lemma(2, 2, (2, 2), 1, 1, prime)]:
+        with pytest.raises(PreconditionError, match="prime must be an integer"):
+            call()
+
+
+def test_identity_refuses_a_dimension_over_the_matrix_budget_before_building_it():
+    assert ExactMatrix.identity(MATRIX_BUDGET).dim == MATRIX_BUDGET
+    for n in (MATRIX_BUDGET + 1, 10**5000):
+        with pytest.raises(PreconditionError, match="is over MATRIX_BUDGET"):
+            ExactMatrix.identity(n)
+
+
+@pytest.mark.parametrize("rows", [None, 3, [3], [[1], 2]])
+def test_rows_that_are_not_iterable_are_refused(rows):
+    with pytest.raises(PreconditionError, match="rows must be rows of ints"):
+        ExactMatrix(rows)
 
 
 def test_random_unipotent_refuses_a_dimension_over_the_run_budget_before_any_draw(monkeypatch):
@@ -953,6 +987,58 @@ def test_tensor_degree_matches_the_dense_tensor(prime):
         assert _degree_or_message(lambda _: oracle._tensor_degree(m1, m2), nil) == want
 
 
+def jordan_tensor_degree(k1, k2, p=None):
+    """d(k1, k2, p): the least m with (x + y + xy)^m = 0 in Z[x, y]/(x^k1, y^k2), mod p.
+
+    For single nilpotent Jordan blocks X and Y of sizes k1 and k2,
+    (1 + X) (x) (1 + Y) - 1 = X (x) 1 + 1 (x) Y + X (x) Y, and the X^i (x) Y^j
+    with i < k1 and j < k2 are linearly independent: the powers of u - 1 are
+    those of x + y + xy in that ring, coefficient by coefficient."""
+    power, m = [[int(i == j == 0) for j in range(k2)] for i in range(k1)], 0
+    while any(map(any, power)):
+        power = [[(power[i - 1][j] if i else 0) + (power[i][j - 1] if j else 0)
+                  + (power[i - 1][j - 1] if i and j else 0) for j in range(k2)] for i in range(k1)]
+        power = [[x % p for x in row] for row in power] if p else power
+        m += 1
+    return m
+
+
+def test_tensor_lemma_over_q_is_exact_on_jordan_blocks():
+    # the coefficient of x^(k1-1) y^(k2-1) in (x + y + xy)^(k1+k2-2) is
+    # C(k1+k2-2, k1-1) != 0, and every term of the next power has total degree
+    # at least k1 + k2 - 1
+    for k1 in range(1, 13):
+        for k2 in range(1, 13):
+            assert jordan_tensor_degree(k1, k2) == k1 + k2 - 1
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 5, 7])
+def test_tensor_degree_of_jordan_blocks_matches_the_polynomial_reference(prime):
+    # p >= k1 + k2 - 1 keeps the degree: C(k1+k2-2, k1-1) has no prime factor
+    # that large.  A smaller p can lower it (not when a factor is the identity)
+    lowered = set()
+    for k1 in range(1, 9):
+        for k2 in range(1, 9):
+            d = jordan_tensor_degree(k1, k2, prime)
+            assert oracle._tensor_degree(jordan([k1], prime), jordan([k2], prime)) == d
+            if prime is None or prime >= k1 + k2 - 1:
+                assert d == k1 + k2 - 1
+            elif d < k1 + k2 - 1:
+                lowered.add((k1, k2))
+    assert (prime is None) == (not lowered)
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3, 5, 7])
+def test_every_seeded_trial_has_the_jordan_degree(prime):
+    # a trial's factors are conjugates, invertible mod every prime, of Jordan
+    # seeds whose largest blocks have sizes k1 and k2; the degree of
+    # J_a (x) J_b - 1 grows with a and b, so every trial has degree d(k1, k2, p)
+    for k1 in range(1, 6):
+        for k2 in range(1, 6):
+            report = verify_tensor_lemma(k1, k2, (k1 + 1, k2 + 1), 2, 10 * k1 + k2, prime)
+            assert report.degree_counts == {jordan_tensor_degree(k1, k2, prime): 2}
+
+
 def test_tensor_trials_never_form_the_dense_tensor(monkeypatch):
     import random
 
@@ -1029,10 +1115,17 @@ def test_power_slots_hold_their_bound_and_round_trip(prime):
 
 def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
     # the benchmark's shape: 6 x 6 factors of every degree pair up to 4;
-    # over F_p every power is unpacked to reduce it
+    # over F_p every power is unpacked to reduce it.  The spy counts the power
+    # loop's unpacks only, not the one that ends each random_unipotent draw
     unpacked = []
     unpack = oracle._unpack
-    monkeypatch.setattr(oracle, "_unpack", lambda *args: unpacked.append(args[2]) or unpack(*args))
+
+    def spy(*args):
+        if sys._getframe(1).f_code is oracle._power_degree.__code__:
+            unpacked.append(args[2])
+        return unpack(*args)
+
+    monkeypatch.setattr(oracle, "_unpack", spy)
     for k1 in range(1, 5):
         for k2 in range(1, 5):
             assert verify_tensor_lemma(k1, k2, (6, 6), 12, 100 * k1 + k2).passed

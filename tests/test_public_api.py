@@ -105,3 +105,89 @@ def test_huge_ints_are_refused_with_their_domain_error(call):
             call()
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# Each value stands in for one argument of a valid call at a time: other types,
+# a bool, a float, containers, edge ints and ints past the int-to-str limit.
+STAND_INS = [None, True, 1.5, "3", [3], {}, -1, 0, 2, HUGE, -HUGE, (2, 2), [HUGE]]
+
+# Public names that hold what they are given and check nothing: records,
+# enums and exceptions.  MtQuery is checked where it is used, by mt_check.
+UNCHECKED = {"RootDatum", "MinusculeRep", "DropReport", "Candidate", "CandidateList",
+             "UnipotenceReport", "TensorLemmaReport", "EndoType", "Status", "MtQuery",
+             "MtVerdict", "Witness", "PinkResult", "ExceptionalInstance", "DomainError",
+             "InvalidCartanType", "PreconditionError", "NoSuchLengthClass", "NotUnipotent",
+             "FieldMismatch", "QueryInvalid"}
+
+
+def _entry_points():
+    """(name, callable, the arguments of one valid call) for each public entry point."""
+    import random
+
+    t = mtkit.CartanType("C", 3)
+    rep = mtkit.minuscule_rep(t, 1)
+    m = mtkit.ExactMatrix([[1, 0], [1, 1]])
+    z = mtkit.EndoType.TRIVIAL_Z
+    return [
+        ("CartanType", mtkit.CartanType, ["C", 3]),
+        ("build_root_datum", mtkit.build_root_datum, [t]),
+        ("find_positive_root", mtkit.find_positive_root, [rep.datum, "e1-e2"]),
+        ("enumerate_minuscule", mtkit.enumerate_minuscule, [t]),
+        ("minuscule_rep", mtkit.minuscule_rep, [t, 1]),
+        ("root_element_drop", mtkit.root_element_drop, [rep, "long"]),
+        ("drop_spectrum", mtkit.drop_spectrum, [rep]),
+        ("classify_symplectic_minuscule", mtkit.classify_symplectic_minuscule, [20]),
+        ("ExactMatrix", mtkit.ExactMatrix, [[[1, 0], [1, 1]], None]),
+        ("ExactMatrix.identity", mtkit.ExactMatrix.identity, [2, None]),
+        ("build_root_element", mtkit.build_root_element, [rep, [0], None]),
+        ("unipotence", mtkit.unipotence, [m]),
+        ("nilpotency_degree", mtkit.nilpotency_degree, [m.sub_identity()]),
+        ("verify_tensor_lemma", mtkit.verify_tensor_lemma, [2, 2, (2, 2), 2, 1, None]),
+        ("random_unipotent", lambda dim, k, prime: mtkit.random_unipotent(
+            dim, k, random.Random(1), prime), [3, 2, None]),
+        ("pink_gate", mtkit.pink_gate, [10]),
+        ("mt_check", lambda g, s, endo: mtkit.mt_check(mtkit.MtQuery(g, s, endo)), [10, 2, z]),
+        ("enumerate_exceptional", mtkit.enumerate_exceptional, [10, z]),
+    ]
+
+
+def test_every_public_callable_is_an_entry_point_or_unchecked():
+    named = {name for name, _, _ in _entry_points()} | UNCHECKED
+    assert [n for n in mtkit.__all__ if callable(getattr(mtkit, n)) and n not in named] == []
+
+
+def test_every_argument_stand_in_is_answered_or_refused_promptly():
+    # one argument at a time, except the library objects (types, reps, data,
+    # matrices), whose misuse is an AttributeError; each call gets one second
+    import signal
+
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs signal.setitimer")
+
+    class Slow(Exception):
+        pass
+
+    def interrupt(*_):
+        raise Slow
+
+    objects = (mtkit.CartanType, mtkit.RootDatum, mtkit.MinusculeRep, mtkit.ExactMatrix)
+    bad, previous = [], signal.signal(signal.SIGALRM, interrupt)
+    try:
+        for name, call, base in _entry_points():
+            call(*base)
+            for i in [i for i, arg in enumerate(base) if not isinstance(arg, objects)]:
+                for value in STAND_INS:
+                    args = base[:i] + [value] + base[i + 1:]
+                    signal.setitimer(signal.ITIMER_REAL, 1.0)
+                    try:
+                        call(*args)
+                    except mtkit.DomainError:
+                        pass
+                    except Exception as exc:  # a Slow too
+                        bad.append(f"{name} argument {i} = {mtkit.errors.printable(value)}: "
+                                   f"{type(exc).__name__}")
+                    finally:
+                        signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert bad == []
