@@ -6,6 +6,8 @@ literature also assigns these representations quadratic elements of drop
 2^(r-2).  This script builds candidate products of pairwise-orthogonal root
 elements exactly, over Q and over small prime fields, and prints their
 unipotence degree and drop so one can see which products are quadratic where.
+Each product is named by the epsilon mnemonics of its roots, as the CLI's
+`oracle drop --roots` names them, and build_root_element takes them as given.
 
 Run:  python scripts/halfspin_product_survey.py [max_rank]
 
@@ -15,7 +17,7 @@ product elements is not certified to define a group representation.
 
 import sys
 
-from mtkit import CartanType, build_root_element, find_positive_root, minuscule_rep, unipotence
+from mtkit import CartanType, build_root_element, minuscule_rep, unipotence
 
 PRIMES = (None, 2, 3, 5)
 
@@ -36,10 +38,9 @@ def survey(rank: int) -> None:
     header = f"  {'roots':<34} " + " ".join(f"{('Q' if p is None else 'F' + str(p)):>10}" for p in PRIMES)
     print(header)
     for specs in combos:
-        idxs = [find_positive_root(rep.datum, s) for s in specs]
         cells = []
         for p in PRIMES:
-            u = unipotence(build_root_element(rep, idxs, prime=p))
+            u = unipotence(build_root_element(rep, specs, prime=p))
             cells.append(f"k={u.degree},d={u.drop}")
         print(f"  {','.join(specs):<34} " + " ".join(f"{c:>10}" for c in cells))
 

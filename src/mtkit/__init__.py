@@ -67,13 +67,12 @@ from .roots import (
     CartanType,
     RootDatum,
     build_root_datum,
-    find_positive_root,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartanType", "RootDatum", "build_root_datum", "ROOT_BUDGET", "find_positive_root",
+    "CartanType", "RootDatum", "build_root_datum", "ROOT_BUDGET",
     "MinusculeRep", "enumerate_minuscule", "minuscule_rep", "DEFAULT_RANK_BOUND",
     "DropReport", "Candidate", "CandidateList", "root_element_drop",
     "drop_spectrum", "classify_symplectic_minuscule",

@@ -26,7 +26,6 @@ from .minuscule import (
     _minuscule_indices,
     _rep_name,
     enumerate_minuscule,
-    minuscule_rep,
 )
 from .oracle import (
     DEFAULT_PRIME,
@@ -35,8 +34,8 @@ from .oracle import (
     unipotence,
     verify_tensor_lemma,
 )
-from .roots import FAMILIES, ROOT_BUDGET, CartanType, find_positive_root, positive_root_count
-from .roots import _FIXED_RANK, _MIN_RANK, parse_epsilon_spec
+from .roots import FAMILIES, ROOT_BUDGET, CartanType, positive_root_count
+from .roots import _FIXED_RANK, _MIN_RANK, _positive_root
 
 FORMATS = ("json", "csv", "markdown")
 _encode = json.encoder.encode_basestring  # json.dumps' str encoder when ensure_ascii=False
@@ -223,20 +222,17 @@ def _cmd_oracle_tensor(args) -> tuple[dict, list[dict]]:
 
 def _cmd_oracle_drop(args) -> tuple[dict, list[dict]]:
     t = _cartan_type(args.type, args.rank)
-    rep = minuscule_rep(t, resolve_weight_label(t, args.weight))
+    rep = _fundamental_rep(t, resolve_weight_label(t, args.weight))
     specs = [s for s in map(str.strip, args.roots.split(",")) if s]
     if not specs:
         raise UsageError("--roots must name at least one root, e.g. e1-e2")
     try:
-        if not t.is_classical:  # it has no root datum: every spec is parsed before the refusal
-            for s in specs:
-                parse_epsilon_spec(t, s)
-            raise PreconditionError(f"epsilon mnemonics cover classical types only, not {t}")
-        indices = [find_positive_root(rep.datum, s) for s in specs]
+        for s in specs:
+            _positive_root(t, s)
     except DomainError as exc:  # malformed or unmatched specs are usage errors
         raise UsageError(str(exc)) from None
-    report = unipotence(build_root_element(rep, indices, prime=args.prime)).to_dict()
-    exploratory = len(indices) > 1
+    report = unipotence(build_root_element(rep, specs, prime=args.prime)).to_dict()
+    exploratory = len(specs) > 1
     payload = {**_head(rep), "roots": specs, "prime": args.prime, "report": report,
                "exploratory": exploratory}
     if exploratory:

@@ -17,7 +17,7 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, PreconditionError, printable
-from .minuscule import MinusculeRep, _classical_row, _rep_name, enumerate_minuscule
+from .minuscule import MinusculeRep, _classical_row, _minuscule_indices, _rep, _rep_name
 from .roots import CartanType
 
 LENGTH_CLASSES = ("long", "short")
@@ -104,8 +104,7 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     * D: standard reps are orthogonal, so only the half-spin rank
       n = log2(two_g) + 1 can contribute.
 
-    Raises PreconditionError when one of the A, B or D ranks has more than
-    ROOT_BUDGET positive roots (see enumerate_minuscule).
+    Every even two_g >= 2 is answered: no rank is checked against ROOT_BUDGET.
     """
     if type(two_g) is not int or two_g < 2 or two_g % 2:
         raise PreconditionError(f"two_g must be an even integer >= 2, got {printable(two_g)}")
@@ -113,15 +112,15 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     j = (two_g.bit_length() + 1) // 2
     while (central := comb(2 * j, j)) < two_g:
         j += 1
-    scan = [("A", 2 * j - 1, j)] if central == two_g else []  # (family, rank, witness r)
+    scan = [(CartanType("A", 2 * j - 1), j)] if central == two_g else []  # (type, witness r)
     m = _exact_log2(two_g)
     if m is not None and m >= 2:
-        scan += [("B", m, m), ("D", m + 1, m + 1)]
+        scan += [(CartanType("B", m), m), (CartanType("D", m + 1), m + 1)]
 
     found = [
         Candidate(rep.cartan_type, rep.weight_index, rep.name, witness)
-        for family, rank, witness in scan
-        for rep in enumerate_minuscule(CartanType(family, rank))
+        for t, witness in scan
+        for rep in [_rep(t, j) for j in _minuscule_indices(t)]
         if rep.dimension == two_g and rep.sign == -1
     ]
     if two_g >= 4:

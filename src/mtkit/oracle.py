@@ -9,9 +9,9 @@ The matrix type, ExactMatrix, and its product kernel are in mtkit.matrix.
 
 Unipotence degrees come from one power loop on packed rows.  Over Q a power
 stays packed while a test of each packed row (add 2^b to every slot, mask
-the bits above b) shows room in the slots for the next product; it is
-unpacked only to reduce it mod p or to widen the slots.  The tensor trials
-never form the n x n tensor: N = g1 (x) g2 - 1 acts as
+the bits above b) shows room in the slots for the next product; a nonzero
+power is unpacked only to reduce it mod p or to widen the slots.  The
+tensor trials never form the n x n tensor: N = g1 (x) g2 - 1 acts as
 N P = (g1 (x) 1) ((1 (x) g2) P) - P through the two factors' nonzero forms.
 """
 
@@ -28,7 +28,7 @@ from .errors import NotUnipotent, PreconditionError, printable
 from .matrix import (ExactMatrix, _nonzero, _pack, _pack_rows, _require_prime, _slot_size,
                      _times, _unpack)
 from .minuscule import MATRIX_BUDGET, MinusculeRep
-from .roots import _epsilon_vector
+from .roots import _epsilon_vector, _positive_root
 
 DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degrade
 
@@ -78,8 +78,8 @@ def _power_degree(factors, minus_one: bool, power: list[int], k: int, size: int,
     N is the product of the factors (nonzero forms, the last one applied
     first), minus 1 if minus_one, and |entries of N P| <= step max |entries
     of P|.  A power over Q stays packed while the test of _room finds room in
-    its slots for the next one; a power is unpacked only to reduce it mod p,
-    or to rescan it and widen the slots when that test fails."""
+    its slots for the next one; a nonzero power is unpacked only to reduce it
+    mod p, or to rescan it and widen the slots when that test fails."""
     n = len(power)
     add, mask = _room(n, size, step)
     for k in range(k + 1, n + 1):
@@ -87,7 +87,7 @@ def _power_degree(factors, minus_one: bool, power: list[int], k: int, size: int,
         for terms in reversed(factors):
             product = _times(terms, product)
         power = list(map(sub, product, power)) if minus_one else product
-        if p or (any(power) and any(map(mask.__and__, map(add.__add__, power)))):
+        if any(power) and (p or any(map(mask.__and__, map(add.__add__, power)))):
             rows = _unpack(power, size, p)
             # reduced mod p, every entry lies in [0, p - 1]: only a power over Q is scanned
             bound = p - 1 if p else max(max(map(max, rows)), -min(map(min, rows)))
@@ -147,19 +147,25 @@ def unipotence(m: ExactMatrix) -> UnipotenceReport:
 
 def build_root_element(
     rep: MinusculeRep,
-    root_indices: list[int],
+    roots: list[str | int],
     prime: int | None = None,
 ) -> ExactMatrix:
     """Matrix of the product of root elements x_alpha(1) on the weight basis rep.orbit.
 
-    The roots are indices into rep.datum.positive_roots; each is paired with
-    the weights on its epsilon vector.  With mu in doubled epsilon
-    coordinates, <mu, alpha_coroot> = (mu, alpha) / (alpha, alpha), so
+    Each root is an epsilon mnemonic of a positive root, like "e1-e2" or
+    "2e3", paired with the weights on its epsilon vector.  With mu in
+    doubled epsilon coordinates, <mu, alpha_coroot> = (mu, alpha) / (alpha, alpha), so
     x_alpha sends v_mu to v_mu + v_{mu+alpha} when (mu, alpha) = -(alpha, alpha),
     and fixes v_mu otherwise: every cocycle sign is +1.  Ranks and
     unipotence degrees over the rationals do not depend on that choice; the
     test suite flips the signs by the parity of the orbit positions and
     asserts it.
+
+    An int is an index into rep.datum.positive_roots, the one read of rep.datum:
+    the benchmark (perfbench/worker.py) names roots so and reads their length
+    classes there.  This branch, _epsilon_vector, RootDatum, build_root_datum,
+    MinusculeRep.datum and minuscule_rep's datum build leave src/ together once
+    the benchmark names its roots by mnemonic.
 
     Multiple roots must be distinct and pairwise orthogonal, one epsilon dot
     product per pair; the product is taken in the given order.  Single-root
@@ -169,9 +175,8 @@ def build_root_element(
     refused before any weight or row is built.
     """
     _require_prime(prime)
-    if not isinstance(root_indices, (list, tuple)) or not root_indices:
-        raise PreconditionError(
-            f"root_indices must be a nonempty list, got {printable(root_indices)}")
+    if not isinstance(roots, (list, tuple)) or not roots:
+        raise PreconditionError(f"roots must be a nonempty list, got {printable(roots)}")
     t = rep.cartan_type
     if not t.is_classical:
         raise PreconditionError(f"root elements are built for classical types only, not {t}")
@@ -180,21 +185,20 @@ def build_root_element(
             f"{rep.name} of {t} has dimension {rep.dimension}, "
             f"more than the matrix budget of {MATRIX_BUDGET} rows"
         )
-    d = rep.datum
-    for k, idx in enumerate(root_indices):
-        if type(idx) is not int or not 0 <= idx < len(d.positive_roots):
-            raise PreconditionError(
-                f"root index must be an int in [0, {len(d.positive_roots)}), got {printable(idx)}")
-        if idx in root_indices[:k]:
-            raise PreconditionError(
-                f"root {d.positive_roots[idx]} is repeated; the roots must be distinct"
-            )
-    alphas = [_epsilon_vector(t, d.positive_roots[idx]) for idx in root_indices]
-    for (a, x), (b, y) in combinations(zip(root_indices, alphas), 2):
+    alphas = []
+    for root in roots:
+        if type(root) is not int:
+            alphas.append(_positive_root(t, root))
+        elif 0 <= root < len(rep.datum.positive_roots):
+            alphas.append(_epsilon_vector(t, rep.datum.positive_roots[root]))
+        else:
+            raise PreconditionError(f"root index must be an int in "
+                                    f"[0, {len(rep.datum.positive_roots)}), got {printable(root)}")
+    for (a, x), (b, y) in combinations(zip(roots, alphas), 2):
+        if x == y:
+            raise PreconditionError(f"root {printable(b)} is repeated; the roots must be distinct")
         if sum(map(mul, x, y)):
-            raise PreconditionError(
-                f"roots {d.positive_roots[a]} and {d.positive_roots[b]} are not orthogonal"
-            )
+            raise PreconditionError(f"roots {printable(a)} and {printable(b)} are not orthogonal")
 
     # An epsilon vector of a classical root has one or two nonzero entries.  x_alpha
     # moves each mu with (mu, alpha) = -(alpha, alpha) to mu + alpha, with (mu + alpha,

@@ -133,8 +133,8 @@ _SPEC_RE = re.compile(r"[+-]?\d*e\d+(?:[+-]\d*e\d+)*")
 _TERM_RE = re.compile(r"([+-]?)(\d*)e(\d+)")
 
 
-def parse_epsilon_spec(t: CartanType, spec: str) -> tuple[int, ...]:
-    """Parse a mnemonic like "e1-e2" or "2e3" into an epsilon vector."""
+def _positive_root(t: CartanType, spec: str) -> tuple[int, ...]:
+    """Epsilon vector of the positive root (build_root_datum's closed form) a mnemonic names."""
     if not isinstance(spec, str):
         raise PreconditionError(f"a root spec is a str like 'e1-e2', got {printable(spec)}")
     m = t.rank + 1 if t.family == "A" else t.rank
@@ -150,7 +150,13 @@ def parse_epsilon_spec(t: CartanType, spec: str) -> tuple[int, ...]:
         if not 1 <= k <= m:
             raise PreconditionError(f"epsilon index e{k} out of range 1..{m} for {t}")
         out[k - 1] += c
-    return tuple(out)
+    if not t.is_classical:  # a spec is parsed before this refusal
+        raise PreconditionError(f"epsilon mnemonics cover classical types only, not {t}")
+    first, *rest = [c for c in out if c] or [0]  # the entries of e_i before those of e_j
+    if (first == 1 and len(rest) == 1 and rest[0] in ((-1,) if t.family == "A" else (-1, 1))
+            or not rest and first == {"B": 1, "C": 2}.get(t.family)):
+        return tuple(out)
+    raise PreconditionError(f"{spec!r} is not a positive root of {t}")
 
 
 def _simple_root_coords(t: CartanType, v: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -179,13 +185,3 @@ def _epsilon_vector(t: CartanType, c: tuple[int, ...]) -> tuple[int, ...]:
     elif t.family == "D":
         v[-2] += c[-1]
     return tuple(v)
-
-
-def find_positive_root(d: RootDatum, spec: str) -> int:
-    """Index in d.positive_roots of the root named by an epsilon mnemonic; raises if absent."""
-    t = d.cartan_type
-    coords = _simple_root_coords(t, parse_epsilon_spec(t, spec))
-    try:
-        return d.positive_roots.index(coords)
-    except ValueError:
-        raise PreconditionError(f"{spec!r} is not a positive root of {t}") from None

@@ -254,6 +254,20 @@ def bourbaki_simple_roots(t: CartanType) -> list[tuple[int, ...]]:
     return [vec((i, 1), (i + 1, -1)) for i in range(n - 1)] + [last]
 
 
+def reference_epsilon_roots(t: CartanType) -> list[tuple[int, ...]]:
+    """Epsilon vectors of reference_datum(t).positive_roots, in its order."""
+    simple = bourbaki_simple_roots(t)
+    return [tuple(sum(c * s[j] for c, s in zip(root, simple)) for j in range(len(simple[0])))
+            for root in reference_datum(t).positive_roots]
+
+
+def epsilon_spec(v: tuple[int, ...]) -> str:
+    """Mnemonic of an epsilon vector: "e1-e2", "2e3", "-e1+2e4"; "0e1" for zero."""
+    terms = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}e{k + 1}"
+                    for k, c in enumerate(v) if c)
+    return terms.removeprefix("+") or "0e1"
+
+
 def to_fundamental(t: CartanType, mu: tuple[int, ...]) -> tuple[int, ...]:
     """Fundamental-weight coordinates of a weight in doubled epsilon coordinates.
 

@@ -64,9 +64,8 @@ from tracer import Tracer
 tracer = Tracer()
 tracer.install()
 rep = mtkit.minuscule_rep(mtkit.CartanType("D", 4), 4)
-roots = [mtkit.find_positive_root(rep.datum, s) for s in ("e1-e2", "e3-e4")]
-report = mtkit.oracle.unipotence(mtkit.oracle.build_root_element(rep, roots))
-mtkit.root_element_drop(rep, rep.datum.length_class[roots[0]])
+report = mtkit.oracle.unipotence(mtkit.oracle.build_root_element(rep, ["e1-e2", "e3-e4"]))
+mtkit.root_element_drop(rep, "long")
 mtkit.ExactMatrix.identity(3)
 print(json.dumps([report.to_dict(), tracer.summary()]))
 """

@@ -242,7 +242,7 @@ def test_oracle_drop_non_orthogonal_exit_2(capsys):
         "--weight", "spin+", "--roots", "e1-e2,e3-e4,e1-e2",
     )
     assert (code, out) == (2, "")
-    assert err == "error: root (1, 0, 0, 0) is repeated; the roots must be distinct\n"
+    assert err == "error: root 'e1-e2' is repeated; the roots must be distinct\n"
 
 
 def test_identical_invocations_byte_identical(capsys):
@@ -367,12 +367,15 @@ def test_one_parser_serves_every_call(capsys):
     (["table", "--max-rank", "38"], 2, "more than the root budget of 65536 roots"),
     # C500000 needs no root datum
     (["classify", "--two-g", "1000000", "--format", "csv"], 0, "1000000,C,500000,w1,Std,500000"),
-    # the spin rank log2(two_g) = 257 is over the budget
-    (["classify", "--two-g", str(2**257)], 2,
-     "B257 has 66049 positive roots, more than the root budget of 65536 roots"),
-    # the middle exterior power of A1997
-    (["classify", "--two-g", str(comb(1998, 999))], 2,
-     "A1997 has 1995003 positive roots, more than the root budget of 65536 roots"),
+    # the spin rank log2(two_g) = 257 is past the root budget, which classify
+    # does not check: B257 spin and the D258 half-spins are symplectic
+    (["classify", "--two-g", str(2**257), "--format", "csv"], 0,
+     [f"{2**257},B,257,w257,Spin,257", f"{2**257},C,{2**256},w1,Std,{2**256}",
+      f"{2**257},D,258,w257,Spin-,258", f"{2**257},D,258,w258,Spin+,258"]),
+    # the middle exterior power of A1997 (1995003 positive roots)
+    (["classify", "--two-g", str(comb(1998, 999)), "--format", "csv"], 0,
+     [f"{comb(1998, 999)},A,1997,w999,Λ^999 Std,999",
+      f"{comb(1998, 999)},C,{comb(1998, 999) // 2},w1,Std,{comb(1998, 999) // 2}"]),
     (["oracle", "drop", "--type", "D", "--rank", "14", "--weight", "spin+", "--roots", "e1-e2"],
      2, "more than the matrix budget of 4096 rows"),
 ], ids=["classify", "minuscule", "table", "classify_root_datum", "classify_spin_rank",
@@ -384,7 +387,7 @@ def test_orbit_over_budget_exit_2(capsys, argv, code, expected):
         assert out == ""
         assert expected in err
     else:
-        assert out.splitlines()[1:] == [expected]
+        assert out.splitlines()[1:] == ([expected] if isinstance(expected, str) else expected)
 
 
 def test_tensor_lemma_over_budget_exit_2(capsys):
@@ -436,12 +439,17 @@ def test_row_commands_build_no_root_datum(capsys, datum_builds):
     assert datum_builds == []
 
 
-def test_oracle_drop_builds_one_root_datum(capsys, datum_builds):
-    # no other test resolves a C17 root, so no cache an earlier test filled can hide a build
-    code, out, _ = invoke(capsys, "oracle", "drop", "--type", "C", "--rank", "17",
-                          "--weight", "std", "--roots", "e1-e2,2e17")
-    assert code == 0 and json.loads(out)["report"]["dim"] == 34
-    assert datum_builds == [CartanType("C", 17)]
+def test_oracle_drop_builds_no_root_datum(capsys, datum_builds):
+    # the roots are placed from their mnemonics; C256 has 2^16 positive roots
+    for rank, roots_, dim in [("17", "e1-e2,2e17", 34), ("256", "e1-e2", 512)]:
+        code, out, _ = invoke(capsys, "oracle", "drop", "--type", "C", "--rank", rank,
+                              "--weight", "std", "--roots", roots_)
+        assert code == 0 and json.loads(out)["report"]["dim"] == dim
+    # the refusals of a spec need no datum either
+    for roots_ in ("e2-e1", "e1-e1", "e1-e2,e1-e2"):
+        assert invoke(capsys, "oracle", "drop", "--type", "C", "--rank", "3",
+                      "--weight", "std", "--roots", roots_)[0] in (1, 2)
+    assert datum_builds == []
 
 
 def test_minuscule_a361_middle_rows_are_closed_forms(capsys):
@@ -790,3 +798,68 @@ def test_entry_point_refuses_an_unknown_command():
         b"usage error: argument command: invalid choice: 'nonsense' (choose from 'table', "
         b"'minuscule', 'drops', 'classify', 'mt-check', 'mt-exceptional', 'oracle')\n"
     )
+
+
+# One valid run of each subcommand; the generated test below replaces one flag's
+# value at a time by a stand-in: empty, signed and edge ints, a float, a word, an
+# int past int()'s digit limit, and the valid value of each other flag
+VALID_RUNS = [
+    ["table", "--max-rank", "4", "--format", "csv"],
+    ["minuscule", "--type", "D", "--rank", "5", "--format", "csv"],
+    ["drops", "--type", "B", "--rank", "4", "--weight", "spin", "--format", "csv"],
+    ["classify", "--two-g", "20", "--format", "csv"],
+    ["mt-check", "--g", "10", "--s", "2", "--endo", "Z", "--format", "csv"],
+    ["mt-exceptional", "--max-g", "100", "--endo", "II", "--format", "csv"],
+    ["oracle", "tensor-lemma", "--k1", "2", "--k2", "2", "--trials", "2", "--seed", "1",
+     "--dims", "3,3", "--prime", "3", "--format", "csv"],
+    ["oracle", "drop", "--type", "C", "--rank", "3", "--weight", "std", "--roots", "e1-e2",
+     "--prime", "2", "--format", "csv"],
+]
+FLAG_STAND_INS = ["", "-1", "0", "2", "1.5", "abc", "9" * 5000]
+EXTRA_STAND_INS = {"--roots": ["e1-e1", "e2-e1", "3", "e1-e2,e1-e2"], "--type": ["E6"]}
+
+
+def _flag_stand_in_runs():
+    for argv in VALID_RUNS:
+        values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+        for i in values:
+            others = [argv[k] for k in values if argv[k] != argv[i]]
+            for value in FLAG_STAND_INS + others + EXTRA_STAND_INS.get(argv[i - 1], []):
+                yield argv[:i] + [value] + argv[i + 1:]
+
+
+def test_every_flag_stand_in_is_answered_or_refused_promptly(capsys, default_int_digits):
+    # in-process, each run under a two-second alarm: it exits 0, 1 or 2, no
+    # exception escapes run, and a nonzero exit says why on stderr
+    import signal
+
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs signal.setitimer")
+
+    class Slow(Exception):
+        pass
+
+    def interrupt(*_):
+        raise Slow
+
+    for argv in VALID_RUNS:
+        assert invoke(capsys, *argv)[0] == 0, argv
+    bad, runs, previous = [], 0, signal.signal(signal.SIGALRM, interrupt)
+    try:
+        for argv in _flag_stand_in_runs():
+            runs += 1
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            try:
+                code, out, err = invoke(capsys, *argv)
+            except Exception as exc:  # a Slow too
+                bad.append(f"{argv}: {type(exc).__name__}")
+                continue
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            lines = err.splitlines()
+            if code not in (0, 1, 2) or code and not (
+                    out == "" and lines and lines[-1].startswith(("error: ", "usage error: "))):
+                bad.append(f"{argv}: exit {code}, {err[-200:]!r}")
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert (runs, bad) == (330, [])

@@ -22,7 +22,6 @@ from mtkit import (
     build_root_element,
     enumerate_exceptional,
     enumerate_minuscule,
-    find_positive_root,
     minuscule_rep,
     mt_check,
     pink_gate,
@@ -520,10 +519,32 @@ def test_every_type_z_instance_within_the_matrix_budget_has_a_matrix_witness(pri
             n = inst.parameter + 1
             rep = minuscule_rep(CartanType("B", n), n)
             spec, length = ("e1-e2", "long") if 2 * inst.s == inst.g else ("e1", "short")
-        root = find_positive_root(rep.datum, spec)
-        assert rep.datum.length_class[root] == length
-        report = unipotence(build_root_element(rep, [root], prime))
-        assert (report.dim, report.quadratic, report.drop) == (2 * inst.g, True, inst.s), inst
+        report = unipotence(build_root_element(rep, [spec], prime))
+        assert (report.dim, report.quadratic) == (2 * inst.g, True), inst
+        assert report.drop == root_element_drop(rep, length) == inst.s, inst
+
+
+@pytest.mark.parametrize("prime", [None, 3])
+@pytest.mark.parametrize("endo, sign, count", [(II, -1, 11), (III, 1, 13)], ids=["II", "III"])
+def test_every_type_ii_and_iii_instance_within_the_matrix_budget_has_a_matrix_witness(
+        endo, sign, count, prime):
+    # family 1: A_(2r-1) on w_r has dimension g = C(2r, r), and a root drops
+    # C(2r-2, r-1) = s/2; family 2: the B_t spin module has dimension g = 2^t,
+    # a long root drops g/4 (s = g/2) and a short root g/2 (s = g).  The
+    # module is symplectic for II and orthogonal for III
+    instances = enumerate_exceptional(MATRIX_BUDGET, endo)
+    assert len(instances) == count
+    for inst in instances:
+        r = inst.parameter
+        if inst.family == 1:
+            rep, spec, length = minuscule_rep(CartanType("A", 2 * r - 1), r), "e1-e2", "long"
+        else:
+            rep = minuscule_rep(CartanType("B", r), r)
+            spec, length = ("e1-e2", "long") if 2 * inst.s == inst.g else ("e1", "short")
+        assert (rep.dimension, rep.sign) == (inst.g, sign), inst
+        report = unipotence(build_root_element(rep, [spec], prime))
+        assert (report.dim, report.quadratic) == (inst.g, True), inst
+        assert 2 * report.drop == 2 * root_element_drop(rep, length) == inst.s, inst
 
 
 DENSITY_SCRIPT = Path(__file__).parent.parent / "scripts" / "exceptional_density.py"

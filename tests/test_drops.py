@@ -196,18 +196,18 @@ def test_classify_closed_form_c_row_matches_the_full_scan():
         assert classify_symplectic_minuscule(two_g) == _classify_reference(two_g), two_g
 
 
-def test_classify_refuses_over_budget_ranks_before_building_any_datum(monkeypatch):
+def test_classify_answers_past_the_root_budget_without_building_any_datum(monkeypatch):
     import mtkit.minuscule
 
     built = []
     build = mtkit.minuscule.build_root_datum
     monkeypatch.setattr(mtkit.minuscule, "build_root_datum", lambda t: built.append(t) or build(t))
     assert classify_symplectic_minuscule(2**8).candidates
-    assert built == []  # every row is a closed form
-    built.clear()
-    # B256 is within the budget, D257 (65792 roots) is not
-    with pytest.raises(PreconditionError, match="D257 has 65792 positive roots"):
-        classify_symplectic_minuscule(2**256)
+    # D257 (65792 roots) and B257 (66049) are past the root budget, which
+    # bounds no row here: every row is a closed form
+    assert _pairs(classify_symplectic_minuscule(2**256)) == [("C" + str(2**255), "Std")]
+    assert _pairs(classify_symplectic_minuscule(2**257)) == [
+        ("B257", "Spin"), ("C" + str(2**256), "Std"), ("D258", "Spin-"), ("D258", "Spin+")]
     assert built == []
 
 

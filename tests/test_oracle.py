@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 from conftest import (
+    epsilon_spec,
     fundamental,
     in_walk_basis,
     pair_with_coroot,
     reference_build_root_element,
     reference_datum,
+    reference_epsilon_roots,
     reference_orbit,
     reference_random_unipotent,
     reference_rank,
@@ -37,7 +39,6 @@ from mtkit import (
     PreconditionError,
     build_root_element,
     enumerate_minuscule,
-    find_positive_root,
     minuscule_rep,
     nilpotency_degree,
     random_unipotent,
@@ -47,6 +48,7 @@ from mtkit import (
 )
 from mtkit import matrix, oracle
 from mtkit.matrix import _is_prime
+from mtkit.roots import _epsilon_vector, _positive_root
 
 
 def jordan(sizes, prime=None):
@@ -119,8 +121,7 @@ def test_tensor_field_mismatch():
 
 def test_c2_std_long_root_is_a_transvection():
     rep = minuscule_rep(CartanType("C", 2), 1)
-    idx = rep.datum.length_class.index("long")
-    m = build_root_element(rep, [idx])
+    m = build_root_element(rep, ["2e1"])
     off = [(i, j) for i in range(4) for j in range(4) if i != j and m.rows[i][j]]
     assert len(off) == 1 and m.rows[off[0][0]][off[0][1]] == 1
     assert unipotence(m).drop == 1
@@ -128,41 +129,39 @@ def test_c2_std_long_root_is_a_transvection():
 
 def test_a5_middle_highest_root_drop():
     rep = minuscule_rep(CartanType("A", 5), 3)
-    theta = max(
-        range(len(rep.datum.positive_roots)),
-        key=lambda i: sum(rep.datum.positive_roots[i]),
-    )
-    m = build_root_element(rep, [theta])
+    m = build_root_element(rep, ["e1-e6"])
     assert m.dim == 20
     assert m.sub_identity().rank() == 6
 
 
 def test_b4_spin_short_root_degree_and_drop():
     rep = minuscule_rep(CartanType("B", 4), 4)
-    idx = rep.datum.length_class.index("short")
-    report = unipotence(build_root_element(rep, [idx]))
+    report = unipotence(build_root_element(rep, ["e1"]))
     assert (report.degree, report.drop) == (2, 8)
 
 
 def test_root_element_orthogonality_enforced():
     rep = minuscule_rep(CartanType("D", 6), 6)
-    e12 = find_positive_root(rep.datum, "e1-e2")
-    e23 = find_positive_root(rep.datum, "e2-e3")
-    with pytest.raises(PreconditionError):
-        build_root_element(rep, [e12, e23])
-    # a repeated root is not orthogonal to itself
-    e34 = find_positive_root(rep.datum, "e3-e4")
-    with pytest.raises(PreconditionError, match=r"root \(1, 0, 0, 0, 0, 0\) is repeated"):
-        build_root_element(rep, [e12, e34, e12])
+    with pytest.raises(PreconditionError, match="roots 'e1-e2' and 'e2-e3' are not orthogonal"):
+        build_root_element(rep, ["e1-e2", "e2-e3"])
+    # a repeated root is not orthogonal to itself; the message names it as given
+    with pytest.raises(PreconditionError, match="root 'e1 - e2' is repeated"):
+        build_root_element(rep, ["e1-e2", "e3-e4", "e1 - e2"])
+    e12 = rep.datum.positive_roots.index((1, 0, 0, 0, 0, 0))
+    with pytest.raises(PreconditionError, match=f"root {e12} is repeated"):
+        build_root_element(rep, ["e1-e2", e12])
 
 
 def test_root_index_must_be_a_plain_int():
     rep = minuscule_rep(CartanType("C", 3), 1)
-    for bad in (1.0, "1", True, None, -1, 9):
+    for bad in (1.0, True, None, -1, 9):
         with pytest.raises(PreconditionError, match=re.escape(f"got {bad!r}")):
             build_root_element(rep, [bad])
         with pytest.raises(PreconditionError, match=re.escape(f"got {bad!r}")):
             build_root_element(rep, [0, bad])
+    # a str is read as a mnemonic, never as an index
+    with pytest.raises(PreconditionError, match="malformed root spec '1'"):
+        build_root_element(rep, ["1"])
     m = build_root_element(rep, [8])
     assert in_walk_basis(m, walk_positions(rep)) == reference_build_root_element(rep, [8])
 
@@ -176,14 +175,17 @@ SURVEY_PRODUCTS = {4: [["e1-e2", "e3-e4"], ["e1-e2", "e1+e2"]],  # from this D r
 
 
 def _root_element_cases():
+    """(rep, mnemonics, the indices of their roots in reference_datum) for each case."""
     reps = [minuscule_rep(r.cartan_type, r.weight_index) for f, n in CLASSICAL_TO_RANK_7
             for r in enumerate_minuscule(CartanType(f, n)) if r.dimension <= 128]
     for rep in reps:
-        yield from ((rep, [i]) for i in range(len(rep.datum.positive_roots)))
+        roots = reference_epsilon_roots(rep.cartan_type)
+        yield from ((rep, [epsilon_spec(v)], [i]) for i, v in enumerate(roots))
     for n in range(4, 9):
         rep = minuscule_rep(CartanType("D", n), n)
+        roots = reference_epsilon_roots(rep.cartan_type)
         for specs in [c for lo, combos in SURVEY_PRODUCTS.items() if n >= lo for c in combos]:
-            yield rep, [find_positive_root(rep.datum, s) for s in specs]
+            yield rep, specs, [roots.index(_positive_root(rep.cartan_type, s)) for s in specs]
 
 
 @pytest.mark.parametrize("prime", [None, 2, 3])
@@ -194,8 +196,8 @@ def test_root_elements_match_the_dense_reference(prime, monkeypatch):
     monkeypatch.setattr(oracle, "nilpotency_degree", lambda nil: nils.append(nil) or degree(nil))
     cases = 0
     positions = {}
-    for rep, idxs in _root_element_cases():
-        m = build_root_element(rep, idxs, prime)
+    for rep, specs, idxs in _root_element_cases():
+        m = build_root_element(rep, specs, prime)
         report = unipotence(m)
         # certifying x_alpha(1), or a product of several, writes out the dense
         # rows of neither M nor the M - 1 whose degree and drop it takes
@@ -211,6 +213,21 @@ def test_root_elements_match_the_dense_reference(prime, monkeypatch):
         assert report.drop == nil.rank() == reference_rank(ref_nil)
         cases += 1
     assert cases == 1070 + 16
+
+
+@pytest.mark.parametrize("prime", [None, 2])
+def test_a_root_named_by_mnemonic_is_the_root_of_its_index(prime):
+    # every positive root of every classical minuscule rep to rank 7: the
+    # mnemonic and the index into rep.datum build the same matrix
+    cases = 0
+    for f, n in CLASSICAL_TO_RANK_7:
+        for rep in enumerate_minuscule(CartanType(f, n)):
+            for i, root in enumerate(rep.datum.positive_roots):
+                spec = epsilon_spec(_epsilon_vector(rep.cartan_type, root))
+                by_spec, by_index = (build_root_element(rep, [r], prime) for r in (spec, i))
+                assert by_spec._form == by_index._form and by_spec == by_index, (rep, spec)
+                cases += 1
+    assert cases == 1070
 
 
 @pytest.mark.parametrize("t, j, drop", [(CartanType("E6", 6), 1, 6), (CartanType("E6", 6), 6, 6),
@@ -250,7 +267,6 @@ def _constructions(prime):
     import random
 
     rep = minuscule_rep(CartanType("D", 5), 5)
-    e12, e34 = (find_positive_root(rep.datum, s) for s in ("e1-e2", "e3-e4"))
     made = {
         "no zero row": lambda: ExactMatrix([[2, 0, 1], [0, 1, 0], [1, 1, 1]], prime),
         "a zero row": lambda: ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 1, 1]], prime),
@@ -258,8 +274,8 @@ def _constructions(prime):
         "identity": lambda: ExactMatrix.identity(3, prime),
         "empty identity": lambda: ExactMatrix.identity(0, prime),
         "random unipotent": lambda: random_unipotent(5, 3, random.Random(3), prime),
-        "root element": lambda: build_root_element(rep, [e12], prime),
-        "root product": lambda: build_root_element(rep, [e12, e34], prime),
+        "root element": lambda: build_root_element(rep, ["e1-e2"], prime),
+        "root product": lambda: build_root_element(rep, ["e1-e2", "e3-e4"], prime),
     }
     a, b, one, u, root = (made[k] for k in ("no zero row", "a zero row", "identity",
                                             "random unipotent", "root element"))
@@ -312,8 +328,7 @@ def test_seeded_forms_equal_a_fresh_scan():
 def test_halfspin_product_of_orthogonal_roots_builds():
     t = CartanType("D", 6)
     rep = minuscule_rep(t, 6)
-    idxs = [find_positive_root(rep.datum, "e1-e2"), find_positive_root(rep.datum, "e3-e4")]
-    m = build_root_element(rep, idxs)
+    m = build_root_element(rep, ["e1-e2", "e3-e4"])
     report = unipotence(m)
     assert m.dim == 32
     assert report.degree <= 3  # product of two commuting quadratics
@@ -1115,8 +1130,8 @@ def test_power_slots_hold_their_bound_and_round_trip(prime):
 
 def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
     # the benchmark's shape: 6 x 6 factors of every degree pair up to 4;
-    # over F_p every power is unpacked to reduce it.  The spy counts the power
-    # loop's unpacks only, not the one that ends each random_unipotent draw
+    # over F_p every nonzero power is unpacked to reduce it.  The spy counts the
+    # power loop's unpacks only, not the one that ends each random_unipotent draw
     unpacked = []
     unpack = oracle._unpack
 
@@ -1132,6 +1147,30 @@ def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
     assert not unpacked
     verify_tensor_lemma(3, 3, (6, 6), 2, 1, 10007)
     assert unpacked and set(unpacked) == {10007}
+
+
+@pytest.mark.parametrize("prime", [2, 3])
+def test_root_elements_over_f_p_unpack_no_power(prime, monkeypatch):
+    # N^2 = 0 over Z for N = x_alpha(1) - 1, so the power loop returns before
+    # it unpacks a power to reduce it mod p
+    unpacked = []
+    unpack = oracle._unpack
+
+    def spy(*args):
+        if sys._getframe(1).f_code is oracle._power_degree.__code__:
+            unpacked.append(args[2])
+        return unpack(*args)
+
+    monkeypatch.setattr(oracle, "_unpack", spy)
+    for t, j, specs in [(CartanType("B", 8), 8, ["e1", "e1-e2", "e7+e8"]),
+                        (CartanType("D", 8), 8, ["e1-e2", "e7+e8"]),
+                        (CartanType("D", 7), 6, ["e1-e2", "e6+e7"])]:
+        rep = minuscule_rep(t, j)
+        for spec in specs:
+            report = unipotence(build_root_element(rep, [spec], prime))
+            assert (report.degree, report.drop) == (2, root_element_drop(
+                rep, "short" if spec == "e1" else "long")), (t, spec)
+    assert unpacked == []
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 8, 16, 32])

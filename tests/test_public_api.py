@@ -56,9 +56,9 @@ def _minuscule_rep(j):
     (lambda: _minuscule_rep("2"), mtkit.PreconditionError),
     (lambda: mtkit.classify_symplectic_minuscule(20.0), mtkit.PreconditionError),
     (lambda: mtkit.build_root_element(_minuscule_rep(1), 5), mtkit.PreconditionError),
-    (lambda: mtkit.find_positive_root(_minuscule_rep(1).datum, 5), mtkit.PreconditionError),
+    (lambda: mtkit.build_root_element(_minuscule_rep(1), [5.0]), mtkit.PreconditionError),
 ], ids=["rank-bool", "rank-float", "rank-str", "weight-bool", "weight-str", "two-g-float",
-        "root-indices-int", "spec-int"])
+        "root-indices-int", "root-float"])
 def test_entry_points_refuse_wrong_argument_types(call, error):
     with pytest.raises(error):
         call()
@@ -84,13 +84,13 @@ HUGE = 10**5000  # 5001 digits, past CPython's default limit of 4300
     lambda: mtkit.verify_tensor_lemma(1, 1, (HUGE, 1, 1), 1, 1),
     lambda: mtkit.CartanType(HUGE, 3),
     lambda: mtkit.CartanType("A", [HUGE]),
-    lambda: mtkit.find_positive_root(_minuscule_rep(1).datum, HUGE),
+    lambda: mtkit.build_root_element(_minuscule_rep(1), [[HUGE]]),
     lambda: mtkit.root_element_drop(_minuscule_rep(1), HUGE),
     lambda: mtkit.ExactMatrix([[[HUGE]]]),
     lambda: mtkit.enumerate_exceptional(10, HUGE),
 ], ids=["fixed-rank", "negative-rank", "root-budget", "weight-index", "two-g", "identity",
         "prime", "unipotence-degree", "trials", "dims", "root-index", "root-indices",
-        "trials-list", "dims-triple", "family", "rank-list", "spec", "length-class",
+        "trials-list", "dims-triple", "family", "rank-list", "root-list", "length-class",
         "entry-list", "endo"])
 def test_huge_ints_are_refused_with_their_domain_error(call):
     # an f-string of an int past sys.get_int_max_str_digits() digits raises a
@@ -131,7 +131,6 @@ def _entry_points():
     return [
         ("CartanType", mtkit.CartanType, ["C", 3]),
         ("build_root_datum", mtkit.build_root_datum, [t]),
-        ("find_positive_root", mtkit.find_positive_root, [rep.datum, "e1-e2"]),
         ("enumerate_minuscule", mtkit.enumerate_minuscule, [t]),
         ("minuscule_rep", mtkit.minuscule_rep, [t, 1]),
         ("root_element_drop", mtkit.root_element_drop, [rep, "long"]),
@@ -139,7 +138,7 @@ def _entry_points():
         ("classify_symplectic_minuscule", mtkit.classify_symplectic_minuscule, [20]),
         ("ExactMatrix", mtkit.ExactMatrix, [[[1, 0], [1, 1]], None]),
         ("ExactMatrix.identity", mtkit.ExactMatrix.identity, [2, None]),
-        ("build_root_element", mtkit.build_root_element, [rep, [0], None]),
+        ("build_root_element", mtkit.build_root_element, [rep, ["e1-e2"], None]),
         ("unipotence", mtkit.unipotence, [m]),
         ("nilpotency_degree", mtkit.nilpotency_degree, [m.sub_identity()]),
         ("verify_tensor_lemma", mtkit.verify_tensor_lemma, [2, 2, (2, 2), 2, 1, None]),

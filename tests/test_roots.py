@@ -12,8 +12,10 @@ from conftest import (
     bourbaki_simple_roots,
     cartan_matrix,
     dual_weight,
+    epsilon_spec,
     pair_with_coroot,
     reference_datum,
+    reference_epsilon_roots,
     reflect_in_root,
     root_weight_coords,
     simple_reflection,
@@ -26,9 +28,8 @@ from mtkit import (
     InvalidCartanType,
     PreconditionError,
     build_root_datum,
-    find_positive_root,
 )
-from mtkit.roots import _epsilon_vector, _simple_root_coords, positive_root_count
+from mtkit.roots import _epsilon_vector, _positive_root, _simple_root_coords, positive_root_count
 
 POSITIVE_ROOT_COUNT = {
     ("A", 5): 15, ("A", 1): 1, ("B", 2): 4, ("B", 5): 25, ("C", 4): 16,
@@ -397,13 +398,6 @@ def test_weyl_dimension_small_cases():
     assert weyl_dimension(reference_datum(CartanType("B", 3)), Weight((0, 0, 0))) == 1
 
 
-def _spec(v: tuple[int, ...]) -> str:
-    """Mnemonic of an epsilon vector: "e1-e2", "2e3", "-e1+2e4"; "0e1" for zero."""
-    terms = "".join(f"{'-' if c < 0 else '+'}{abs(c) if abs(c) != 1 else ''}e{k + 1}"
-                    for k, c in enumerate(v) if c)
-    return terms.removeprefix("+") or "0e1"
-
-
 CLASSICAL_TO_RANK_8 = [CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
                        for n in range(lo, 9)]
 
@@ -413,18 +407,34 @@ def test_every_positive_root_mnemonic_resolves_and_nothing_else(t):
     d = build_root_datum(t)
     simple = bourbaki_simple_roots(t)
     m = len(simple[0])
-    roots = {}
-    for idx, root in enumerate(d.positive_roots):
+    roots = set()
+    for root in d.positive_roots:
         eps = tuple(sum(c * s[j] for c, s in zip(root, simple)) for j in range(m))
         assert _epsilon_vector(t, root) == eps
-        roots[eps] = idx
-        assert find_positive_root(d, _spec(eps)) == idx
+        roots.add(eps)
+        assert _positive_root(t, epsilon_spec(eps)) == eps
     assert len(roots) == len(d.positive_roots)
     if m <= 5:
         for v in product(range(-2, 3), repeat=m):
             if v not in roots:
                 with pytest.raises(PreconditionError, match="is not a positive root"):
-                    find_positive_root(d, _spec(v))
+                    _positive_root(t, epsilon_spec(v))
+
+
+@pytest.mark.parametrize("t", [t for t in CLASSICAL_TO_RANK_8 if t.rank <= 5], ids=str)
+def test_positive_root_accepts_exactly_the_reference_positive_roots(t):
+    # the closed-form check against the reflection closure, on every epsilon
+    # vector with entries in [-2, 2] and at most three nonzero entries
+    expected = set(reference_epsilon_roots(t))
+    accepted = set()
+    for v in product(range(-2, 3), repeat=t.rank + (t.family == "A")):
+        if sum(map(bool, v)) <= 3:
+            try:
+                assert _positive_root(t, epsilon_spec(v)) == v
+                accepted.add(v)
+            except PreconditionError as exc:
+                assert str(exc) == f"{epsilon_spec(v)!r} is not a positive root of {t}"
+    assert accepted == expected
 
 
 CLASSICAL_TO_RANK_12 = [CartanType(f, n) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
