@@ -1,4 +1,4 @@
-"""Exact square integer matrices over Q or F_p, and the kernel their products run on."""
+"""Exact square integer matrices over Q or F_p, and the packed kernel of dense powers."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import chain, compress, count
 from math import gcd
-from operator import lshift, mul
+from operator import mul
 
 from .errors import FieldMismatch, PreconditionError, printable
 from .minuscule import MATRIX_BUDGET
@@ -18,13 +18,14 @@ from .minuscule import MATRIX_BUDGET
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
-# --- the product kernel: Kronecker substitution --------------------------------
+# --- the packed kernel: Kronecker substitution ---------------------------------
 # A row x of n integers packs into the one int sum_c x_c 2^(w c), with signed
 # slots of w = 8 * size bits.  size comes from an a-priori bound on |x_c|
 # (n max|A| max|B| for a product row), so |x_c| < 2^(w-1) and a packed row is
 # 0 exactly when the row is.  Row i of A @ B packs to sum_k A_ik packed(B_k)
-# over the nonzero A_ik: one big-int multiply-add per coefficient.  A matrix's
-# nonzero form is its terms (i, the nonzero entries of row i, their columns)
+# over the nonzero A_ik: one big-int multiply-add per coefficient, for the
+# dense loops of mtkit.oracle.  A matrix's nonzero form, which ExactMatrix
+# computes on, is its terms (i, the nonzero entries of row i, their columns)
 # over its nonzero rows, with max |entry|.
 _FMT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
 _SIGN = bytes(128) + b"\xff" * 128  # a slot's top byte -> the byte that sign-extends it
@@ -39,17 +40,12 @@ def _slot_size(bound: int) -> int:
     return size if size <= 8 else (bound.bit_length() + 64) // 64 * 8
 
 
-def _times(terms, packed, op=mul) -> list[int]:
+def _times(terms, packed) -> list[int]:
     """Packed rows of A @ B, from the nonzero entries of A and the packed rows of B."""
     out = [0] * len(packed)
     for i, coeffs, cols in terms:
-        out[i] = sum(map(op, coeffs, map(packed.__getitem__, cols)))
+        out[i] = sum(map(mul, coeffs, map(packed.__getitem__, cols)))
     return out
-
-
-def _pack(terms, n: int, size: int) -> list[int]:
-    # A @ 1, with row k of 1 packed to 2^(w k)
-    return _times(terms, range(0, 8 * size * n, 8 * size), lshift)
 
 
 def _bias(n: int, size: int) -> int:
@@ -94,7 +90,7 @@ def _unpack(packed: list[int], size: int, p: int | None = None) -> list[tuple]:
 
 
 def _largest(terms) -> int:
-    # max |entry| of these terms, 1 for none: a product's slots hold the other factor
+    # max |entry| of these terms, 1 for none
     return max(map(abs, chain.from_iterable([c for _, c, _ in terms])), default=1)
 
 
@@ -237,11 +233,13 @@ class ExactMatrix:
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        """The dense rows, unpacked from the form when first read."""
+        """The dense rows, written out from the form when first read."""
         if self._rows is None:
-            form, n = self._form, self.dim
-            size = _slot_size(form[1])
-            self._hold(tuple(_unpack(_pack(form[0], n, size), size)), self.prime, n, form)
+            n = self.dim
+            rows = [(0,) * n] * n
+            for i, coeffs, cols in self._form[0]:
+                rows[i] = tuple(_dense(n, coeffs, cols))
+            self._hold(tuple(rows), self.prime, n, self._form)
         return self._rows
 
     def __eq__(self, other):
@@ -282,15 +280,25 @@ class ExactMatrix:
         return len(terms) == self.dim and all(k == [i] and c == [1] for i, c, k in terms)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Product by Kronecker substitution: each row of other packs into one int."""
+        """Product on the nonzero forms: row i of A @ B sums A_ik (row k of B)
+        over the terms of row i, by column, and keeps the nonzero sums
+        (reduced mod p over F_p) in ascending column order."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
         if self.prime != other.prime:
             raise FieldMismatch("cannot multiply matrices over different fields")
         if self.dim != other.dim:
             raise PreconditionError("dimension mismatch in matrix product")
-        (a, ma), (b, mb), n = self._form, other._form, self.dim
-        size = _slot_size(n * ma * mb)
-        rows = _unpack(_times(a, _pack(b, n, size)), size, self.prime)
-        return ExactMatrix._derived(self.prime, _nonzero(rows), n)
+        p, b, terms = self.prime, {t[0]: t[1:] for t in other._form[0]}, []
+        for i, coeffs, cols in self._form[0]:
+            row: dict[int, int] = {}
+            for x, k in zip(coeffs, cols):
+                for y, c in zip(*b.get(k, ((), ()))):
+                    row[c] = row.get(c, 0) + x * y
+            row = {c: x % p for c, x in row.items()} if p else row
+            if keep := sorted(compress(row, row.values())):
+                terms.append((i, list(map(row.__getitem__, keep)), keep))
+        return ExactMatrix._derived(p, (terms, _largest(terms)), self.dim)
 
     def sub_identity(self) -> "ExactMatrix":
         """M - 1, the nilpotent part candidate."""

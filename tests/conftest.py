@@ -376,11 +376,19 @@ def reference_random_unipotent(dim, k, rng, prime=None):
     return ExactMatrix(m.rows, prime) if prime is not None else m
 
 
+def shift_pack(terms, n, size):
+    """The packed rows of a nonzero form, A @ 1 with row k of 1 packed to 2^(w k)."""
+    from mtkit.matrix import _times
+
+    return _times(terms, [1 << (8 * size * k) for k in range(n)])
+
+
 # nilpotency_degree as it stood before it took p - 1 for the bound on a power
-# over F_p: every repacked power is scanned for its largest |entry|.
+# over F_p and before it multiplied nonzero forms: the powers run on packed
+# rows, and every repacked power is scanned for its largest |entry|.
 def scan_nilpotency_degree(nil):
     from mtkit.errors import NotUnipotent
-    from mtkit.matrix import _nonzero, _pack, _pack_rows, _slot_size, _times, _unpack
+    from mtkit.matrix import _nonzero, _pack_rows, _slot_size, _times, _unpack
 
     n, p = nil.dim, nil.prime
     terms, bound = _nonzero(nil.rows)
@@ -388,7 +396,7 @@ def scan_nilpotency_degree(nil):
         return 1
     step = n * bound
     size = _slot_size(step * bound)
-    packed = _pack(terms, n, size)
+    packed = shift_pack(terms, n, size)
     for k in range(2, n + 1):
         packed = _times(terms, packed)
         bound *= step

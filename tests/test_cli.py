@@ -286,6 +286,11 @@ GOLDEN_RUNS = {
     # the shared-line product
     "oracle_drop_D5_spinplus_shared.json": ["oracle", "drop", "--type", "D", "--rank", "5",
                                             "--weight", "spin+", "--roots", "e1-e2,e1+e2"],
+    # a product of two root elements on a module of dimension 2048
+    "oracle_drop_D12_w12.json": ["oracle", "drop", "--type", "D", "--rank", "12",
+                                 "--weight", "w12", "--roots", "e1-e2,e3-e4"],
+    "oracle_drop_D12_w12_p2.json": ["oracle", "drop", "--type", "D", "--rank", "12",
+                                    "--weight", "w12", "--roots", "e1-e2,e3-e4", "--prime", "2"],
     "oracle_drop_A5_w3_p3.json": ["oracle", "drop", "--type", "A", "--rank", "5",
                                   "--weight", "w3", "--roots", "e1-e6", "--prime", "3"],
     "oracle_drop_D5_spinplus.csv": ["oracle", "drop", "--type", "D", "--rank", "5",

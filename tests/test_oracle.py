@@ -25,6 +25,7 @@ from conftest import (
     reference_rank,
     reference_sub_identity,
     scan_nilpotency_degree,
+    shift_pack,
     walk_positions,
 )
 from hypothesis import given, settings
@@ -117,6 +118,17 @@ def test_tensor_jordan3_jordan2_degree_four():
 def test_tensor_field_mismatch():
     with pytest.raises(FieldMismatch):
         jordan([2]).kron(jordan([2], prime=7))
+
+
+def test_product_with_a_non_matrix_is_a_type_error():
+    # @ returns NotImplemented for an operand that is not an ExactMatrix, as == does
+    m = ExactMatrix.identity(2)
+    for other in (3, None, [[1]]):
+        assert m.__matmul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            m @ other
+        with pytest.raises(TypeError):
+            other @ m
 
 
 def test_c2_std_long_root_is_a_transvection():
@@ -276,14 +288,25 @@ def _constructions(prime):
         "random unipotent": lambda: random_unipotent(5, 3, random.Random(3), prime),
         "root element": lambda: build_root_element(rep, ["e1-e2"], prime),
         "root product": lambda: build_root_element(rep, ["e1-e2", "e3-e4"], prime),
+        "zero": lambda: ExactMatrix([[0] * 3 for _ in range(3)], prime),
+        "big": lambda: ExactMatrix([[2**61, -(2**61), 0], [0, 1, 2**40], [0, 0, 0]], prime),
+        # in their product, entry (0, 1) is 1 - 1 and entry (1, 2) is 3 + 4:
+        # zero over Q and over F_7 the one, over F_7 only the other.  Row 2
+        # meets its columns in the order 1, 2, 0
+        "cancels": lambda: ExactMatrix([[1, 1, 0], [3, 4, 0], [0, 1, 1]], prime),
+        "cancels against": lambda: ExactMatrix([[0, 1, 1], [0, -1, 1], [2, 0, 0]], prime),
     }
-    a, b, one, u, root = (made[k] for k in ("no zero row", "a zero row", "identity",
-                                            "random unipotent", "root element"))
+    a, b, one, u, root, zero, big = (made[k] for k in (
+        "no zero row", "a zero row", "identity", "random unipotent", "root element", "zero", "big"))
     made |= {
         "a @ 1": lambda: a() @ one(), "1 @ b": lambda: one() @ b(),
         "a (x) b": lambda: a().kron(b()), "u (x) 1": lambda: u().kron(one()),
         "1 (x) root": lambda: one().kron(root()), "root @ root": lambda: root() @ root(),
         "empty (x) a": lambda: made["empty identity"]().kron(a()),
+        "cancelling product": lambda: made["cancels"]() @ made["cancels against"](),
+        # a zero factor makes a zero product, next to any other
+        "zero @ big": lambda: zero() @ big(), "big @ zero": lambda: big() @ zero(),
+        "zero (x) big": lambda: zero().kron(big()), "b (x) zero": lambda: b().kron(zero()),
     }
     for name, build in list(made.items()):
         yield name, build
@@ -305,6 +328,16 @@ def test_seeded_forms_equal_a_fresh_scan():
         "deepcopy": lambda m, twin: copy.deepcopy(m) == twin,
     }
     made = [(prime, c) for prime in (None, 7) for c in _constructions(prime)]
+    for prime in (None, 7):
+        built = dict(_constructions(prime))
+        for name in ("zero @ big", "big @ zero", "zero (x) big", "b (x) zero"):
+            assert built[name]().is_zero(), name
+        # the cancelling product keeps no zero sum
+        cancelled = built["cancelling product"]()
+        assert cancelled.rows == ((0, 0, 2), (0, -1, 7), (2, -1, 1)) if prime is None else (
+            (0, 0, 2), (0, 6, 0), (2, 6, 1))
+        assert [cols for _, _, cols in cancelled._form[0]] == (
+            [[2], [1, 2], [0, 1, 2]] if prime is None else [[2], [1], [0, 1, 2]])
     for prime, (name, build) in made:
         twin = ExactMatrix(build().rows, prime)  # built from rows
         for read_first in (True, False):
@@ -313,8 +346,13 @@ def test_seeded_forms_equal_a_fresh_scan():
                 if read_first:
                     assert m.rows == twin.rows
                 assert check(m, twin), (name, what, read_first)
-        # every matrix is its nonzero form, with the exact max |entry|
+        # every matrix is its nonzero form, with the exact max |entry|: no zero
+        # entry, and the columns of each row ascending, as rank's leading
+        # column and _minus_one's bisect need
         m = build()
+        terms = m._form[0]
+        assert all(all(coeffs) and cols == sorted(set(cols)) for _, coeffs, cols in terms), name
+        assert [i for i, _, _ in terms] == sorted({i for i, _, _ in terms}), name
         assert m._form == matrix._nonzero(m.rows) == twin._form, name
         assert m.sub_identity() == reference_sub_identity(twin), name
         assert m.is_zero() == twin.is_zero() and m.is_identity() == twin.is_identity(), name
@@ -323,6 +361,25 @@ def test_seeded_forms_equal_a_fresh_scan():
                 setattr(m, field, None)
             with pytest.raises(FrozenInstanceError):
                 delattr(m, field)
+
+
+@pytest.mark.parametrize("prime, degree", [(None, 3), (2, 2)])
+def test_a_halfspin_product_at_scale_stays_in_its_nonzero_form(prime, degree, monkeypatch):
+    # D12's half-spin module has dimension 2048: the product of two root
+    # elements, its M - 1, their degree and drop run on nonzero forms, with no
+    # call into the packed kernel and no dense row written out
+    def refuse(*args):
+        raise AssertionError("called the packed kernel")
+
+    for name in ("_times", "_unpack", "_pack_rows"):
+        for module in (matrix, oracle):
+            monkeypatch.setattr(module, name, refuse)
+    degree_of, nils = oracle.nilpotency_degree, []
+    monkeypatch.setattr(oracle, "nilpotency_degree", lambda nil: nils.append(nil) or degree_of(nil))
+    m = build_root_element(minuscule_rep(CartanType("D", 12), 12), ["e1-e2", "e3-e4"], prime)
+    report = unipotence(m)
+    assert (report.degree, report.drop, report.dim) == (degree, 768, 2048)
+    assert m._rows is None and nils[0]._rows is None
 
 
 def test_halfspin_product_of_orthogonal_roots_builds():
@@ -940,15 +997,35 @@ def test_nilpotency_degree_matches_repeated_products(prime):
 
 
 def test_large_entries_widen_the_slots(monkeypatch):
+    # the tensor trials' power loop on factors 1 + 2^40 N: over Z a power is
+    # unpacked only when the room test fails, and here each is then repacked
+    # in wider slots
     import random
 
-    nil = random_unipotent(6, 6, random.Random(2)).sub_identity()
-    big = ExactMatrix([[x * 2**40 for x in row] for row in nil.rows])
-    unpacked = []
-    unpack = oracle._unpack
-    monkeypatch.setattr(oracle, "_unpack", lambda *args: unpacked.append(1) or unpack(*args))
-    assert nilpotency_degree(big) == 6
-    assert unpacked  # over Z only a widening unpacks a power
+    def big(dim, k, seed):
+        nil = random_unipotent(dim, k, random.Random(seed)).sub_identity()
+        return ExactMatrix([[(i == j) + x * 2**40 for j, x in enumerate(row)]
+                            for i, row in enumerate(nil.rows)])
+
+    m1, m2 = big(6, 6, 2), big(3, 3, 3)
+    sizes, unpack, pack_rows = [], oracle._unpack, oracle._pack_rows
+
+    def spy(fn, what):
+        def call(*args):
+            if sys._getframe(1).f_code is oracle._tensor_degree.__code__:
+                sizes.append((what, args[1]))
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(oracle, "_unpack", spy(unpack, "unpack"))
+    monkeypatch.setattr(oracle, "_pack_rows", spy(pack_rows, "pack"))
+    assert oracle._tensor_degree(m1, m2) == 6 + 3 - 1
+    monkeypatch.undo()
+    assert nilpotency_degree(m1.kron(m2).sub_identity()) == 8
+    step = 18 * m1._form[1] * m2._form[1] + 1
+    assert sizes[0] == ("unpack", matrix._slot_size(step * step))
+    assert [what for what, _ in sizes] == ["unpack", "pack"] * (len(sizes) // 2)
+    assert all(b > a for (_, a), (_, b) in zip(sizes[::2], sizes[1::2])), sizes
 
 
 # --- tensor trials through the factors m1 (x) 1 and 1 (x) m2 -----------------
@@ -1136,7 +1213,7 @@ def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
     unpack = oracle._unpack
 
     def spy(*args):
-        if sys._getframe(1).f_code is oracle._power_degree.__code__:
+        if sys._getframe(1).f_code is oracle._tensor_degree.__code__:
             unpacked.append(args[2])
         return unpack(*args)
 
@@ -1151,17 +1228,17 @@ def test_tensor_trials_over_q_unpack_no_power(monkeypatch):
 
 @pytest.mark.parametrize("prime", [2, 3])
 def test_root_elements_over_f_p_unpack_no_power(prime, monkeypatch):
-    # N^2 = 0 over Z for N = x_alpha(1) - 1, so the power loop returns before
-    # it unpacks a power to reduce it mod p
+    # the degree of N = x_alpha(1) - 1 comes from products of nonzero forms,
+    # reduced mod p entry by entry: nothing is packed, so nothing is unpacked
     unpacked = []
     unpack = oracle._unpack
 
     def spy(*args):
-        if sys._getframe(1).f_code is oracle._power_degree.__code__:
-            unpacked.append(args[2])
+        unpacked.append(args)
         return unpack(*args)
 
     monkeypatch.setattr(oracle, "_unpack", spy)
+    monkeypatch.setattr(matrix, "_unpack", spy)
     for t, j, specs in [(CartanType("B", 8), 8, ["e1", "e1-e2", "e7+e8"]),
                         (CartanType("D", 8), 8, ["e1-e2", "e7+e8"]),
                         (CartanType("D", 7), 6, ["e1-e2", "e6+e7"])]:
@@ -1181,7 +1258,7 @@ def test_slots_hold_their_bound_with_a_sign_bit(size):
     assert matrix._slot_size(top + 1) == (2 * size if size < 8 else size + 8)
     rows = [(top, -top, 0, 1), (0, 0, 0, 0), (-1, top, -top, -1), (-top, 0, 0, top)]
     terms = matrix._nonzero(rows)[0]
-    packed = matrix._pack(terms, 4, size)
+    packed = shift_pack(terms, 4, size)
     assert packed[1] == 0 and all(packed[i] for i in (0, 2, 3))
     assert matrix._unpack(packed, size) == rows
     # dense rows pack again from their slot bytes: struct up to 8 bytes,
@@ -1212,39 +1289,7 @@ def test_packing_from_row_bytes_matches_packing_by_shifts(prime):
         terms, bound = m._form
         narrow = matrix._slot_size(bound)
         for size in {narrow, matrix._slot_size(m.dim * bound * bound), narrow * 6, narrow * 24}:
-            assert matrix._pack_rows(m.rows, size) == matrix._pack(terms, m.dim, size)
-
-
-@pytest.mark.parametrize("prime", [None, 2**61 - 1])
-@pytest.mark.parametrize("big", [2**7, 2**15, 2**40, 2**61])
-def test_a_zero_factor_leaves_room_in_the_slots_for_the_other(prime, big, monkeypatch):
-    import random
-
-    rng = random.Random(big)
-    pack, packs = matrix._pack, []
-
-    def record(rows, size, packed):
-        packs.append((rows, size, packed))
-        return packed
-
-    def rows_of(terms, n):
-        rows = [[0] * n for _ in range(n)]
-        for i, coeffs, cols in terms:
-            rows[i] = matrix._dense(n, coeffs, cols)
-        return rows
-
-    monkeypatch.setattr(matrix, "_pack", lambda terms, n, size: record(
-        rows_of(terms, n), size, pack(terms, n, size)))
-    for n1, n2 in [(1, 1), (3, 3), (2, 5), (5, 2)]:
-        zero = ExactMatrix([[0] * n1 for _ in range(n1)], prime)
-        b = ExactMatrix([[rng.choice((big, -big, 0, 1)) for _ in range(n2)] for _ in range(n2)], prime)
-        if n1 == n2:
-            assert (zero @ b).is_zero() and (b @ zero).is_zero()
-        assert zero.kron(b).is_zero() and b.kron(zero).is_zero()
-    # every factor a product packs round-trips through its slots; kron packs nothing
-    assert {len(rows) for rows, _, _ in packs} == {1, 3}
-    for rows, size, packed in packs:
-        assert matrix._unpack(packed, size) == [tuple(r) for r in rows]
+            assert matrix._pack_rows(m.rows, size) == shift_pack(terms, m.dim, size)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
@@ -1265,22 +1310,33 @@ def test_zero_one_by_one_and_non_nilpotent_against_reference(prime):
 
 @pytest.mark.parametrize("prime", [2, 7, 10007])
 def test_prime_field_bound_matches_the_scanning_reference(prime, monkeypatch):
-    # over F_p a repacked power takes p - 1 for its bound instead of a scan of
-    # its entries: the degrees agree with the scanning version on seeded
-    # tensor-shaped, Jordan-shaped, sparse and non-nilpotent inputs, and every
-    # power packed on the way round-trips through its slots
+    # over F_p the tensor trials' repacked power takes p - 1 for its bound
+    # instead of a scan of its entries: their degrees agree with the scanning
+    # version on seeded tensor-shaped inputs, and every power packed on the way
+    # round-trips through its slots.  The degrees of Jordan-shaped, sparse and
+    # non-nilpotent inputs, from products of nonzero forms, agree with it too
     import random
 
     rng = random.Random(prime)
     pack_rows, repacked = oracle._pack_rows, []
-    monkeypatch.setattr(oracle, "_pack_rows",
-                        lambda rows, size: repacked.append((rows, size)) or pack_rows(rows, size))
-    nils = []
+
+    def spy(rows, size):
+        if sys._getframe(1).f_code is oracle._tensor_degree.__code__:
+            repacked.append((rows, size))
+        return pack_rows(rows, size)
+
+    monkeypatch.setattr(oracle, "_pack_rows", spy)
     for _ in range(8):
         k1, k2 = rng.randint(1, 4), rng.randint(1, 4)
         m1 = random_unipotent(rng.randint(k1, 6), k1, rng, prime)
         m2 = random_unipotent(rng.randint(k2, 6), k2, rng, prime)
-        nils.append(m1.kron(m2).sub_identity())
+        nil = m1.kron(m2).sub_identity()
+        assert _degree_or_message(lambda _: oracle._tensor_degree(m1, m2), nil) == (
+            _degree_or_message(scan_nilpotency_degree, nil))
+    assert len(repacked) > 20
+    for rows, size in repacked:  # the unpacked powers, lists of rows
+        assert matrix._unpack(pack_rows(rows, size), size) == rows
+    nils = []
     for n in range(1, 13):
         nils.append(random_unipotent(n, rng.randint(1, n), rng, prime).sub_identity())
         nils.append(ExactMatrix(_nilpotent_rows(rng, n, lambda: rng.randrange(1, prime)), prime))
@@ -1289,9 +1345,6 @@ def test_prime_field_bound_matches_the_scanning_reference(prime, monkeypatch):
     for nil in nils:
         assert _degree_or_message(nilpotency_degree, nil) == _degree_or_message(
             scan_nilpotency_degree, nil)
-    assert len(repacked) > 100
-    for rows, size in repacked:  # a held tuple of rows, or a list for an unpacked power
-        assert matrix._unpack(pack_rows(rows, size), size) == list(rows)
 
 
 def test_halfspin_product_survey_matches_golden(capsys, monkeypatch):
