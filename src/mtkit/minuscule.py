@@ -23,13 +23,15 @@ from .roots import CartanType, RootDatum, _require_root_budget, build_root_datum
 DEFAULT_RANK_BOUND = 12
 
 # Largest module whose weights MinusculeRep.orbit lists, and largest matrix
-# build_root_element or ExactMatrix.identity builds.  A root element holds
-# only its nonzero form, n + drop entries; at least 8 n^2 bytes (134 MB at
-# 4096) are written only for its rows once read, or for the product of
-# several while it is unpacked, so the 8192-dimensional half-spin modules of
-# D14 are refused before their weights or any row are built.  `oracle drop` on D12 w12
-# (n = 2048) peaks at 17.6 MB RSS for one root and 63 MB for two, where
-# dense x_alpha(1) and M - 1 took 57 and 122 MB (2 vCPUs, Python 3.11.7).
+# build_root_element, ExactMatrix.identity or ExactMatrix.kron builds.  A root
+# element, a product of several and their M - 1 hold only their nonzero
+# forms, and their products, degrees and ranks write no dense row; at least
+# 8 n^2 bytes (134 MB at 4096) are written only for a matrix's rows once
+# read, so the 8192-dimensional half-spin modules of D14 are refused before
+# their weights or any row are built.  `oracle drop` peaks at 17.1-17.2 MB RSS
+# on D12 w12 (n = 2048) for one root and 18.0-18.3 MB for two, and at
+# 20.2-20.5 MB on D13 w13 (n = 4096) for six, over Q and over F_2, where dense
+# x_alpha(1) and M - 1 took 57 and 122 MB on D12 (2 vCPUs, Python 3.11.7).
 MATRIX_BUDGET = 4096
 
 # Dimension and sign of each minuscule w_j of the exceptional types

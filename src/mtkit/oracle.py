@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the weight-counting route
 in mtkit.drops: matrices are built entry by entry, ranks come from
-Gaussian elimination, unipotence degrees from repeated multiplication.
+Gaussian elimination on the rows of the nonzero form, unipotence degrees
+from repeated multiplication.
 Arithmetic is exact throughout -- every matrix has integer entries, read
 over the rationals or reduced mod p over a prime field.  No floats anywhere.
 The matrix type, ExactMatrix, and the packed kernel are in mtkit.matrix.
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations, compress, count
+from itertools import chain, combinations, compress, count
 from operator import mul, sub
 from types import MappingProxyType
 
@@ -88,16 +89,21 @@ def nilpotency_degree(nil: ExactMatrix) -> int:
 
 def _tensor_factors(m1: ExactMatrix, m2: ExactMatrix) -> list:
     """The nonzero forms of m1 (x) 1 and 1 (x) m2, leaving out a factor that is
-    the identity, read off the terms of m1 and m2: their product is m1 (x) m2."""
+    the identity, read off the rows of m1 and m2: their product is m1 (x) m2."""
     d1, d2 = m1.dim, m2.dim
     factors = []
     if not m1.is_identity():  # row (i, j) of m1 (x) 1: row i of m1, in the columns (c, j)
-        factors.append([(i * d2 + j, coeffs, [c * d2 + j for c in cols])
-                        for i, coeffs, cols in m1._form[0] for j in range(d2)])
+        factors.append({i * d2 + j: {c * d2 + j: x for c, x in row.items()}
+                        for i, row in m1._form.items() for j in range(d2)})
     if not m2.is_identity():  # row (i, j) of 1 (x) m2: row j of m2, in the columns (i, c)
-        factors.append([(i * d2 + j, coeffs, [i * d2 + c for c in cols])
-                        for i in range(d1) for j, coeffs, cols in m2._form[0]])
+        factors.append({i * d2 + j: {i * d2 + c: x for c, x in row.items()}
+                        for i in range(d1) for j, row in m2._form.items()})
     return factors
+
+
+def _largest(m: ExactMatrix) -> int:
+    # max |entry| of m, 1 for the zero matrix
+    return max([abs(x) for row in m._form.values() for x in row.values()], default=1)
 
 
 def _tensor_degree(m1: ExactMatrix, m2: ExactMatrix) -> int:
@@ -109,14 +115,14 @@ def _tensor_degree(m1: ExactMatrix, m2: ExactMatrix) -> int:
     the packed identity, in slots that first hold step^2, the a-priori bound
     on N^2, and are widened when the test of _room fails."""
     n, p, factors = m1.dim * m2.dim, m1.prime, _tensor_factors(m1, m2)
-    step = n * m1._form[1] * m2._form[1] + 1
+    step = n * _largest(m1) * _largest(m2) + 1
     size = _slot_size(step * step)
     add, mask = _room(n, size, step)
     power = [1 << (8 * size * i) for i in range(n)]
     for k in range(1, n + 1):
         product = power
-        for terms in reversed(factors):
-            product = _times(terms, product)
+        for form in reversed(factors):
+            product = _times(form, product)
         power = list(map(sub, product, power))
         if any(power) and (p or any(map(mask.__and__, map(add.__add__, power)))):
             rows = _unpack(power, size, p)
@@ -195,7 +201,7 @@ def build_root_element(
     # moves each mu with (mu, alpha) = -(alpha, alpha) to mu + alpha, with (mu + alpha,
     # alpha) = +(alpha, alpha); the weights are sorted and + alpha keeps the order, so
     # the k-th that moves goes to the k-th.
-    n, one, orbit = rep.dimension, [1], rep.orbit
+    n, orbit = rep.dimension, rep.orbit
     product: ExactMatrix | None = None
     for alpha in alphas:
         (k, a), *rest = [(k, a) for k, a in enumerate(alpha) if a]
@@ -205,11 +211,11 @@ def build_root_element(
         else:
             pairings = [a * mu[k] for mu in orbit]
         norm = sum(map(mul, alpha, alpha))
-        terms = [(i, one, [i]) for i in range(n)]
+        form = {i: {i: 1} for i in range(n)}
         for src, dst in zip(compress(count(), map((-norm).__eq__, pairings)),
                             compress(count(), map(norm.__eq__, pairings)), strict=True):
-            terms[dst] = (dst, [1, 1], [src, dst] if src < dst else [dst, src])
-        m = ExactMatrix._derived(prime, (terms, 1), n)
+            form[dst] = {src: 1, dst: 1}
+        m = ExactMatrix._derived(prime, form, n)
         product = m if product is None else product @ m
     return product
 
@@ -301,13 +307,12 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
         link += [i > 0 for i in range(rng.randint(1, min(k, dim - len(link))))]
     lo, lo2 = ([[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(dim)]
                 for i in range(dim)] for _ in range(2))
-    size, lo_t, low = _slot_size(8 * dim * 9**dim), list(zip(*lo)), _nonzero(lo2)[0]
+    size, lo_t, low = _slot_size(8 * dim * 9**dim), list(zip(*lo)), _nonzero(lo2)
     cols = _times(low, _pack_rows(lo_t, size))  # the columns of C, rows of lo2 lo^T
     sol = [c + cols[j - 1] if inside else c for j, (c, inside) in enumerate(zip(cols, link))]
-    for i, coeffs, js in low:  # forward: the diagonal 1 of row i of lo2 comes last
-        sol[i] -= sum(map(mul, coeffs[:-1], map(sol.__getitem__, js[:-1])))
-    for i, coeffs, js in reversed(_nonzero(lo_t)[0]):  # back: that of lo^T comes first
-        sol[i] -= sum(map(mul, coeffs[1:], map(sol.__getitem__, js[1:])))
+    for i, row in chain(low.items(), reversed(_nonzero(lo_t).items())):
+        del row[i]  # forward through lo2, then back through lo^T, off the diagonal 1
+        sol[i] -= sum(map(mul, row.values(), map(sol.__getitem__, row)))
     rows = list(zip(*_unpack(sol, size, prime)))  # sol holds the rows of M^T
     return ExactMatrix._derived(prime, _nonzero(rows), dim)
 

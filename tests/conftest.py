@@ -376,11 +376,11 @@ def reference_random_unipotent(dim, k, rng, prime=None):
     return ExactMatrix(m.rows, prime) if prime is not None else m
 
 
-def shift_pack(terms, n, size):
+def shift_pack(form, n, size):
     """The packed rows of a nonzero form, A @ 1 with row k of 1 packed to 2^(w k)."""
     from mtkit.matrix import _times
 
-    return _times(terms, [1 << (8 * size * k) for k in range(n)])
+    return _times(form, [1 << (8 * size * k) for k in range(n)])
 
 
 # nilpotency_degree as it stood before it took p - 1 for the bound on a power
@@ -391,14 +391,15 @@ def scan_nilpotency_degree(nil):
     from mtkit.matrix import _nonzero, _pack_rows, _slot_size, _times, _unpack
 
     n, p = nil.dim, nil.prime
-    terms, bound = _nonzero(nil.rows)
-    if not terms:
+    form = _nonzero(nil.rows)
+    if not form:
         return 1
+    bound = max(abs(x) for row in form.values() for x in row.values())
     step = n * bound
     size = _slot_size(step * bound)
-    packed = shift_pack(terms, n, size)
+    packed = shift_pack(form, n, size)
     for k in range(2, n + 1):
-        packed = _times(terms, packed)
+        packed = _times(form, packed)
         bound *= step
         if p or (any(packed) and _slot_size(step * bound) > size):
             power = _unpack(packed, size, p)

@@ -1,12 +1,13 @@
 """Exact matrices, unipotence, root-element construction, tensor trials."""
 
+import functools
 import json
 import re
 import runpy
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import lcm
 from operator import mul
 from pathlib import Path
@@ -118,6 +119,19 @@ def test_tensor_jordan3_jordan2_degree_four():
 def test_tensor_field_mismatch():
     with pytest.raises(FieldMismatch):
         jordan([2]).kron(jordan([2], prime=7))
+
+
+@pytest.mark.parametrize("prime", [None, 7])
+def test_kron_over_the_matrix_budget_is_refused(prime):
+    # the product's dim1 * dim2 rows are checked against MATRIX_BUDGET before
+    # any is built: 64 * 64 is the budget, 65 * 65 and 4096 * 4096 are over it
+    one = functools.partial(ExactMatrix.identity, prime=prime)
+    assert one(64).kron(one(64)) == one(MATRIX_BUDGET)
+    assert one(MATRIX_BUDGET).kron(one(1)).is_identity()
+    for n1, n2 in [(65, 65), (MATRIX_BUDGET, 2), (2, 2049), (MATRIX_BUDGET, MATRIX_BUDGET)]:
+        with pytest.raises(PreconditionError, match=rf"kron dimension {n1} \* {n2} is over "
+                                                    rf"MATRIX_BUDGET \({MATRIX_BUDGET}\)"):
+            one(n1).kron(one(n2))
 
 
 def test_product_with_a_non_matrix_is_a_type_error():
@@ -336,8 +350,8 @@ def test_seeded_forms_equal_a_fresh_scan():
         cancelled = built["cancelling product"]()
         assert cancelled.rows == ((0, 0, 2), (0, -1, 7), (2, -1, 1)) if prime is None else (
             (0, 0, 2), (0, 6, 0), (2, 6, 1))
-        assert [cols for _, _, cols in cancelled._form[0]] == (
-            [[2], [1, 2], [0, 1, 2]] if prime is None else [[2], [1], [0, 1, 2]])
+        assert {i: sorted(row) for i, row in cancelled._form.items()} == (
+            {0: [2], 1: [1, 2], 2: [0, 1, 2]} if prime is None else {0: [2], 1: [1], 2: [0, 1, 2]})
     for prime, (name, build) in made:
         twin = ExactMatrix(build().rows, prime)  # built from rows
         for read_first in (True, False):
@@ -346,13 +360,13 @@ def test_seeded_forms_equal_a_fresh_scan():
                 if read_first:
                     assert m.rows == twin.rows
                 assert check(m, twin), (name, what, read_first)
-        # every matrix is its nonzero form, with the exact max |entry|: no zero
-        # entry, and the columns of each row ascending, as rank's leading
-        # column and _minus_one's bisect need
+        # every matrix is its nonzero form {i: {c: x}}: no empty row, no zero
+        # entry, every entry reduced mod p, every row and column in range
         m = build()
-        terms = m._form[0]
-        assert all(all(coeffs) and cols == sorted(set(cols)) for _, coeffs, cols in terms), name
-        assert [i for i, _, _ in terms] == sorted({i for i, _, _ in terms}), name
+        form = m._form
+        assert all(row and all(row.values()) for row in form.values()), name
+        assert prime is None or all(0 < x < prime for row in form.values() for x in row.values()), name
+        assert set(form) | {c for row in form.values() for c in row} <= set(range(m.dim)), name
         assert m._form == matrix._nonzero(m.rows) == twin._form, name
         assert m.sub_identity() == reference_sub_identity(twin), name
         assert m.is_zero() == twin.is_zero() and m.is_identity() == twin.is_identity(), name
@@ -363,11 +377,19 @@ def test_seeded_forms_equal_a_fresh_scan():
                 delattr(m, field)
 
 
-@pytest.mark.parametrize("prime, degree", [(None, 3), (2, 2)])
-def test_a_halfspin_product_at_scale_stays_in_its_nonzero_form(prime, degree, monkeypatch):
-    # D12's half-spin module has dimension 2048: the product of two root
-    # elements, its M - 1, their degree and drop run on nonzero forms, with no
-    # call into the packed kernel and no dense row written out
+D13_SIX_ROOTS = ["e1-e2", "e3-e4", "e5-e6", "e7-e8", "e9-e10", "e11-e12"]
+
+
+@pytest.mark.parametrize("rank, roots, prime, report", [
+    (12, ["e1-e2", "e3-e4"], None, (3, 768, 2048)), (12, ["e1-e2", "e3-e4"], 2, (2, 768, 2048)),
+    (13, D13_SIX_ROOTS, None, (7, 2380, 4096)), (13, D13_SIX_ROOTS, 2, (2, 2016, 4096)),
+], ids=["None-3", "2-2", "D13-None-7", "D13-2-2"])
+def test_a_halfspin_product_at_scale_stays_in_its_nonzero_form(rank, roots, prime, report,
+                                                                 monkeypatch):
+    # D12's half-spin module has dimension 2048, D13's 4096, the matrix
+    # budget: the product of root elements, its M - 1, their degree and drop
+    # run on nonzero forms, with no call into the packed kernel and no dense
+    # row written out
     def refuse(*args):
         raise AssertionError("called the packed kernel")
 
@@ -376,9 +398,9 @@ def test_a_halfspin_product_at_scale_stays_in_its_nonzero_form(prime, degree, mo
             monkeypatch.setattr(module, name, refuse)
     degree_of, nils = oracle.nilpotency_degree, []
     monkeypatch.setattr(oracle, "nilpotency_degree", lambda nil: nils.append(nil) or degree_of(nil))
-    m = build_root_element(minuscule_rep(CartanType("D", 12), 12), ["e1-e2", "e3-e4"], prime)
-    report = unipotence(m)
-    assert (report.degree, report.drop, report.dim) == (degree, 768, 2048)
+    m = build_root_element(minuscule_rep(CartanType("D", rank), rank), roots, prime)
+    got = unipotence(m)
+    assert (got.degree, got.drop, got.dim) == report
     assert m._rows is None and nils[0]._rows is None
 
 
@@ -1022,7 +1044,7 @@ def test_large_entries_widen_the_slots(monkeypatch):
     assert oracle._tensor_degree(m1, m2) == 6 + 3 - 1
     monkeypatch.undo()
     assert nilpotency_degree(m1.kron(m2).sub_identity()) == 8
-    step = 18 * m1._form[1] * m2._form[1] + 1
+    step = 18 * max(map(abs, chain(*m1.rows))) * max(map(abs, chain(*m2.rows))) + 1
     assert sizes[0] == ("unpack", matrix._slot_size(step * step))
     assert [what for what, _ in sizes] == ["unpack", "pack"] * (len(sizes) // 2)
     assert all(b > a for (_, a), (_, b) in zip(sizes[::2], sizes[1::2])), sizes
@@ -1057,12 +1079,11 @@ def test_tensor_factors_multiply_to_the_kronecker_product(prime):
         kept = [m for m in (m1, m2) if not m.is_identity()]
         seen_identity |= len(kept) < 2
         assert len(factors) == len(kept)
-        for terms, m in zip(factors, kept):
-            assert sum(len(cols) for _, _, cols in terms) == n // m.dim * sum(
-                len(cols) for _, _, cols in m._form[0])
+        for form, m in zip(factors, kept):
+            assert sum(map(len, form.values())) == n // m.dim * sum(map(len, m._form.values()))
         product = ExactMatrix.identity(n, prime)
-        for terms in factors:
-            product = product @ ExactMatrix._derived(prime, (terms, matrix._largest(terms)), n)
+        for form in factors:
+            product = product @ ExactMatrix._derived(prime, form, n)
         assert product.rows == m1.kron(m2).rows
     assert seen_identity
 
@@ -1257,8 +1278,7 @@ def test_slots_hold_their_bound_with_a_sign_bit(size):
     # a power of two up to 8 bytes, then 8 bytes more
     assert matrix._slot_size(top + 1) == (2 * size if size < 8 else size + 8)
     rows = [(top, -top, 0, 1), (0, 0, 0, 0), (-1, top, -top, -1), (-top, 0, 0, top)]
-    terms = matrix._nonzero(rows)[0]
-    packed = shift_pack(terms, 4, size)
+    packed = shift_pack(matrix._nonzero(rows), 4, size)
     assert packed[1] == 0 and all(packed[i] for i in (0, 2, 3))
     assert matrix._unpack(packed, size) == rows
     # dense rows pack again from their slot bytes: struct up to 8 bytes,
@@ -1286,10 +1306,10 @@ def test_packing_from_row_bytes_matches_packing_by_shifts(prime):
             m = build_root_element(rep, [i], prime)
             ms += [m, m.sub_identity()]
     for m in ms:
-        terms, bound = m._form
+        bound = max(map(abs, chain(*m.rows))) or 1
         narrow = matrix._slot_size(bound)
         for size in {narrow, matrix._slot_size(m.dim * bound * bound), narrow * 6, narrow * 24}:
-            assert matrix._pack_rows(m.rows, size) == shift_pack(terms, m.dim, size)
+            assert matrix._pack_rows(m.rows, size) == shift_pack(m._form, m.dim, size)
 
 
 @pytest.mark.parametrize("prime", PRIMES)
