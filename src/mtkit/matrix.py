@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import struct
-import sys
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from itertools import compress
@@ -23,12 +22,10 @@ _MR_BOUND = 3317044064679887385961981
 # (n max|A| max|B| for a product row), so |x_c| < 2^(w-1) and a packed row is
 # 0 exactly when the row is.  Row i of A @ B packs to sum_k A_ik packed(B_k)
 # over the nonzero A_ik: one big-int multiply-add per coefficient, for the
-# dense loops of mtkit.oracle.  A matrix's nonzero form, which ExactMatrix
-# computes on, is the dict {i: {c: x}} of its nonzero entries x in row i,
-# column c, with a key for each nonzero row only; rows and columns are in
-# no particular order.
-_FMT = {1: "b", 2: "h", 4: "i", 8: "q"} if sys.byteorder == "little" else {}
-_SIGN = bytes(128) + b"\xff" * 128  # a slot's top byte -> the byte that sign-extends it
+# dense loops of mtkit.oracle.  An ExactMatrix is its nonzero form: the dict
+# {i: {c: x}} of its nonzero entries x in row i, column c, with a key for
+# each nonzero row only; rows and columns are in no order.
+_FMT = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _slot_size(bound: int) -> int:
@@ -38,6 +35,11 @@ def _slot_size(bound: int) -> int:
     costs in proportion to the width."""
     size = 1 << ((bound.bit_length() + 8) // 8 - 1).bit_length()
     return size if size <= 8 else (bound.bit_length() + 64) // 64 * 8
+
+
+def _slots(n: int, size: int) -> struct.Struct | None:
+    """The little-endian struct of n signed slots of size bytes; None past 8 bytes."""
+    return struct.Struct(f"<{n}{_FMT[size]}") if size in _FMT else None
 
 
 def _times(form, packed) -> list[int]:
@@ -55,37 +57,23 @@ def _bias(n: int, size: int) -> int:
 
 
 def _pack_rows(rows, size: int) -> list[int]:
-    """The packed rows of dense integer rows, read from their slot bytes."""
-    # struct writes each entry into the narrowest slot of 1-8 bytes that holds
-    # them all, and a wider slot is filled out with copies of its sign byte
+    """The packed rows of dense integer rows, written into slots and read as one int each."""
     n = len(rows)
-    narrow = size if size in _FMT else _slot_size(max(1, max(map(max, rows), default=0),
-                                                      -min(map(min, rows), default=0)))
-    if narrow in _FMT:
-        fmt = f"<{n}{_FMT[narrow]}"
-        raw = [struct.pack(fmt, *row) for row in rows]
-        if narrow < size:  # all rows at once
-            whole, wide, w = b"".join(raw), bytearray(n * n * size), n * size
-            for k in range(narrow):
-                wide[k::size] = whole[k::narrow]
-            sign = whole[narrow - 1::narrow].translate(_SIGN)
-            for k in range(narrow, size):
-                wide[k::size] = sign
-            raw = [wide[i * w:i * w + w] for i in range(n)]
-    else:  # entries of more than 8 bytes
+    if slots := _slots(n, size):
+        raw = [slots.pack(*row) for row in rows]
+    else:
         raw = [b"".join([x.to_bytes(size, "little", signed=True) for x in row]) for row in rows]
     bias = _bias(n, size)
     return [(int.from_bytes(b, "little") ^ bias) - bias for b in raw]
 
 
 def _unpack(packed: list[int], size: int, p: int | None = None) -> list[tuple]:
-    """The rows of these packed rows, reduced mod p."""
+    """The rows of these packed rows, reduced mod p, read from their slot bytes."""
     n = len(packed)
-    bias, fmt = _bias(n, size), _FMT.get(size)
+    bias, slots, cuts = _bias(n, size), _slots(n, size), range(0, n * size, size)
     raw = [((v + bias) ^ bias).to_bytes(n * size, "little") for v in packed]
-    slots = range(0, n * size, size)
-    rows = [tuple(memoryview(b).cast(fmt)) if fmt else tuple(
-        [int.from_bytes(b[i:i + size], "little", signed=True) for i in slots]) for b in raw]
+    rows = [slots.unpack(b) if slots else tuple(
+        [int.from_bytes(b[i:i + size], "little", signed=True) for i in cuts]) for b in raw]
     return [tuple([x % p for x in row]) for row in rows] if p else rows
 
 
@@ -140,13 +128,13 @@ def _require_prime(p: int | None) -> int | None:
 class ExactMatrix:
     """Immutable square integer matrix, over Q (prime=None) or over F_p.
 
-    A matrix is its nonzero form {i: {c: x}} (_nonzero(rows)): only nonzero
-    rows, only nonzero entries, in no set order.  The checked constructor
-    computes it once, and every matrix the class derives (identity, @,
-    M - 1, kron, root elements) is built as a form; no form or row dict is
-    changed once built.  Its dense rows are a cached read-only view, the
-    caller's checked rows or written out from the form when first read; ==,
-    hash, repr, pickling and copying see only rows and prime.
+    A matrix is its dim, prime and nonzero form {i: {c: x}} (_nonzero(rows)):
+    only nonzero rows, only nonzero entries, in no set order, so == and hash
+    read the form.  The checked constructor computes it once, and every
+    matrix the class derives (identity, @, M - 1, kron, root elements) is
+    built as a form; no form or row dict is changed once built.  .rows writes
+    the dense rows out of the form on each read and nothing keeps them;
+    repr, pickling and copying go through them and the checked constructor.
 
     Caller-supplied rows are checked once, in the constructor: square shape,
     int entries, a certified prime, entries reduced mod p.  Matrices the class
@@ -158,7 +146,7 @@ class ExactMatrix:
     reused, which shows as resident memory.
     """
 
-    __slots__ = ("_rows", "prime", "dim", "_form")
+    __slots__ = ("prime", "dim", "_form")
 
     def __init__(self, rows, prime: int | None = None) -> None:
         try:
@@ -177,10 +165,9 @@ class ExactMatrix:
                     )
         if _require_prime(prime) is not None:
             rows = tuple([tuple([x % prime for x in row]) for row in rows])
-        self._hold(rows, prime, n, _nonzero(rows))
+        self._hold(prime, n, _nonzero(rows))
 
-    def _hold(self, rows, prime, n, form) -> None:
-        object.__setattr__(self, "_rows", rows)
+    def _hold(self, prime, n, form) -> None:
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "dim", n)
         object.__setattr__(self, "_form", form)
@@ -189,30 +176,29 @@ class ExactMatrix:
     def _derived(cls, prime: int | None, form, n: int) -> "ExactMatrix":
         """Wrap the nonzero form of an n x n matrix built from checked entries."""
         m = object.__new__(cls)
-        m._hold(None, prime, n, form)
+        m._hold(prime, n, form)
         return m
 
     @property
     def rows(self) -> tuple[tuple, ...]:
-        """The dense rows, written out from the form when first read."""
-        if self._rows is None:
-            n = self.dim
-            rows = [(0,) * n] * n
-            for i, form_row in self._form.items():
-                row = [0] * n
-                for c, x in form_row.items():
-                    row[c] = x
-                rows[i] = tuple(row)
-            self._hold(tuple(rows), self.prime, n, self._form)
-        return self._rows
+        """The dense rows, written out of the form on each read: n^2 entries."""
+        n = self.dim
+        rows = [(0,) * n] * n
+        for i, form_row in self._form.items():
+            row = [0] * n
+            for c, x in form_row.items():
+                row[c] = x
+            rows[i] = tuple(row)
+        return tuple(rows)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.rows, self.prime) == (other.rows, other.prime)
+        return (self.dim, self.prime, self._form) == (other.dim, other.prime, other._form)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.prime))
+        return hash((self.dim, self.prime, frozenset(
+            [(i, c, x) for i, row in self._form.items() for c, x in row.items()])))
 
     def __repr__(self) -> str:
         return f"ExactMatrix(rows={self.rows!r}, prime={self.prime!r})"
@@ -282,8 +268,12 @@ class ExactMatrix:
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product from the two forms: row (i, j) holds a_ic b_je in
         column (c, e).  Over F_p a product of two nonzero residues is nonzero,
-        so every row keeps all its entries.  A product of more than
-        MATRIX_BUDGET rows is refused before any row is built."""
+        so every row keeps all its entries.  A non-matrix operand is a
+        TypeError, as for @; a product of more than MATRIX_BUDGET rows is
+        refused before any row is built."""
+        if other.__class__ is not self.__class__:
+            raise TypeError("unsupported operand type(s) for kron: "
+                            f"'ExactMatrix' and {type(other).__name__!r}")
         if self.prime != other.prime:
             raise FieldMismatch("cannot tensor matrices over different fields")
         if self.dim * other.dim > MATRIX_BUDGET:

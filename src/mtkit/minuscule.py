@@ -25,9 +25,9 @@ DEFAULT_RANK_BOUND = 12
 # Largest module whose weights MinusculeRep.orbit lists, and largest matrix
 # build_root_element, ExactMatrix.identity or ExactMatrix.kron builds.  A root
 # element, a product of several and their M - 1 hold only their nonzero
-# forms, and their products, degrees and ranks write no dense row; at least
-# 8 n^2 bytes (134 MB at 4096) are written only for a matrix's rows once
-# read, so the 8192-dimensional half-spin modules of D14 are refused before
+# forms, and their products, degrees, ranks and == write no dense row; at
+# least 8 n^2 bytes (134 MB at 4096) are written on each read of a matrix's
+# .rows, so the 8192-dimensional half-spin modules of D14 are refused before
 # their weights or any row are built.  `oracle drop` peaks at 17.1-17.2 MB RSS
 # on D12 w12 (n = 2048) for one root and 18.0-18.3 MB for two, and at
 # 20.2-20.5 MB on D13 w13 (n = 4096) for six, over Q and over F_2, where dense

@@ -1,5 +1,6 @@
 """Exact matrices, unipotence, root-element construction, tensor trials."""
 
+import contextlib
 import functools
 import json
 import re
@@ -51,6 +52,17 @@ from mtkit import (
 from mtkit import matrix, oracle
 from mtkit.matrix import _is_prime
 from mtkit.roots import _epsilon_vector, _positive_root
+
+
+@contextlib.contextmanager
+def no_dense_rows():
+    """Fail any read of ExactMatrix.rows made inside the block."""
+    def refuse(m):
+        raise AssertionError("wrote out the dense rows of a matrix")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExactMatrix, "rows", property(refuse))
+        yield
 
 
 def jordan(sizes, prime=None):
@@ -135,7 +147,8 @@ def test_kron_over_the_matrix_budget_is_refused(prime):
 
 
 def test_product_with_a_non_matrix_is_a_type_error():
-    # @ returns NotImplemented for an operand that is not an ExactMatrix, as == does
+    # @ returns NotImplemented for an operand that is not an ExactMatrix, as
+    # == does, and kron refuses one with the TypeError that @ ends in
     m = ExactMatrix.identity(2)
     for other in (3, None, [[1]]):
         assert m.__matmul__(other) is NotImplemented
@@ -143,6 +156,9 @@ def test_product_with_a_non_matrix_is_a_type_error():
             m @ other
         with pytest.raises(TypeError):
             other @ m
+        with pytest.raises(TypeError, match=rf"^unsupported operand type\(s\) for kron: "
+                                            rf"'ExactMatrix' and '{type(other).__name__}'$"):
+            m.kron(other)
 
 
 def test_c2_std_long_root_is_a_transvection():
@@ -223,11 +239,13 @@ def test_root_elements_match_the_dense_reference(prime, monkeypatch):
     cases = 0
     positions = {}
     for rep, specs, idxs in _root_element_cases():
-        m = build_root_element(rep, specs, prime)
-        report = unipotence(m)
-        # certifying x_alpha(1), or a product of several, writes out the dense
-        # rows of neither M nor the M - 1 whose degree and drop it takes
-        assert m._rows is None and nils[-1]._rows is None
+        # building x_alpha(1), or a product of several, certifying it and
+        # comparing it and the M - 1 whose degree and drop it takes with their
+        # twins writes out no dense row
+        with no_dense_rows():
+            m = build_root_element(rep, specs, prime)
+            report = unipotence(m)
+            assert m == build_root_element(rep, specs, prime) and nils[-1] == m.sub_identity()
         ref = reference_build_root_element(rep, idxs, prime)
         nil, ref_nil = m.sub_identity(), reference_sub_identity(ref)
         if rep not in positions:
@@ -370,7 +388,7 @@ def test_seeded_forms_equal_a_fresh_scan():
         assert m._form == matrix._nonzero(m.rows) == twin._form, name
         assert m.sub_identity() == reference_sub_identity(twin), name
         assert m.is_zero() == twin.is_zero() and m.is_identity() == twin.is_identity(), name
-        for field in ("_form", "_rows", "rows", "prime", "dim"):
+        for field in (*ExactMatrix.__slots__, "rows"):
             with pytest.raises(FrozenInstanceError):
                 setattr(m, field, None)
             with pytest.raises(FrozenInstanceError):
@@ -378,6 +396,25 @@ def test_seeded_forms_equal_a_fresh_scan():
 
 
 D13_SIX_ROOTS = ["e1-e2", "e3-e4", "e5-e6", "e7-e8", "e9-e10", "e11-e12"]
+
+
+def test_equality_and_hash_read_the_form():
+    # a form holds only nonzero rows and nonzero entries, so it is canonical:
+    # == and hash compare dim, prime and form, and write out no dense row
+    with no_dense_rows():
+        zero2, zero3 = ExactMatrix([[0] * 2] * 2), ExactMatrix([[0] * 3] * 3)
+        assert zero2 != zero3 and zero2.is_zero() and zero3.is_zero()
+        assert ExactMatrix([[1, 2], [0, 3]]) != ExactMatrix([[1, 2], [0, 3]], 7)
+        assert ExactMatrix.identity(4) != ExactMatrix.identity(4, 7)
+        rep = minuscule_rep(CartanType("D", 13), 13)
+        a, b = (build_root_element(rep, D13_SIX_ROOTS) for _ in range(2))
+        assert a == b and hash(a) == hash(b) and a != a.sub_identity()
+    # row 2 of the cancelling product meets its columns as 1, 2, 0, and its
+    # twin's scan as 0, 1, 2: == and hash do not see the order
+    m = dict(_constructions(None))["cancelling product"]()
+    twin = ExactMatrix(m.rows)
+    assert list(m._form[2]) == [1, 2, 0] and list(twin._form[2]) == [0, 1, 2]
+    assert m == twin and hash(m) == hash(twin)
 
 
 @pytest.mark.parametrize("rank, roots, prime, report", [
@@ -398,10 +435,11 @@ def test_a_halfspin_product_at_scale_stays_in_its_nonzero_form(rank, roots, prim
             monkeypatch.setattr(module, name, refuse)
     degree_of, nils = oracle.nilpotency_degree, []
     monkeypatch.setattr(oracle, "nilpotency_degree", lambda nil: nils.append(nil) or degree_of(nil))
-    m = build_root_element(minuscule_rep(CartanType("D", rank), rank), roots, prime)
-    got = unipotence(m)
+    with no_dense_rows():
+        m = build_root_element(minuscule_rep(CartanType("D", rank), rank), roots, prime)
+        got = unipotence(m)
+        assert nils == [m.sub_identity()]
     assert (got.degree, got.drop, got.dim) == report
-    assert m._rows is None and nils[0]._rows is None
 
 
 def test_halfspin_product_of_orthogonal_roots_builds():
