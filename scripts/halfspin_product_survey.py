@@ -11,8 +11,10 @@ Each product is named by the epsilon mnemonics of its roots, as the CLI's
 
 Run:  python scripts/halfspin_product_survey.py [max_rank]
 
-Everything printed is exploratory: the cocycle sign convention used for
-product elements is not certified to define a group representation.
+In D, orthogonal roots are strongly orthogonal (their sum is no root), so
+each product is a diagonal +-1 conjugate of the group element and has its
+degree and drop; tests/test_oracle.py checks this against certified root
+vectors on every classical minuscule module to rank 5.
 """
 
 import sys

@@ -45,13 +45,13 @@ from .errors import (
 )
 from .minuscule import (
     DEFAULT_RANK_BOUND,
+    MATRIX_BUDGET,
     MinusculeRep,
     enumerate_minuscule,
     minuscule_rep,
 )
 from .oracle import (
     DEFAULT_PRIME,
-    MATRIX_BUDGET,
     RUN_BUDGET,
     ExactMatrix,
     TensorLemmaReport,

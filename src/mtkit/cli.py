@@ -232,17 +232,9 @@ def _cmd_oracle_drop(args) -> tuple[dict, list[dict]]:
     except DomainError as exc:  # malformed or unmatched specs are usage errors
         raise UsageError(str(exc)) from None
     report = unipotence(build_root_element(rep, specs, prime=args.prime)).to_dict()
-    exploratory = len(specs) > 1
-    payload = {**_head(rep), "roots": specs, "prime": args.prime, "report": report,
-               "exploratory": exploratory}
-    if exploratory:
-        payload["note"] = (
-            "product of root elements: the cocycle signs are not certified to "
-            "define a group representation; treat degree/drop as exploratory"
-        )
+    payload = {**_head(rep), "roots": specs, "prime": args.prime, "report": report}
     rows = [{**_head(rep), "roots": "|".join(specs), "prime": args.prime, "dim": report["dim"],
-             "degree": report["degree"], "drop": report["drop"],
-             "quadratic": report["quadratic"], "exploratory": exploratory}]
+             "degree": report["degree"], "drop": report["drop"], "quadratic": report["quadratic"]}]
     return payload, rows
 
 

@@ -23,14 +23,14 @@ import random
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, combinations, compress, count
-from operator import mul, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from .errors import NotUnipotent, PreconditionError, printable
 from .matrix import (ExactMatrix, _nonzero, _pack_rows, _require_prime, _slot_size, _times,
                      _unpack)
-from .minuscule import MATRIX_BUDGET, MinusculeRep
-from .roots import _epsilon_vector, _positive_root
+from .minuscule import MinusculeRep
+from .roots import _epsilon_vector, _is_positive_root, _positive_root
 
 DEFAULT_PRIME = 10007  # large enough that desk-scale tensor degrees never degrade
 
@@ -164,24 +164,20 @@ def build_root_element(
     MinusculeRep.datum and minuscule_rep's datum build leave src/ together once
     the benchmark names its roots by mnemonic.
 
-    Multiple roots must be distinct and pairwise orthogonal, one epsilon dot
-    product per pair; the product is taken in the given order.  Single-root
-    elements are certified quadratic; products are exploratory (the sign
-    convention is not certified to define a group representation).  The
-    exceptional types and modules of dimension above MATRIX_BUDGET are
-    refused before any weight or row is built.
+    Multiple roots must be distinct and strongly orthogonal: their epsilon
+    dot product is 0 and their sum is no root, which refuses two short roots
+    e_i, e_j of B and e_i - e_j, e_i + e_j of C.  The product is taken in the
+    given order.  Such x_alpha commute, and each moves a weight to at most one
+    other, so on the weights the moves join, the signs of the Chevalley root
+    vectors form a coboundary: the +1 product is a diagonal +-1 conjugate of
+    the group element, of the same degree and drop.  rep.orbit is read first:
+    it refuses the exceptional types and modules of dimension above
+    MATRIX_BUDGET before any weight is listed.
     """
     _require_prime(prime)
     if not isinstance(roots, (list, tuple)) or not roots:
         raise PreconditionError(f"roots must be a nonempty list, got {printable(roots)}")
-    t = rep.cartan_type
-    if not t.is_classical:
-        raise PreconditionError(f"root elements are built for classical types only, not {t}")
-    if rep.dimension > MATRIX_BUDGET:
-        raise PreconditionError(
-            f"{rep.name} of {t} has dimension {rep.dimension}, "
-            f"more than the matrix budget of {MATRIX_BUDGET} rows"
-        )
+    n, orbit, t = rep.dimension, rep.orbit, rep.cartan_type
     alphas = []
     for root in roots:
         if type(root) is not int:
@@ -196,12 +192,16 @@ def build_root_element(
             raise PreconditionError(f"root {printable(b)} is repeated; the roots must be distinct")
         if sum(map(mul, x, y)):
             raise PreconditionError(f"roots {printable(a)} and {printable(b)} are not orthogonal")
+        if _is_positive_root(t, z := tuple(map(add, x, y))):
+            name = "".join(f"{'-+'[c > 0]}{abs(c) if abs(c) > 1 else ''}e{k + 1}"
+                           for k, c in enumerate(z) if c)
+            raise PreconditionError(f"roots {printable(a)} and {printable(b)} are not strongly "
+                                    f"orthogonal: their sum {name[1:]} is a root")
 
     # An epsilon vector of a classical root has one or two nonzero entries.  x_alpha
     # moves each mu with (mu, alpha) = -(alpha, alpha) to mu + alpha, with (mu + alpha,
     # alpha) = +(alpha, alpha); the weights are sorted and + alpha keeps the order, so
     # the k-th that moves goes to the k-th.
-    n, orbit = rep.dimension, rep.orbit
     product: ExactMatrix | None = None
     for alpha in alphas:
         (k, a), *rest = [(k, a) for k, a in enumerate(alpha) if a]

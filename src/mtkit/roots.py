@@ -152,22 +152,25 @@ def _positive_root(t: CartanType, spec: str) -> tuple[int, ...]:
         out[k - 1] += c
     if not t.is_classical:  # a spec is parsed before this refusal
         raise PreconditionError(f"epsilon mnemonics cover classical types only, not {t}")
-    first, *rest = [c for c in out if c] or [0]  # the entries of e_i before those of e_j
-    if (first == 1 and len(rest) == 1 and rest[0] in ((-1,) if t.family == "A" else (-1, 1))
-            or not rest and first == {"B": 1, "C": 2}.get(t.family)):
+    if _is_positive_root(t, out):
         return tuple(out)
     raise PreconditionError(f"{spec!r} is not a positive root of {t}")
 
 
-def _simple_root_coords(t: CartanType, v: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Simple-root coordinates of the classical epsilon vector v; None off the root lattice."""
+def _is_positive_root(t: CartanType, v) -> bool:
+    """Whether the epsilon vector v is a positive root of the classical t, in closed form."""
+    first, *rest = [c for c in v if c] or [0]  # the entries of e_i before those of e_j
+    return (first == 1 and len(rest) == 1 and rest[0] in ((-1,) if t.family == "A" else (-1, 1))
+            or not rest and first == {"B": 1, "C": 2}.get(t.family))
+
+
+def _simple_root_coords(t: CartanType, v: tuple[int, ...]) -> tuple[int, ...]:
+    """Simple-root coordinates of the epsilon vector v of a root of the classical t."""
     sums = list(accumulate(v))
     if t.family == "A":
-        return tuple(sums[:-1]) if sums[-1] == 0 else None
+        return tuple(sums[:-1])
     if t.family == "B":
         return tuple(sums)
-    if sums[-1] % 2:
-        return None
     if t.family == "D":
         sums[-2] = (sums[-2] - v[-1]) // 2
     sums[-1] //= 2

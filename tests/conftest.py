@@ -1,6 +1,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 from operator import mul
 
 from hypothesis import HealthCheck, settings
@@ -493,3 +494,80 @@ def reference_rank(m):
                 if (g := gcd(*row)) > 1:
                     row = [x // g for x in row]
     return len(kept)
+
+
+# Certified root vectors on the classical minuscule modules, with signs the
+# library does not use: fermion words on subsets for A_n w_j (j-subsets of n + 1
+# modes), B_n spin (all subsets of n modes) and the D_n half-spins (subsets of
+# the parity of j): E_(e_i - e_k) = a_i^+ a_k, E_(e_i + e_k) = a_i^+ a_k^+, and
+# E_(e_i) = a_i^+ (-1)^N for the short roots of B (Fulton-Harris, section 20);
+# the Sp_2n and SO_2n root vectors for C_n std and D_n std on v_(+-i) of weight
+# +-e_i, with v_i paired to v_(-i) (Fulton-Harris, sections 16 and 18).
+# test_oracle certifies them: each squares to 0, preserves the form, and
+# [E_alpha, E_beta] is a nonzero multiple of E_(alpha + beta) exactly when
+# alpha + beta is a root (Humphreys, section 18).
+def _fermion(op, k, state, sign):
+    """(state, sign) after a_k^+ ("create"), a_k ("annihilate") or (-1)^N ("parity");
+    None where it vanishes.  A state is a sorted tuple of occupied modes."""
+    if op == "parity":
+        return state, sign * (-1) ** len(state)
+    if (k in state) == (op == "create"):
+        return None
+    sign *= (-1) ** sum(s < k for s in state)
+    return tuple(sorted(set(state) ^ {k})), sign
+
+
+def _certified_basis(rep):
+    """The states of rep, each with its weight in doubled epsilon coordinates."""
+    t, j = rep.cartan_type, rep.weight_index
+    n = t.rank
+    if t.family == "A":
+        return [(s, tuple(2 * (k in s) for k in range(n + 1)))
+                for s in combinations(range(n + 1), j)]
+    if j == 1 and t.family in ("C", "D"):  # v_(+-(i+1)) is (+-1, i)
+        return [((x, i), tuple(2 * x * (k == i) for k in range(n)))
+                for i in range(n) for x in (1, -1)]
+    return [(s, tuple(1 if k in s else -1 for k in range(n)))
+            for r in range(n + 1) for s in combinations(range(n), r)
+            if t.family == "B" or r % 2 == j % 2]
+
+
+def certified_root_vector(rep, alpha) -> dict[int, tuple[int, int]]:
+    """E_alpha, for the epsilon vector alpha of a positive root, as {source: (target, sign)}
+    on the positions of rep.orbit."""
+    t, states = rep.cartan_type, _certified_basis(rep)
+    at = {mu: p for p, mu in enumerate(rep.orbit)}
+    (i, _), *rest = [(k, c) for k, c in enumerate(alpha) if c]
+    k, c = rest[0] if rest else (None, 0)  # e_i + c e_k, or e_i / 2e_i alone
+    moves = {}
+    if rep.weight_index == 1 and t.family in ("C", "D"):
+        if not rest:  # 2e_i: v_(-i) -> v_i
+            moves[-1, i] = (1, i), 1
+        elif c < 0:  # e_i - e_k: v_k -> v_i, v_(-i) -> -v_(-k)
+            moves[1, k], moves[-1, i] = ((1, i), 1), ((-1, k), -1)
+        else:  # e_i + e_k: v_(-k) -> v_i, v_(-i) -> -+v_k (- for SO_2n)
+            moves[-1, k], moves[-1, i] = ((1, i), 1), ((1, k), 1 if t.family == "C" else -1)
+    else:
+        word = [("create", i), ("annihilate" if c < 0 else "create", k) if rest else ("parity", None)]
+        for s, _ in states:
+            image = (s, 1)
+            for op, mode in reversed(word):
+                image = image and _fermion(op, mode, *image)
+            if image:
+                moves[s] = image
+    weight = dict(states)
+    return {at[weight[s]]: (at[weight[dst]], sign) for s, (dst, sign) in moves.items()}
+
+
+def certified_root_element(rep, alphas, prime=None):
+    """The product, in the given order, of the x_alpha(1) = 1 + E_alpha of certified_root_vector."""
+    from mtkit import ExactMatrix
+
+    product = None
+    for alpha in alphas:
+        rows = [[int(r == c) for c in range(rep.dimension)] for r in range(rep.dimension)]
+        for src, (dst, sign) in certified_root_vector(rep, alpha).items():
+            rows[dst][src] = sign
+        m = ExactMatrix(rows, prime)
+        product = m if product is None else product @ m
+    return product

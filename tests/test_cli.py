@@ -189,18 +189,18 @@ def test_oracle_drop_command(capsys):
     payload = json.loads(out)
     assert payload["report"]["degree"] == 2
     assert payload["report"]["drop"] == 6
-    assert payload["exploratory"] is False
 
 
-def test_oracle_drop_product_flagged_exploratory(capsys):
-    code, out, _ = invoke(
-        capsys, "oracle", "drop", "--type", "D", "--rank", "6",
-        "--weight", "spin+", "--roots", "e1-e2,e3-e4",
-    )
+def test_oracle_drop_product_has_the_single_root_shape(capsys):
+    # a product of strongly orthogonal roots is answered as one root is: no
+    # flag or note sets it apart
+    argv = ["oracle", "drop", "--type", "D", "--rank", "6", "--weight", "spin+", "--roots"]
+    _, one, _ = invoke(capsys, *argv, "e1-e2")
+    code, out, _ = invoke(capsys, *argv, "e1-e2,e3-e4")
     assert code == 0
     payload = json.loads(out)
-    assert payload["exploratory"] is True
-    assert "exploratory" in payload["note"]
+    assert payload.keys() == json.loads(one).keys()
+    assert not payload.keys() & {"exploratory", "note"}
 
 
 def test_oracle_drop_malformed_roots_exit_1(capsys, default_int_digits):
@@ -243,6 +243,19 @@ def test_oracle_drop_non_orthogonal_exit_2(capsys):
     )
     assert (code, out) == (2, "")
     assert err == "error: root 'e1-e2' is repeated; the roots must be distinct\n"
+
+
+@pytest.mark.parametrize("family,weight,roots,total", [
+    ("B", "spin", "e1,e2", "e1+e2"), ("C", "std", "e1-e2,e1+e2", "2e1")])
+def test_oracle_drop_roots_whose_sum_is_a_root_exit_2(capsys, family, weight, roots, total):
+    # orthogonal but not strongly orthogonal: the +1 signs would give degree 3
+    # where the group element has degree 2
+    code, out, err = invoke(capsys, "oracle", "drop", "--type", family, "--rank", "3",
+                            "--weight", weight, "--roots", roots)
+    first, second = roots.split(",")
+    assert (code, out) == (2, "")
+    assert err == (f"error: roots {first!r} and {second!r} are not strongly orthogonal: "
+                   f"their sum {total} is a root\n")
 
 
 def test_identical_invocations_byte_identical(capsys):
@@ -346,6 +359,14 @@ def test_stdout_matches_golden_file(capsys, golden):
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
+def test_golden_directory_holds_only_the_files_the_tests_read():
+    # GOLDEN_RUNS, the half-spin product survey (test_oracle) and the
+    # exceptional density (test_decision): a renamed or regenerated golden
+    # leaves no orphan behind
+    read = {*GOLDEN_RUNS, "halfspin_product_survey_8.txt", "exceptional_density_5000.txt"}
+    assert {p.name for p in GOLDEN.iterdir()} == read
+
+
 def test_one_parser_serves_every_call(capsys):
     # each parser is built once per process: no call may leave state for the next
     assert cli._build_parser() is cli._build_parser()
@@ -382,7 +403,7 @@ def test_one_parser_serves_every_call(capsys):
      [f"{comb(1998, 999)},A,1997,w999,Λ^999 Std,999",
       f"{comb(1998, 999)},C,{comb(1998, 999) // 2},w1,Std,{comb(1998, 999) // 2}"]),
     (["oracle", "drop", "--type", "D", "--rank", "14", "--weight", "spin+", "--roots", "e1-e2"],
-     2, "more than the matrix budget of 4096 rows"),
+     2, "more than the matrix budget of 4096 weights"),
 ], ids=["classify", "minuscule", "table", "classify_root_datum", "classify_spin_rank",
         "classify_middle_power", "oracle_drop"])
 def test_orbit_over_budget_exit_2(capsys, argv, code, expected):
@@ -644,7 +665,7 @@ def markdown_cells(line: str) -> list[str]:
 def test_markdown_cells_escape_the_pipe(capsys, monkeypatch):
     _, out, _ = invoke(capsys, *GOLDEN_RUNS["oracle_drop_D5_w5.md"])
     header, _, row = out.splitlines()
-    assert len(markdown_cells(row)) == len(markdown_cells(header)) == 11
+    assert len(markdown_cells(row)) == len(markdown_cells(header)) == 10
     assert markdown_cells(row)[4] == "e1-e2\\|e3-e4"
     # a tensor-lemma run that sees two degrees joins their counts with a |
     report = TensorLemmaReport(
@@ -821,7 +842,8 @@ VALID_RUNS = [
      "--prime", "2", "--format", "csv"],
 ]
 FLAG_STAND_INS = ["", "-1", "0", "2", "1.5", "abc", "9" * 5000]
-EXTRA_STAND_INS = {"--roots": ["e1-e1", "e2-e1", "3", "e1-e2,e1-e2"], "--type": ["E6"]}
+EXTRA_STAND_INS = {"--roots": ["e1-e1", "e2-e1", "3", "e1-e2,e1-e2", "e1,e2", "e1-e2,e1+e2"],
+                   "--type": ["E6"]}
 
 
 def _flag_stand_in_runs():
@@ -867,4 +889,4 @@ def test_every_flag_stand_in_is_answered_or_refused_promptly(capsys, default_int
                 bad.append(f"{argv}: exit {code}, {err[-200:]!r}")
     finally:
         signal.signal(signal.SIGALRM, previous)
-    assert (runs, bad) == (330, [])
+    assert (runs, bad) == (332, [])

@@ -8,13 +8,15 @@ import runpy
 import sys
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain, combinations, compress
 from math import lcm
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 import pytest
 from conftest import (
+    certified_root_element,
+    certified_root_vector,
     epsilon_spec,
     fundamental,
     in_walk_basis,
@@ -192,6 +194,101 @@ def test_root_element_orthogonality_enforced():
     e12 = rep.datum.positive_roots.index((1, 0, 0, 0, 0, 0))
     with pytest.raises(PreconditionError, match=f"root {e12} is repeated"):
         build_root_element(rep, ["e1-e2", e12])
+
+
+def _classical_reps(bound):
+    """(rep, epsilon vectors of its positive roots) for every classical minuscule rep to rank bound."""
+    for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3)):
+        for n in range(lo, bound + 1):
+            for r in enumerate_minuscule(CartanType(f, n)):
+                yield minuscule_rep(r.cartan_type, r.weight_index), reference_epsilon_roots(r.cartan_type)
+
+
+def _bracket(x, y):
+    """[X, Y] of two maps {source: (target, sign)}, as {(source, target): entry}."""
+    out = {}
+    for first, then, f in ((y, x, 1), (x, y, -1)):
+        for src, (mid, s) in first.items():
+            if mid in then:
+                dst, t = then[mid]
+                out[src, dst] = out.get((src, dst), 0) + f * s * t
+    return {k: v for k, v in out.items() if v}
+
+
+def test_certified_root_vectors_satisfy_the_chevalley_relations():
+    # to rank 4: each E_alpha moves v_mu to +-v_(mu + alpha) and squares to 0,
+    # the Sp_2n and SO_2n vectors preserve their forms, and [E_alpha, E_beta]
+    # is c E_(alpha + beta), c != 0, exactly when alpha + beta is a root
+    pairs = 0
+    for rep, roots in _classical_reps(4):
+        orbit, vectors = rep.orbit, {a: certified_root_vector(rep, a) for a in roots}
+        for a, e in vectors.items():
+            assert e and not e.keys() & {dst for dst, _ in e.values()}, (rep, a)
+            assert all(orbit[dst] == tuple(m + 2 * x for m, x in zip(orbit[src], a))
+                       for src, (dst, _) in e.items())
+            if rep.weight_index == 1 and rep.cartan_type.family in ("C", "D"):
+                # (v_mu, v_-mu) is 1 for mu = 2e_i, and -1 (C) or 1 (D) for mu = -2e_i
+                def form(p, q):
+                    if orbit[p] != tuple(-x for x in orbit[q]):
+                        return 0
+                    return 1 if sum(orbit[p]) > 0 or rep.cartan_type.family == "D" else -1
+
+                def pair(p, q):  # (E v_p, v_q) + (v_p, E v_q)
+                    return ((e[p][1] * form(e[p][0], q) if p in e else 0)
+                            + (e[q][1] * form(p, e[q][0]) if q in e else 0))
+
+                assert not any(pair(p, q) for p in range(rep.dimension)
+                               for q in range(rep.dimension)), (rep, a)
+        for a, b in combinations(roots, 2):
+            got, e = _bracket(vectors[a], vectors[b]), vectors.get(tuple(map(add, a, b)), {})
+            target = {(src, dst): sign for src, (dst, sign) in e.items()}
+            assert got.keys() == target.keys(), (rep, a, b)
+            assert len({got[k] * target[k] for k in target}) <= 1, (rep, a, b)
+            pairs += 1
+    assert pairs == 798
+
+
+@pytest.mark.parametrize("prime", [None, 3])
+def test_strongly_orthogonal_root_products_match_the_certified_elements(prime):
+    # every set of 1-3 strongly orthogonal roots on every classical minuscule
+    # rep to rank 5: the +1 product has the degree and drop of the group element
+    cases = 0
+    for rep, roots in _classical_reps(5):
+        roots_ = set(roots)
+        strong = {(a, b) for a, b in combinations(roots, 2)
+                  if not sum(map(mul, a, b)) and tuple(map(add, a, b)) not in roots_}
+        for r in (1, 2, 3):
+            for alphas in combinations(roots, r):
+                if all(pair in strong for pair in combinations(alphas, 2)):
+                    got = unipotence(build_root_element(rep, list(map(epsilon_spec, alphas)), prime))
+                    want = unipotence(certified_root_element(rep, alphas, prime))
+                    assert (got.degree, got.drop) == (want.degree, want.drop), (rep, alphas)
+                    cases += 1
+    assert cases == 1908
+
+
+def test_roots_whose_sum_is_a_root_are_refused():
+    # every orthogonal pair of roots whose sum is a root to rank 5 (two short
+    # roots of B, e_i - e_j and e_i + e_j of C) is refused in either order,
+    # naming the sum; the product of the two +1 elements misses the group
+    # element's degree or drop, over Q and over F_3
+    pairs = 0
+    for rep, roots in _classical_reps(5):
+        for a, b in combinations(roots, 2):
+            if sum(map(mul, a, b)) or (total := tuple(map(add, a, b))) not in roots:
+                continue
+            pairs += 1
+            for x, y in ((a, b), (b, a)):
+                with pytest.raises(PreconditionError, match=re.escape(
+                        f"roots {epsilon_spec(x)!r} and {epsilon_spec(y)!r} are not strongly "
+                        f"orthogonal: their sum {epsilon_spec(total)} is a root")):
+                    build_root_element(rep, [epsilon_spec(x), epsilon_spec(y)])
+            for prime in (None, 3):
+                plus = unipotence(build_root_element(rep, [epsilon_spec(a)], prime)
+                                  @ build_root_element(rep, [epsilon_spec(b)], prime))
+                true = unipotence(certified_root_element(rep, (a, b), prime))
+                assert (plus.degree, plus.drop) != (true.degree, true.drop), (rep, a, b, prime)
+    assert pairs == 40
 
 
 def test_root_index_must_be_a_plain_int():
