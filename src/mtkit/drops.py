@@ -17,7 +17,7 @@ from math import comb
 from types import MappingProxyType
 
 from .errors import NoSuchLengthClass, PreconditionError, printable
-from .minuscule import MinusculeRep, _classical_row, _minuscule_indices, _rep, _rep_name
+from .minuscule import MinusculeRep, _classical_row, _minuscule_indices, _rep
 from .roots import CartanType
 
 LENGTH_CLASSES = ("long", "short")
@@ -51,7 +51,7 @@ class CandidateList:
 def _drops(rep: MinusculeRep) -> dict[str, int]:
     t = rep.cartan_type
     if not t.is_classical:
-        raise PreconditionError("drops are computed for classical types only")
+        raise PreconditionError(f"drops are computed for classical types only, not {t}")
     return _classical_row(t, rep.weight_index)[2]
 
 
@@ -92,15 +92,15 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     Mumford-Tate group of an abelian variety are classical (Deligne,
     Varietes de Shimura, section 1.3), so E7 w7, symplectic of dimension 56,
     is never a candidate.  Each family realizes two_g at one rank only, and
-    every row is a closed form: no root datum is built.  C_n has one
-    minuscule weight, w1, whose standard rep is symplectic of dimension 2n
-    (n = two_g / 2 >= 2; C1 is A1).  The A, B and D ranks are O(log two_g),
-    filtered by dimension and sign:
+    every row is a closed form: no root datum is built.  One rank per family
+    is scanned, and its minuscule reps are filtered by dimension and sign:
 
     * A: self-dual middle exterior powers have central-binomial dimension
       C(2j, j) < 4**j, strictly increasing in j, so the walk starts at the
       least j with 4**j > two_g;
     * B: the spin dimension 2^n forces n = log2(two_g);
+    * C: the standard rep of C_n is symplectic of dimension 2n, so
+      n = two_g / 2, for two_g >= 4 (C1 is A1);
     * D: standard reps are orthogonal, so only the half-spin rank
       n = log2(two_g) + 1 can contribute.
 
@@ -116,6 +116,8 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
     m = _exact_log2(two_g)
     if m is not None and m >= 2:
         scan += [(CartanType("B", m), m), (CartanType("D", m + 1), m + 1)]
+    if two_g >= 4:
+        scan.append((CartanType("C", two_g // 2), two_g // 2))
 
     found = [
         Candidate(rep.cartan_type, rep.weight_index, rep.name, witness)
@@ -123,7 +125,4 @@ def classify_symplectic_minuscule(two_g: int) -> CandidateList:
         for rep in [_rep(t, j) for j in _minuscule_indices(t)]
         if rep.dimension == two_g and rep.sign == -1
     ]
-    if two_g >= 4:
-        c_n = CartanType("C", two_g // 2)
-        found.append(Candidate(c_n, 1, _rep_name(c_n, 1), c_n.rank))
     return CandidateList(two_g, tuple(sorted(found, key=lambda c: c.cartan_type.family)))

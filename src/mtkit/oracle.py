@@ -290,7 +290,8 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
     |M| <= 8 dim 9^dim (|C J| <= 8 dim; a unit-triangular solve with entries in
     [-2, 2] grows a bound at most 3^dim): no inverse, no product of matrices.  A
     dim with dim^4 above RUN_BUDGET (one tensor trial on dims (dim, 1) costs
-    more) and a prime that is not one are refused before any draw.
+    more), a prime that is not one and an rng that is not a random.Random are
+    refused before any draw.
     """
     _require_prime(prime)
     if _require_int("unipotence degree", k) < 1:
@@ -301,6 +302,8 @@ def random_unipotent(dim: int, k: int, rng: random.Random, prime: int | None = N
     if dim**4 > RUN_BUDGET:
         raise PreconditionError(
             f"dimension {printable(dim)} is over the run budget: dim^4 > {RUN_BUDGET}")
+    if not isinstance(rng, random.Random):
+        raise PreconditionError(f"rng must be a random.Random, got {printable(rng)}")
     # the Jordan blocks: column j of the seed J is e_j, plus e_(j-1) when j is inside a block
     link = [i > 0 for i in range(k)]
     while len(link) < dim:

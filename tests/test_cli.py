@@ -70,6 +70,26 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
 
 
+def test_endo_ignores_case_and_surrounding_spaces(capsys):
+    # as --type and --weight do
+    for command in (["mt-check", "--g", "10", "--s", "2"], ["mt-exceptional", "--max-g", "300"]):
+        expected = invoke(capsys, *command, "--endo", "Z")
+        assert expected[0] == 0
+        assert invoke(capsys, *command, "--endo", " z ") == expected
+
+
+def test_readme_cli_examples_run(capsys):
+    # the examples of the README's CLI section cannot rot: each exits 0 and prints
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+             if line.startswith("mtkit ")]
+    assert {argv[0] for argv in lines} == set(cli._COMMANDS)
+    for argv in lines:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err, bool(out.strip())) == (0, "", True), argv
+
+
 def test_invalid_rank_exit_2(capsys):
     code, _, err = invoke(capsys, "minuscule", "--type", "B", "--rank", "1")
     assert code == 2
@@ -499,26 +519,43 @@ def default_int_digits():
     sys.set_int_max_str_digits(limit)
 
 
+def _status_and_target(out: str, fmt: str) -> tuple[str, str]:
+    """The status and target group of one mt-check verdict, in any format."""
+    if fmt == "markdown":
+        header, _, cells = (line[2:-2].split(" | ") for line in out.splitlines()[:3])
+        row = dict(zip(header, cells))
+    else:
+        row = json.loads(out) if fmt == "json" else next(csv.DictReader(io.StringIO(out)))
+    return row["status"], row["target_group"] or ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
-@pytest.mark.parametrize("s", ["2", "0"])
-def test_mt_check_refuses_g_whose_double_has_too_many_digits(capsys, default_int_digits, fmt, s):
-    # 2g is printed in GSp_2g and in Pink's reason: the largest g answered has
-    # 2g = 99...98 with 4300 digits, and the next one exits 2 naming the limit
+@pytest.mark.parametrize("endo, s", [("Z", "2"), ("Z", "0"), ("II", "2"), ("II", "0"),
+                                     ("III", "2"), ("III", "0")],
+                         ids=["2", "0", "II-2", "II-0", "III-2", "III-0"])
+def test_mt_check_refuses_g_whose_double_has_too_many_digits(capsys, default_int_digits, fmt,
+                                                             endo, s):
+    # a Z verdict prints 2g (GSp_2g, Pink's reason), a II or III verdict prints g:
+    # 2g = 99...98 has 4300 digits at the largest g that Z answers, and at the next
+    # one, 5*10^4299, the engine refuses Z by name and still answers II and III
     top = 5 * 10**4299 - 1
+    edge = ["mt-check", "--g", str(top + 1), "--s", s, "--endo", endo, "--format", fmt]
+    if endo != "Z":
+        code, out, err = invoke(capsys, *edge)
+        assert (code, err) == (0, "")
+        group = "GSp" if endo == "II" else "GSO"
+        assert _status_and_target(out, fmt) == (
+            ("ProvedByTheorem41", f"{group}_{top + 1}") if s == "2" else ("NotCovered", ""))
+        return
     code, out, err = invoke(capsys, "mt-check", "--g", str(top), "--s", s, "--endo", "Z",
                             "--format", fmt)
     assert (code, err) == (0, "")
-    if fmt == "markdown":
-        assert f"\n| ProvedByPink | GSp_{2 * top} |" in out
-    else:
-        row = json.loads(out) if fmt == "json" else next(csv.DictReader(io.StringIO(out)))
-        assert (row["status"], row["target_group"]) == ("ProvedByPink", f"GSp_{2 * top}")
-    code, out, err = invoke(capsys, "mt-check", "--g", str(top + 1), "--s", s, "--endo", "Z",
-                            "--format", fmt)
+    assert _status_and_target(out, fmt) == ("ProvedByPink", f"GSp_{2 * top}")
+    code, out, err = invoke(capsys, *edge)
     assert (code, out) == (2, "")
     assert err == (
-        "error: g must be below 5*10^4299, so that 2g has at most 4300 digits, the most "
-        "that Python converts to text (sys.get_int_max_str_digits())\n"
+        "error: g of 14284 bits is too large: its verdict would print a number of more than "
+        "4300 digits, the most that Python converts to text (sys.get_int_max_str_digits())\n"
     )
 
 

@@ -134,6 +134,14 @@ def _pairs(cl: CandidateList):
     return [(str(c.cartan_type), c.name) for c in cl.candidates]
 
 
+@pytest.mark.parametrize("t", [CartanType("E6", 6), CartanType("E7", 7)], ids=str)
+def test_exceptional_drops_are_refused_by_name(t):
+    for rep in enumerate_minuscule(t):
+        for drops in (drop_spectrum, lambda rep: root_element_drop(rep, "long")):
+            with pytest.raises(PreconditionError, match=f"classical types only, not {t}"):
+                drops(rep)
+
+
 def test_classify_20():
     assert _pairs(classify_symplectic_minuscule(20)) == [("A5", "Λ^3 Std"), ("C10", "Std")]
 

@@ -142,8 +142,7 @@ def _entry_points():
         ("unipotence", mtkit.unipotence, [m]),
         ("nilpotency_degree", mtkit.nilpotency_degree, [m.sub_identity()]),
         ("verify_tensor_lemma", mtkit.verify_tensor_lemma, [2, 2, (2, 2), 2, 1, None]),
-        ("random_unipotent", lambda dim, k, prime: mtkit.random_unipotent(
-            dim, k, random.Random(1), prime), [3, 2, None]),
+        ("random_unipotent", mtkit.random_unipotent, [3, 2, random.Random(1), None]),
         ("pink_gate", mtkit.pink_gate, [10]),
         ("mt_check", lambda g, s, endo: mtkit.mt_check(mtkit.MtQuery(g, s, endo)), [10, 2, z]),
         ("enumerate_exceptional", mtkit.enumerate_exceptional, [10, z]),
